@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import eigh
 
-from .moments import Domain, ball_pi_power, integrate_poly, moment_rational, moment_table
+from .moments import Domain, ball_pi_power, moment_table
 from .polynomials import Polynomial, grlex_key
 
 __all__ = [

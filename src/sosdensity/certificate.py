@@ -12,7 +12,6 @@ zeta(K) and checks the rate inequality
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .moments import Domain, integrate_poly, moment_table
+from .moments import Domain, integrate_poly
 from .polynomials import Polynomial
 
 __all__ = [
@@ -240,7 +239,7 @@ def _domain_grid(dom: Domain, seed: int = 0) -> np.ndarray:
         rng = np.random.default_rng(seed)
         lo = np.array([float(l) for l, _ in dom.bounds])
         hi = np.array([float(h) for _, h in dom.bounds])
-        # stratified per coordinate (Latin-hypercube style), plus the corners' midpoint
+        # stratified per coordinate (Latin-hypercube style)
         m = 10**5
         u = (rng.permuted(np.tile(np.arange(m), (n, 1)), axis=1).T + rng.random((m, n))) / m
         return lo + u * (hi - lo)
@@ -339,7 +338,6 @@ def certificate(
     a: Sequence[float],
     r: int,
     f_min: float,
-    table=None,
 ) -> CertificateReport:
     """Evaluate the rate certificate for f on the domain at order r.
 
@@ -363,14 +361,6 @@ def certificate(
     sigma = eps
 
     H = taylor_density(a, sigma, r, n)
-    need = H.degree + f.degree
-    if table is None:
-        table = moment_table(dom, need)
-    else:
-        have = max(sum(alpha) for alpha in table)
-        if have < need:
-            raise ValueError(f"moment table covers degree {have}, need {need}")
-
     inv_cr = integrate_poly(dom, H)
     if inv_cr <= 0:
         raise ValueError("truncated Gaussian has nonpositive mass on the domain")

@@ -80,20 +80,25 @@ def _rescale_box(f: Polynomial, dom: Domain) -> tuple[Polynomial, Domain]:
     return f.substitute_affine(scale, shift), Domain.box([(-1, 1)] * dom.n)
 
 
-def _emit(rows: list[dict], columns: list[str], args) -> None:
-    """Rows as CSV (default) or JSON, to --out or stdout."""
-    if args.json:
+def _write(text: str, path: str | None) -> None:
+    """Text to the file at path, or to stdout when path is None."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit(rows: list[dict], columns: list[str], as_json: bool, path: str | None) -> None:
+    """Rows as CSV (default) or JSON, to the file at path or stdout."""
+    if as_json:
         text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
     else:
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join("" if row.get(c) is None else str(row.get(c)) for c in columns))
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, path)
 
 
 # ---- subcommands ------------------------------------------------------
@@ -130,7 +135,7 @@ def cmd_bound(args) -> int:
                     "status": "conditioning-error",
                 }
             )
-    _emit(rows, ["r", "value", "cond_B", "time_sec", "status"], args)
+    _emit(rows, ["r", "value", "cond_B", "time_sec", "status"], args.json, args.out)
     return EX_OK if ok else EX_CONDITIONING
 
 
@@ -168,12 +173,7 @@ def cmd_sample(args) -> int:
         columns += ["markov_eps", "markov_freq", "markov_cap"]
     if args.out:
         write_batch_csv(batch, args.out, dom, bound=b.value)
-        out_arg = args.out
-        args.out = None  # summary still goes to stdout
-        _emit([summary], columns, args)
-        args.out = out_arg
-    else:
-        _emit([summary], columns, args)
+    _emit([summary], columns, args.json, None)  # the summary always goes to stdout
     return EX_OK
 
 
@@ -203,16 +203,12 @@ def cmd_certificate(args) -> int:
         report = certificate(f, dom, a, r_lo, f_min)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", args.out)
     return EX_OK
 
 
-def _bench_block(name, n, r_max, cells, tol, relative, assert_max_r, rows):
+def _bench_block(name, n, r_max, cells, tol, relative, rows):
+    """Rows for the golden cells r <= r_max of one function; True if any failed."""
     tc = benchmarks.get(name) if n is None else benchmarks.get(name, n)
     results = bound_sweep(tc.f, tc.domain, r_max)
     failed = False
@@ -230,19 +226,14 @@ def _bench_block(name, n, r_max, cells, tol, relative, assert_max_r, rows):
             "abs_delta": None if b is None else abs(b.value - gold),
             "time_sec": None,
         }
-        asserted = r <= assert_max_r
         if b is None:
-            row["status"] = "conditioning-error" if asserted else "report"
-            failed = failed or asserted
+            row["status"] = "conditioning-error"
+            failed = True
+        elif abs(b.value - gold) / (abs(gold) if relative else 1.0) <= tol:
+            row["status"] = "ok"
         else:
-            delta = abs(b.value - gold) / (abs(gold) if relative else 1.0)
-            if not asserted:
-                row["status"] = "report"
-            elif delta <= tol:
-                row["status"] = "ok"
-            else:
-                row["status"] = "FAIL"
-                failed = True
+            row["status"] = "FAIL"
+            failed = True
         key = (tc.name, r)
         if key in golden.CORRECTED:
             row["reference_print"] = golden.CORRECTED[key]
@@ -254,18 +245,13 @@ def cmd_bench(args) -> int:
     rows: list[dict] = []
     failed = False
     for name, cells in golden.TABLE_BOX.items():
-        failed |= _bench_block(
-            name, None, golden.TABLE_BOX_ASSERT_MAX_R, cells, golden.ABS_TOL, False,
-            golden.TABLE_BOX_ASSERT_MAX_R, rows,
-        )
+        failed |= _bench_block(name, None, golden.TABLE_BOX_ASSERT_MAX_R, cells, golden.ABS_TOL, False, rows)
     for name, cells in golden.TABLE_SB.items():
-        failed |= _bench_block(name, None, 10, cells, golden.ABS_TOL, False, 10, rows)
+        failed |= _bench_block(name, None, 10, cells, golden.ABS_TOL, False, rows)
     for name, cells in golden.TABLE_N10.items():
-        failed |= _bench_block(
-            name, 10, golden.TABLE_N10_ASSERT_MAX_R, cells, golden.REL_TOL_N10, True,
-            golden.TABLE_N10_ASSERT_MAX_R, rows,
-        )
-    _emit(rows, ["function", "r", "value", "golden", "abs_delta", "status", "reference_print"], args)
+        failed |= _bench_block(name, 10, golden.TABLE_N10_ASSERT_MAX_R, cells, golden.REL_TOL_N10, True, rows)
+    columns = ["function", "r", "value", "golden", "abs_delta", "status", "reference_print"]
+    _emit(rows, columns, args.json, args.out)
     return EX_GOLDEN if failed else EX_OK
 
 

@@ -16,7 +16,8 @@ ABS_TOL = 1e-3  # bivariate tables, absolute
 REL_TOL_N10 = 1e-2  # n=10 table, relative
 
 # Bivariate functions over their boxes, r = 1..12 asserted at ABS_TOL;
-# r = 13..20 are printed to fewer digits upstream and are report-only.
+# r = 13..20 are printed to fewer digits upstream and kept for reference only:
+# `bench` stops at TABLE_BOX_ASSERT_MAX_R.
 TABLE_BOX: dict[str, dict[int, float]] = {
     "booth": {
         1: 244.680, 2: 162.486, 3: 118.383, 4: 97.6473, 5: 69.8174, 6: 63.5454,
@@ -46,7 +47,8 @@ TABLE_BOX: dict[str, dict[int, float]] = {
 TABLE_BOX_ASSERT_MAX_R = 12
 
 # Styblinski-Tang and Rosenbrock at n = 10; r <= 3 asserted at REL_TOL_N10,
-# r = 4..5 report-only (runtime).
+# r = 4..5 are kept for reference only (runtime): `bench` stops at
+# TABLE_N10_ASSERT_MAX_R.
 TABLE_N10: dict[str, dict[int, float]] = {
     "styblinski-tang": {1: -57.1688, 2: -94.5572, 3: -108.873, 4: -132.8810, 5: -146.7906},
     "rosenbrock": {1: 3649.85, 2: 2813.66, 3: 2393.63, 4: 1956.81, 5: 1701.85},

@@ -1,15 +1,29 @@
 """Exact Lebesgue moments for boxes, the standard simplex, and the unit ball.
 
-Box and simplex moments are plain Fractions.  Ball moments carry a common
-power of pi symbolically (PiMultiple) so that matrix assembly can stay
-exact: for fixed dimension every even-moment shares the same pi power.
+Every supported K has moments of the factored form
+
+    m_alpha(K) = g_K(|alpha|) * prod_i w_{K,i}(alpha_i),
+
+with, for the box prod_i [lo_i, hi_i], the standard simplex and the unit
+ball in dimension n:
+
+    box:      w_i(k) = (hi_i^(k+1) - lo_i^(k+1)) / (k+1),  g = 1;
+    simplex:  w(k) = k!,  g(s) = 1/(s+n)!;
+    ball:     w(k) = (k-1)!!/2^(k/2) for even k, 0 for odd k,
+              g(s) = 1/((n+s)/2)! for even n, 2^((n+s+1)/2)/(n+s)!! for odd n.
+
+Each kind's (w, g) is stated once (_axis_weight, _degree_factor); the scalar
+oracle and the memoized table both read from it.  Box and simplex moments
+are plain Fractions.  Ball moments carry the common factor pi^(n//2)
+symbolically (PiMultiple) so that matrix assembly can stay exact: the
+formula above is their rational part.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -113,7 +127,7 @@ class Domain:
         return sum(xi * xi for xi in x) <= 1 + slack
 
     def volume(self) -> float:
-        return float_moment(self, (0,) * self.n)
+        return float(moment(self, (0,) * self.n))
 
     def to_json(self) -> dict:
         if self.kind == "box":
@@ -147,107 +161,76 @@ def _check_alpha(dom: Domain, alpha: Sequence[int]) -> tuple[int, ...]:
     return alpha
 
 
-def _box_moment(bounds, alpha) -> Fraction:
-    result = Fraction(1)
-    for (lo, hi), a in zip(bounds, alpha):
-        result *= (hi ** (a + 1) - lo ** (a + 1)) / (a + 1)
-    return result
-
-
-def _simplex_moment(n: int, alpha) -> Fraction:
-    num = 1
-    for a in alpha:
-        num *= math.factorial(a)
-    return Fraction(num, math.factorial(sum(alpha) + n))
-
-
 def ball_pi_power(n: int) -> int:
     """Power of pi common to every nonzero unit-ball moment in dimension n."""
     return n // 2
 
 
-def _ball_moment(n: int, alpha) -> PiMultiple:
-    p = ball_pi_power(n)
-    if any(a % 2 for a in alpha):
-        return PiMultiple(Fraction(0), p)
-    k = n + sum(alpha)
-    num = 1
-    for a in alpha:
-        num *= _double_factorial(a - 1)
-    if n % 2 == 0:
-        # Gamma(1 + k/2) = (k/2)! with k even
-        coef = Fraction(num, math.factorial(k // 2) * 2 ** (sum(alpha) // 2))
-    else:
-        # Gamma(1 + k/2) = k!! sqrt(pi) / 2^((k+1)/2) with k odd
-        coef = Fraction(num * 2 ** ((k + 1) // 2), _double_factorial(k) * 2 ** (sum(alpha) // 2))
-    return PiMultiple(coef, p)
-
-
-def moment(dom: Domain, alpha: Sequence[int]):
-    """m_alpha(K): exact Fraction for box/simplex, PiMultiple for the ball."""
-    alpha = _check_alpha(dom, alpha)
+def _axis_weight(dom: Domain, i: int, k: int):
+    """w_{K,i}(k): the factor of m_alpha contributed by alpha_i = k."""
     if dom.kind == "box":
-        return _box_moment(dom.bounds, alpha)
+        lo, hi = dom.bounds[i]
+        return (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
     if dom.kind == "simplex":
-        return _simplex_moment(dom.n, alpha)
-    return _ball_moment(dom.n, alpha)
+        return math.factorial(k)
+    if k % 2:
+        return Fraction(0)
+    return Fraction(_double_factorial(k - 1), 2 ** (k // 2))
+
+
+def _degree_factor(dom: Domain, s: int) -> Fraction:
+    """g_K(s): the factor of m_alpha that depends on |alpha| = s only."""
+    n = dom.n
+    if dom.kind == "box":
+        return Fraction(1)
+    if dom.kind == "simplex":
+        return Fraction(1, math.factorial(s + n))
+    if n % 2 == 0:
+        # Gamma(1 + k/2) = (k/2)! with k = n + s even
+        return Fraction(1, math.factorial((n + s) // 2))
+    # Gamma(1 + k/2) = k!! sqrt(pi) / 2^((k+1)/2) with k = n + s odd
+    return Fraction(2 ** ((n + s + 1) // 2), _double_factorial(n + s))
+
+
+def _with_pi(dom: Domain, rational: Fraction):
+    """The moment with rational part `rational`: a PiMultiple on the ball."""
+    return PiMultiple(rational, ball_pi_power(dom.n)) if dom.kind == "ball" else rational
 
 
 def moment_rational(dom: Domain, alpha: Sequence[int]) -> Fraction:
     """The rational part of the moment (ball: the common pi power stripped)."""
-    m = moment(dom, alpha)
-    return m.coef if isinstance(m, PiMultiple) else m
+    alpha = _check_alpha(dom, alpha)
+    m = _degree_factor(dom, sum(alpha))
+    for i, k in enumerate(alpha):
+        m *= _axis_weight(dom, i, k)
+    return m
 
 
-def float_moment(dom: Domain, alpha: Sequence[int]) -> float:
-    return float(moment(dom, alpha))
-
-
-def _multi_indices(n: int, max_degree: int):
-    if n == 1:
-        for d in range(max_degree + 1):
-            yield (d,)
-        return
-    for d in range(max_degree + 1):
-        for rest in _multi_indices(n - 1, max_degree - d):
-            yield (d,) + rest
+def moment(dom: Domain, alpha: Sequence[int]):
+    """m_alpha(K): exact Fraction for box/simplex, PiMultiple for the ball."""
+    return _with_pi(dom, moment_rational(dom, alpha))
 
 
 @lru_cache(maxsize=64)
 def _cached_table(dom: Domain, max_degree: int):
+    # the product g(|alpha|) * prod_i w_i(alpha_i), built as running partial
+    # products over the coordinates; the box has g = 1 and skips it
     n = dom.n
+    w = [[_axis_weight(dom, i, k) for k in range(max_degree + 1)] for i in range(n)]
+    g = None if dom.kind == "box" else [_degree_factor(dom, s) for s in range(max_degree + 1)]
     table = {}
-    if dom.kind == "box":
-        # per-coordinate 1-D moments, combined via running partial products
-        pows = [
-            [(hi ** (k + 1) - lo ** (k + 1)) / (k + 1) for k in range(max_degree + 1)]
-            for lo, hi in dom.bounds
-        ]
 
-        def rec(i, prefix, partial, left):
-            if i == n - 1:
-                for k in range(left + 1):
-                    table[prefix + (k,)] = partial * pows[i][k]
-                return
+    def rec(i, prefix, partial, left):
+        wi = w[i]
+        if i == n - 1:
             for k in range(left + 1):
-                rec(i + 1, prefix + (k,), partial * pows[i][k], left - k)
+                m = partial * wi[k]
+                table[prefix + (k,)] = m if g is None else _with_pi(dom, m * g[max_degree - left + k])
+            return
+        for k in range(left + 1):
+            rec(i + 1, prefix + (k,), partial * wi[k], left - k)
 
-        rec(0, (), Fraction(1), max_degree)
-    elif dom.kind == "simplex":
-        facts = [math.factorial(k) for k in range(max_degree + n + 1)]
-
-        def rec(i, prefix, num, left):
-            if i == n - 1:
-                for k in range(left + 1):
-                    table[prefix + (k,)] = Fraction(num * facts[k], facts[max_degree - left + k + n])
-                return
-            for k in range(left + 1):
-                rec(i + 1, prefix + (k,), num * facts[k], left - k)
-
-        rec(0, (), 1, max_degree)
-    else:
-        for alpha in _multi_indices(n, max_degree):
-            table[alpha] = _ball_moment(n, alpha)
+    rec(0, (), 1, max_degree)
     return table
 
 
@@ -262,15 +245,10 @@ def integrate_poly_exact(dom: Domain, p: Polynomial):
     """Sum of coefficients times moments; Fraction or PiMultiple (ball)."""
     if p.n_vars != dom.n:
         raise ValueError(f"polynomial has {p.n_vars} variables, domain has {dom.n}")
-    if dom.kind == "ball":
-        total = Fraction(0)
-        for exp, coef in p.terms.items():
-            total += coef * _ball_moment(dom.n, exp).coef
-        return PiMultiple(total, ball_pi_power(dom.n))
     total = Fraction(0)
     for exp, coef in p.terms.items():
-        total += coef * moment(dom, exp)
-    return total
+        total += coef * moment_rational(dom, exp)
+    return _with_pi(dom, total)
 
 
 def integrate_poly(dom: Domain, p: Polynomial) -> float:

@@ -11,20 +11,23 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "Polynomial",
     "grlex_key",
     "parse_polynomial",
     "polynomial_from_json",
-    "gradient_norm_samples",
 ]
 
 
 def grlex_key(exponents: tuple[int, ...]) -> tuple:
     """Sort key realizing the graded lexicographic order."""
     return (sum(exponents), exponents)
+
+
+# scalars that arithmetic with a Polynomial accepts, each taken exactly
+_SCALARS = (int, float, Fraction)
 
 
 def _as_fraction(c) -> Fraction:
@@ -121,8 +124,10 @@ class Polynomial:
             raise ValueError(f"dimension mismatch: {self.n_vars} vs {other.n_vars}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             other = Polynomial.constant(self.n_vars, other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
         self._check_same(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
@@ -135,17 +140,21 @@ class Polynomial:
         return Polynomial(self.n_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             other = Polynomial.constant(self.n_vars, other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             c = _as_fraction(other)
             return Polynomial(self.n_vars, {e: cc * c for e, cc in self.terms.items()})
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check_same(other)
         terms: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -318,14 +327,8 @@ def polynomial_from_json(obj) -> Polynomial:
     terms = {}
     for t in obj["terms"]:
         exp = tuple(int(e) for e in t["exp"])
-        coef = str(t["coef"])
-        terms[exp] = Fraction(coef) if "." not in coef else _decimal_fraction(coef)
+        terms[exp] = Fraction(str(t["coef"]))  # decimal strings like "1.05" are exact
     return Polynomial(n, terms)
-
-
-def _decimal_fraction(text: str) -> Fraction:
-    """Exact rational value of a decimal literal like '1.05' (21/20)."""
-    return Fraction(text.replace(" ", ""))
 
 
 # ---- expression parser -----------------------------------------------
@@ -444,7 +447,7 @@ class _Parser:
     def base(self) -> Polynomial:
         kind, val, pos = self.next()
         if kind == "number":
-            return Polynomial.constant(self.n_vars, _decimal_fraction(val))
+            return Polynomial.constant(self.n_vars, Fraction(val))
         if kind == "var":
             idx = int(val[1:])
             if not 1 <= idx <= self.n_vars:
@@ -460,19 +463,3 @@ class _Parser:
 def parse_polynomial(text: str, n_vars: int) -> Polynomial:
     """Parse an ASCII polynomial expression; decimal literals become exact rationals."""
     return _Parser(text, n_vars).parse()
-
-
-def gradient_norm_samples(p: Polynomial, points: Iterable[Sequence[float]]) -> float:
-    """Max Euclidean norm of the exact symbolic gradient over sample points.
-
-    A lower estimate of the true Lipschitz constant on the domain.
-    """
-    points = list(points)
-    if not points:
-        raise ValueError("point list must be nonempty")
-    grad = [p.partial(i) for i in range(p.n_vars)]
-    best = 0.0
-    for x in points:
-        norm2 = sum(g.evaluate(x) ** 2 for g in grad)
-        best = max(best, norm2 ** 0.5)
-    return best

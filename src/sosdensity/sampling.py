@@ -8,13 +8,13 @@ bracketed bisection with a safeguarded Newton polish.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .moments import Domain, integrate_poly, integrate_poly_exact
+from .moments import Domain, integrate_poly_exact
 from .polynomials import Polynomial
 
 __all__ = [
@@ -39,30 +39,44 @@ class DegeneratePrefixError(RuntimeError):
     """The conditional density vanishes at the given prefix."""
 
 
+def _marginal_arrays(marg: Polynomial, i: int):
+    """Array form of f_{1..i+1}: prefix exponents, own exponents, float coefficients."""
+    exps = np.array([[e[j] for j in range(i)] for e in marg.terms], dtype=float).reshape(len(marg.terms), i)
+    own = np.array([e[i] for e in marg.terms])
+    coefs = np.array([float(c) for c in marg.terms.values()])
+    return exps, own, coefs, marg.degree
+
+
 @dataclass(frozen=True)
 class ConditionalChain:
     """Nested marginals f_{1..i} of a normalized density on a box or simplex.
 
     marginals[i-1] is the polynomial f_{1..i} in variables x_1..x_i (stored
     with the full variable count, unused variables absent); the last entry
-    is the density itself.
+    is the density itself.  Their array form, built once here, is what the
+    sampler and conditional_cdf evaluate.
     """
 
     domain: Domain
     density: Polynomial
     marginals: tuple[Polynomial, ...]
+    arrays: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        arrays = tuple(_marginal_arrays(m, i) for i, m in enumerate(self.marginals))
+        object.__setattr__(self, "arrays", arrays)
 
 
 @dataclass(frozen=True)
 class CdfSlice:
     """A univariate polynomial CDF together with its valid range."""
 
-    poly: Polynomial  # one variable; nondecreasing, 0 at lo, 1 at hi
+    coeffs: tuple[float, ...]  # ascending; nondecreasing on [lo, hi], 0 at lo, 1 at hi
     lo: float
     hi: float
 
     def __call__(self, t: float) -> float:
-        return self.poly.evaluate([t])
+        return float(np.polynomial.polynomial.polyval(t, self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -112,19 +126,38 @@ def _coordinate_range(dom: Domain, i: int, prefix: Sequence[float]) -> tuple[flo
     return 0.0, 1.0 - float(sum(prefix))
 
 
-def _univariate_in(p: Polynomial, i: int, prefix: Sequence[float]) -> np.ndarray:
-    """Coefficients (ascending) of p(prefix, x_i) as a polynomial in x_i.
+def _univariate(chain: ConditionalChain, i: int, prefix: np.ndarray) -> np.ndarray:
+    """Coefficients (ascending) of f_{1..i+1}(prefix, x_{i+1}) as a polynomial in x_{i+1}."""
+    exps, own, coefs, deg = chain.arrays[i]
+    w = coefs if i == 0 else coefs * np.prod(prefix[None, :] ** exps, axis=1)
+    return np.bincount(own, weights=w, minlength=deg + 1)
 
-    Variables beyond i must be absent from p.
+
+def _cdf_coeffs(dens: np.ndarray, lo: float, denom: float) -> np.ndarray:
+    """Coefficients of t -> (integral of dens from lo to t) / denom."""
+    anti = np.concatenate([[0.0], dens / np.arange(1, len(dens) + 1)])
+    coeffs = anti / denom
+    coeffs[0] -= np.polynomial.polynomial.polyval(lo, anti) / denom
+    return coeffs
+
+
+def _conditional(chain: ConditionalChain, i: int, prefix: np.ndarray, denom: float):
+    """CDF coefficients, range and density coefficients of coordinate i (0-based)
+    given the prefix; denom = f_{1..i}(prefix) is the conditional's mass.
     """
-    coeffs = np.zeros(p.degree + 1)
-    for exp, coef in p.terms.items():
-        c = float(coef)
-        for j in range(i):
-            if exp[j]:
-                c *= prefix[j] ** exp[j]
-        coeffs[exp[i]] += c
-    return np.trim_zeros(coeffs, "b") if np.any(coeffs) else coeffs[:1]
+    if denom < DENOMINATOR_FLOOR:
+        raise DegeneratePrefixError(f"conditional density mass {denom:.3e} at prefix {list(prefix)}")
+    lo, hi = _coordinate_range(chain.domain, i, prefix)
+    dens = _univariate(chain, i, prefix)
+    return _cdf_coeffs(dens, lo, denom), lo, hi, dens
+
+
+def _check_prefix(dom: Domain, prefix: np.ndarray):
+    """A prefix is valid when completing it with the domain's lowest corner stays in K."""
+    i = len(prefix)
+    rest = [float(lo) for lo, _ in dom.bounds[i:]] if dom.kind == "box" else [0.0] * (dom.n - i)
+    if not dom.contains(list(prefix) + rest, slack=MEMBERSHIP_SLACK):
+        raise ValueError(f"prefix {list(prefix)} lies outside the domain")
 
 
 def conditional_cdf(chain: ConditionalChain, i: int, prefix: Sequence[float]) -> CdfSlice:
@@ -133,20 +166,14 @@ def conditional_cdf(chain: ConditionalChain, i: int, prefix: Sequence[float]) ->
         raise ValueError(f"coordinate index {i} out of range")
     if len(prefix) != i - 1:
         raise ValueError(f"prefix must have length {i - 1}")
-    lo, hi = _coordinate_range(chain.domain, i - 1, prefix)
-    dens = _univariate_in(chain.marginals[i - 1], i - 1, prefix)
+    prefix = np.asarray(prefix, dtype=float)
+    _check_prefix(chain.domain, prefix)
     if i == 1:
         denom = 1.0
     else:
-        denom = chain.marginals[i - 2].evaluate(list(prefix) + [0.0] * (chain.domain.n - i + 1))
-    if denom < DENOMINATOR_FLOOR:
-        raise DegeneratePrefixError(f"conditional density mass {denom:.3e} at prefix {list(prefix)}")
-    anti = np.concatenate([[0.0], dens / np.arange(1, len(dens) + 1)])
-    at_lo = float(np.polynomial.polynomial.polyval(lo, anti))
-    coeffs = anti / denom
-    coeffs[0] -= at_lo / denom
-    poly = Polynomial(1, {(k,): Fraction(float(c)) for k, c in enumerate(coeffs) if c})
-    return CdfSlice(poly=poly, lo=lo, hi=hi)
+        denom = np.polynomial.polynomial.polyval(prefix[-1], _univariate(chain, i - 2, prefix[:-1]))
+    coeffs, lo, hi, _ = _conditional(chain, i - 1, prefix, denom)
+    return CdfSlice(coeffs=tuple(coeffs.tolist()), lo=lo, hi=hi)
 
 
 def _invert(coeffs: np.ndarray, lo: float, hi: float, u: float) -> float:
@@ -177,49 +204,22 @@ def _invert(coeffs: np.ndarray, lo: float, hi: float, u: float) -> float:
 def invert_cdf(F: CdfSlice, u: float) -> float:
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
-    coeffs = np.array([float(c) for c in (F.poly.terms.get((k,), 0) for k in range(F.poly.degree + 1))])
-    return _invert(coeffs, F.lo, F.hi, u)
+    return _invert(np.array(F.coeffs), F.lo, F.hi, u)
 
 
-class _CompiledChain:
-    """Array form of the marginals for fast repeated prefix substitution."""
-
-    def __init__(self, chain: ConditionalChain):
-        self.chain = chain
-        self.steps = []
-        for i, marg in enumerate(chain.marginals):
-            exps = np.array([[e[j] for j in range(i)] for e in marg.terms], dtype=float).reshape(len(marg.terms), i)
-            own = np.array([e[i] for e in marg.terms])
-            coefs = np.array([float(c) for c in marg.terms.values()])
-            self.steps.append((exps, own, coefs, marg.degree))
-
-    def univariate(self, i: int, prefix: np.ndarray) -> np.ndarray:
-        exps, own, coefs, deg = self.steps[i]
-        w = coefs if i == 0 else coefs * np.prod(prefix[None, :] ** exps, axis=1)
-        return np.bincount(own, weights=w, minlength=deg + 1)
-
-
-def _draw_point(compiled: _CompiledChain, rng: np.random.Generator) -> np.ndarray:
-    chain = compiled.chain
+def _draw_point(chain: ConditionalChain, rng: np.random.Generator) -> np.ndarray:
     n = chain.domain.n
-    pv = np.polynomial.polynomial.polyval
     for _ in range(MAX_PREFIX_RETRIES):
         x = np.empty(n)
         denom = 1.0  # f_{1..i}(x_1..x_i) carried forward from the previous step
-        ok = True
-        for i in range(n):
-            lo, hi = _coordinate_range(chain.domain, i, x[:i])
-            dens = compiled.univariate(i, x[:i])
-            if denom < DENOMINATOR_FLOOR:
-                ok = False
-                break
-            anti = np.concatenate([[0.0], dens / np.arange(1, len(dens) + 1)])
-            coeffs = anti / denom
-            coeffs[0] -= pv(lo, anti) / denom
-            x[i] = _invert(coeffs, lo, hi, rng.random())
-            denom = pv(x[i], dens)
-        if ok:
-            return x
+        try:
+            for i in range(n):
+                coeffs, lo, hi, dens = _conditional(chain, i, x[:i], denom)
+                x[i] = _invert(coeffs, lo, hi, rng.random())
+                denom = np.polynomial.polynomial.polyval(x[i], dens)
+        except DegeneratePrefixError:
+            continue
+        return x
     raise DegeneratePrefixError(f"no usable prefix after {MAX_PREFIX_RETRIES} attempts")
 
 
@@ -229,11 +229,10 @@ def sample(chain: ConditionalChain, count: int, seed: int, f: Polynomial | None 
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    compiled = _CompiledChain(chain)
     points = np.empty((count, chain.domain.n))
     for j in range(count):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
-        points[j] = _draw_point(compiled, rng)
+        points[j] = _draw_point(chain, rng)
     values = None
     if f is not None:
         values = np.array([f.evaluate(p) for p in points])

@@ -15,7 +15,7 @@ from sosdensity.certificate import (
     taylor_density,
     zeta_constant,
 )
-from sosdensity.moments import Domain, moment_table
+from sosdensity.moments import Domain
 from sosdensity.polynomials import parse_polynomial
 
 
@@ -212,6 +212,3 @@ class TestCertificate:
             certificate(f, Domain.cube(1), [2.0], 3, 0.0)  # center outside
         with pytest.raises(ValueError):
             certificate(f, Domain.cube(1), [0.0], 0, 0.0)
-        small = moment_table(Domain.cube(1), 4)
-        with pytest.raises(ValueError, match="moment table"):
-            certificate(f, Domain.cube(1), [0.0], 3, 0.0, table=small)

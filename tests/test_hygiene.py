@@ -1,0 +1,65 @@
+"""Static checks on the package source, using only the standard library:
+no module imports a name it never uses, and every name in an ``__all__``
+is defined in its module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "sosdensity"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _all_names(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _imported(node) -> list[str]:
+    """Names an import statement binds (``__future__`` imports bind none)."""
+    if isinstance(node, ast.Import):
+        return [a.asname or a.name.split(".")[0] for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [a.asname or a.name for a in node.names if a.name != "*"]
+    return []
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = _parse(path)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(_all_names(tree))
+    return [name for node in ast.walk(tree) for name in _imported(node) if name not in used]
+
+
+def undefined_exports(path: Path) -> list[str]:
+    tree = _parse(path)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+        defined |= set(_imported(node))
+    return [name for name in _all_names(tree) if name not in defined]
+
+
+def test_modules_found():
+    assert SRC / "__init__.py" in MODULES
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_all_names_defined(path):
+    assert undefined_exports(path) == []

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -111,6 +112,41 @@ class TestMomentTable:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             moment_table(Domain.cube(1), -1)
+
+
+BOX_SIDES = [(Fraction(-3, 2), Fraction(7, 3)), (Fraction(1, 4), 2), (-2, Fraction(-1, 2)), (0, 5)]
+
+
+def _closed_form(dom: Domain, alpha) -> float:
+    """m_alpha(K) in floating point, written independently of the moment kernel."""
+    if dom.kind == "box":
+        return math.prod(
+            (float(hi) ** (a + 1) - float(lo) ** (a + 1)) / (a + 1) for (lo, hi), a in zip(dom.bounds, alpha)
+        )
+    if dom.kind == "simplex":
+        # Dirichlet's integral
+        return math.prod(math.factorial(a) for a in alpha) / math.factorial(sum(alpha) + dom.n)
+    if any(a % 2 for a in alpha):
+        return 0.0
+    return math.prod(math.gamma((a + 1) / 2) for a in alpha) / math.gamma(1 + (dom.n + sum(alpha)) / 2)
+
+
+class TestClosedFormOracle:
+    @pytest.mark.parametrize(
+        "dom",
+        [Domain.box(BOX_SIDES[:n]) for n in range(1, 5)]
+        + [Domain.simplex(n) for n in range(1, 5)]
+        + [Domain.ball(n) for n in range(1, 5)],
+        ids=lambda d: f"{d.kind}-n{d.n}",
+    )
+    def test_every_moment_up_to_degree_6(self, dom):
+        table = moment_table(dom, 6)
+        for alpha in itertools.product(range(7), repeat=dom.n):
+            if sum(alpha) > 6:
+                continue
+            want = _closed_form(dom, alpha)
+            assert float(moment(dom, alpha)) == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert float(table[alpha]) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestIntegratePoly:

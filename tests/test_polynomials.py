@@ -67,6 +67,26 @@ class TestArithmetic:
         assert p.evaluate([3.0, 0.0]) == 2.5
         assert (1 - x).coefficient((0, 0)) == 1
 
+    def test_float_scalars_are_exact(self):
+        p = x + y
+        assert p * 0.5 == Fraction(1, 2) * p
+        assert 0.5 * p == p * 0.5
+        assert (p + 0.5).constant_term() == Fraction(1, 2)
+        assert (0.5 + p) == p + 0.5
+        assert (0.25 - p) == Fraction(1, 4) - p
+        # the float's binary value, as the constructors take it, not 1/10
+        assert (p - 0.1).constant_term() == -Fraction(0.1)
+        assert (p - 0.1).constant_term() != Fraction(-1, 10)
+
+    @pytest.mark.parametrize("bad", ["2", None, [1]])
+    def test_unsupported_operands(self, bad):
+        with pytest.raises(TypeError):
+            x + bad
+        with pytest.raises(TypeError):
+            x - bad
+        with pytest.raises(TypeError):
+            x * bad
+
 
 class TestEvaluation:
     def test_float_vs_exact(self):
@@ -151,6 +171,11 @@ class TestSerialization:
     def test_json_roundtrip(self):
         p = parse_polynomial("1.05*x1^2 - x2/3 + 7", 2)
         assert polynomial_from_json(json.dumps(p.to_json())) == p
+
+    def test_json_decimal_coefficients_exact(self):
+        p = polynomial_from_json({"n": 1, "terms": [{"exp": [1], "coef": "1.05"}, {"exp": [0], "coef": "-3/4"}]})
+        assert p.coefficient((1,)) == Fraction(21, 20)
+        assert p.constant_term() == Fraction(-3, 4)
 
     def test_str_grlex_order(self):
         p = y**2 + x + 1

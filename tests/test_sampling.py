@@ -53,6 +53,7 @@ class TestConditionalCdf:
         assert F(2.0) == pytest.approx(1.0)
         F2 = conditional_cdf(chain, 2, [0.7])
         assert F2(0.25) == pytest.approx(0.25)
+        assert conditional_cdf(chain, 2, [0.7]) == F2
 
     def test_uniform_simplex_cdf(self):
         dom = Domain.simplex(2)
@@ -71,6 +72,36 @@ class TestConditionalCdf:
             conditional_cdf(chain, 3, [0.5, 0.5])
         with pytest.raises(ValueError):
             conditional_cdf(chain, 2, [])
+
+    def test_prefix_outside_domain(self):
+        simplex = Domain.simplex(2)
+        chain = build_chain(uniform_density(simplex), simplex)
+        for bad in ([-0.5], [1.5]):
+            with pytest.raises(ValueError, match="outside the domain"):
+                conditional_cdf(chain, 2, bad)
+        box = Domain.box([(0, 2), (-1, 1), (0, 1)])
+        chain = build_chain(uniform_density(box), box)
+        for bad in ([2.5], [-0.1]):
+            with pytest.raises(ValueError, match="outside the domain"):
+                conditional_cdf(chain, 2, bad)
+        with pytest.raises(ValueError, match="outside the domain"):
+            conditional_cdf(chain, 3, [1.0, -1.5])
+        # the boundary belongs to the domain
+        assert conditional_cdf(chain, 3, [2.0, -1.0]).hi == 1.0
+
+    def test_same_path_as_sampler(self):
+        # conditional_cdf + invert_cdf on a point's own uniforms reproduce the
+        # sampler's point bit for bit
+        f = parse_polynomial("(x1 - 0.3)^2 + x1*x2", 2)
+        dom = Domain.simplex(2)
+        chain = build_chain(compute_bound(f, dom, 3).density, dom)
+        batch = sample(chain, 20, seed=9)
+        for j, point in enumerate(batch.points):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(j,)))
+            x = []
+            for i in range(1, dom.n + 1):
+                x.append(invert_cdf(conditional_cdf(chain, i, x), rng.random()))
+            assert x == list(point)
 
 
 class TestInvertCdf:
