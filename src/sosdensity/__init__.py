@@ -12,7 +12,6 @@ from .benchmarks import TestCase, catalog_json, get, list_names
 from .bounds import (
     BoundResult,
     ConditioningError,
-    MonomialBasis,
     assemble_AB,
     bound_sweep,
     compute_bound,
@@ -73,7 +72,6 @@ __all__ = [
     "moment_table",
     "integrate_poly",
     "integrate_poly_exact",
-    "MonomialBasis",
     "BoundResult",
     "ConditioningError",
     "assemble_AB",

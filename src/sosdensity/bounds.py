@@ -1,10 +1,16 @@
 """Degree-2r sum-of-squares density upper bounds via a generalized eigenproblem.
 
 The order-r bound is the smallest generalized eigenvalue of A v = lambda B v,
-where A and B are moment matrices indexed by all monomials of degree <= r.
-Both matrices are assembled in exact rational arithmetic and converted to
-floating point once; the eigensolve reduces to a standard dense symmetric
-problem after factoring B.
+where A and B are moment matrices indexed by the basis of all monomials
+x^a with |a| <= r.  Every entry depends on the sum a+b alone:
+
+    B[a, b] = m_{a+b},    A[a, b] = sum_d f_d m_{a+b+d}.
+
+The basis is read off the moment table, each distinct sum gamma = a+b gets
+its two values mB[gamma] and mA[gamma] once (an exact rational sum, rounded
+to float once), and both matrices are gathered as mB[idx] and mA[idx] with
+idx[i, j] the position of a_i + a_j among the distinct sums.  The eigensolve
+reduces to a standard dense symmetric problem after factoring B.
 """
 
 from __future__ import annotations
@@ -20,54 +26,18 @@ from .moments import Domain, ball_pi_power, moment_table
 from .polynomials import Polynomial, grlex_key
 
 __all__ = [
-    "MonomialBasis",
     "BoundResult",
     "ConditioningError",
     "assemble_AB",
     "smallest_generalized_eigenpair",
     "compute_bound",
     "bound_sweep",
-    "dump_matrix",
 ]
 
 # Hard guard against returning garbage from a numerically indefinite B.
 # Equilibrated eigh keeps ~7 correct digits up to roughly 1e15; beyond 1e16
 # the Cholesky step is no longer trustworthy.
 COND_LIMIT = 1e16
-
-
-@dataclass(frozen=True)
-class MonomialBasis:
-    """All exponent vectors of total degree <= r in n variables, graded-lex."""
-
-    n: int
-    r: int
-    exponents: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def build(n: int, r: int) -> "MonomialBasis":
-        if r < 0:
-            raise ValueError("order r must be >= 0")
-        exps = []
-
-        def rec(prefix, remaining, left):
-            if remaining == 1:
-                for d in range(left + 1):
-                    exps.append(prefix + (d,))
-                return
-            for d in range(left + 1):
-                rec(prefix + (d,), remaining - 1, left - d)
-
-        rec((), n, r)
-        exps.sort(key=grlex_key)
-        return MonomialBasis(n, r, tuple(exps))
-
-    def __len__(self):
-        return len(self.exponents)
-
-    def vector_to_polynomial(self, v) -> Polynomial:
-        terms = {exp: Fraction(float(c)) for exp, c in zip(self.exponents, v) if c != 0}
-        return Polynomial(self.n, terms)
 
 
 class ConditioningError(RuntimeError):
@@ -92,22 +62,23 @@ class BoundResult:
     density: Polynomial
     cond_B: float
     residual: float
-    basis: MonomialBasis
+    basis: tuple[tuple[int, ...], ...]  # exponents of the monomial basis, grlex
 
 
 def assemble_AB(f: Polynomial, dom: Domain, r: int, table=None):
     """Exact assembly of the moment matrices A (f-weighted) and B.
 
-    A[a, b] = sum_d f_d m_{a+b+d}(K),  B[a, b] = m_{a+b}(K).
+    A[a, b] = sum_d f_d m_{a+b+d}(K),  B[a, b] = m_{a+b}(K), for the basis
+    {a in table : |a| <= r} in grlex order, which is returned with A and B.
     For the ball the common pi power is reinstated as a single float factor
     at conversion time.
     """
     if f.n_vars != dom.n:
         raise ValueError(f"polynomial has {f.n_vars} variables, domain has {dom.n}")
-    basis = MonomialBasis.build(dom.n, r)
-    need = 2 * r + f.degree
+    if r < 0:
+        raise ValueError("order r must be >= 0")
     if table is None:
-        table = moment_table(dom, need)
+        table = moment_table(dom, 2 * r + f.degree)
     if dom.kind == "ball":
         rat = {alpha: m.coef for alpha, m in table.items()}
         scale = math.pi ** ball_pi_power(dom.n)
@@ -115,20 +86,21 @@ def assemble_AB(f: Polynomial, dom: Domain, r: int, table=None):
         rat = table
         scale = 1.0
 
+    basis = tuple(sorted((a for a in table if sum(a) <= r), key=grlex_key))
     m = len(basis)
+    E = np.array(basis, dtype=np.min_scalar_type(2 * r))  # a_i + a_j <= 2r: no overflow
+    # the distinct sums a_i + a_j, and idx[i, j] = position of a_i + a_j among them
+    sums, idx = np.unique((E[:, None, :] + E[None, :, :]).reshape(m * m, dom.n), axis=0, return_inverse=True)
     fterms = list(f.terms.items())
-    A = np.empty((m, m))
-    B = np.empty((m, m))
-    for i, a in enumerate(basis.exponents):
-        for j in range(i, m):
-            b = basis.exponents[j]
-            ab = tuple(x + y for x, y in zip(a, b))
-            B[i, j] = B[j, i] = float(rat[ab]) * scale
-            acc = Fraction(0)
-            for d, coef in fterms:
-                acc += coef * rat[tuple(x + y for x, y in zip(ab, d))]
-            A[i, j] = A[j, i] = float(acc) * scale
-    return A, B, basis
+    mB, mA = [], []
+    for gamma in map(tuple, sums.tolist()):
+        mB.append(float(rat[gamma]) * scale)
+        acc = Fraction(0)
+        for d, coef in fterms:
+            acc += coef * rat[tuple(x + y for x, y in zip(gamma, d))]
+        mA.append(float(acc) * scale)
+    idx = idx.reshape(m, m)
+    return np.array(mA)[idx], np.array(mB)[idx], basis
 
 
 def smallest_generalized_eigenpair(A: np.ndarray, B: np.ndarray):
@@ -170,7 +142,7 @@ def compute_bound(f: Polynomial, dom: Domain, r: int, table=None) -> BoundResult
     lam, v, cond_B = smallest_generalized_eigenpair(A, B)
     bv = B @ v
     residual = float(np.linalg.norm(A @ v - lam * bv) / np.linalg.norm(bv))
-    g = basis.vector_to_polynomial(v)
+    g = Polynomial(dom.n, {exp: Fraction(float(c)) for exp, c in zip(basis, v) if c != 0})
     density = g * g
     return BoundResult(r=r, value=lam, eigvec=v, density=density, cond_B=cond_B, residual=residual, basis=basis)
 
@@ -192,7 +164,3 @@ def bound_sweep(f: Polynomial, dom: Domain, r_max: int, r_min: int = 1) -> list[
             break
     return results
 
-
-def dump_matrix(M: np.ndarray) -> str:
-    """Plain-text square matrix, one row per line, for diffing."""
-    return "\n".join(" ".join(repr(float(x)) for x in row) for row in M)

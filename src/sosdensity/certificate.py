@@ -13,7 +13,7 @@ zeta(K) and checks the rate inequality
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -298,31 +298,7 @@ class CertificateReport:
     mass_stderr: float
 
     def to_json(self) -> dict:
-        out = {
-            "a": list(self.a),
-            "r": self.r,
-            "sigma": self.sigma,
-            "eps": self.eps,
-            "eps_capped": self.eps_capped,
-            "C_Ka": self.C_Ka,
-            "c_rKa": self.c_rKa,
-            "f_rKa": self.f_rKa,
-            "f_min": self.f_min,
-            "M_f": self.M_f,
-            "zeta": self.zeta,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "mass_stderr": self.mass_stderr,
-            "geom": {
-                "D": self.geom.D,
-                "w_min": self.geom.w_min,
-                "eta": self.geom.eta,
-                "eps_K": self.geom.eps_K,
-                "r_K": self.geom.r_K,
-                "gamma_n": self.geom.gamma_n,
-            },
-        }
-        return out
+        return {**asdict(self), "a": list(self.a)}
 
 
 def zeta_constant(gp: GeomParams, n: int) -> float:

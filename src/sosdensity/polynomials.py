@@ -254,25 +254,9 @@ class Polynomial:
         sh = [_as_fraction(s) for s in shift]
         if any(s == 0 for s in sc):
             raise ValueError("scale entries must be nonzero")
-        result = Polynomial.zero(self.n_vars)
-        # per-variable power cache of (s_i * y_i + t_i)^k
-        subs = [
-            Polynomial.variable(self.n_vars, i) * sc[i] + Polynomial.constant(self.n_vars, sh[i])
-            for i in range(self.n_vars)
-        ]
-        cache: list[dict[int, Polynomial]] = [{0: Polynomial.constant(self.n_vars, 1)} for _ in range(self.n_vars)]
-
-        def power(i: int, k: int) -> Polynomial:
-            if k not in cache[i]:
-                cache[i][k] = power(i, k - 1) * subs[i]
-            return cache[i][k]
-
-        for exp, coef in self.terms.items():
-            term = Polynomial.constant(self.n_vars, coef)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * power(i, e)
-            result = result + term
+        result = self
+        for i in range(self.n_vars):
+            result = result.substitute_var(i, Polynomial.variable(self.n_vars, i) * sc[i] + sh[i])
         return result
 
     def definite_integrate(self, var: int, lower: "Polynomial", upper: "Polynomial") -> "Polynomial":

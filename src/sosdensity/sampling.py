@@ -85,6 +85,18 @@ class SampleBatch:
     seed: int
     values: np.ndarray | None = None  # objective evaluated at points, if requested
 
+    def __eq__(self, other):
+        # content, not identity: the generated == would ask an array for a bool
+        if not isinstance(other, SampleBatch):
+            return NotImplemented
+        if (self.values is None) != (other.values is None):
+            return False
+        return (
+            self.seed == other.seed
+            and np.array_equal(self.points, other.points)
+            and (self.values is None or np.array_equal(self.values, other.values))
+        )
+
 
 def _simplex_upper(n_vars: int, i: int) -> Polynomial:
     """Upper integration limit 1 - x_1 - ... - x_i for coordinate i+1 (0-based i)."""

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,35 +7,74 @@ import pytest
 
 from sosdensity.bounds import (
     ConditioningError,
-    MonomialBasis,
     assemble_AB,
     bound_sweep,
     compute_bound,
-    dump_matrix,
     smallest_generalized_eigenpair,
 )
-from sosdensity.moments import Domain, integrate_poly
-from sosdensity.polynomials import parse_polynomial
+from sosdensity.moments import Domain, integrate_poly, moment_rational
+from sosdensity.polynomials import Polynomial, grlex_key, parse_polynomial
 
 
 class TestMonomialBasis:
+    """The basis assemble_AB reads off the moment table."""
+
     @pytest.mark.parametrize("n,r", [(1, 0), (2, 3), (3, 4)])
     def test_size_and_order(self, n, r):
-        basis = MonomialBasis.build(n, r)
+        _, _, basis = assemble_AB(Polynomial.constant(n, 1), Domain.cube(n), r)
         assert len(basis) == math.comb(n + r, r)
-        degs = [sum(e) for e in basis.exponents]
-        assert degs == sorted(degs)
-        assert basis.exponents[0] == (0,) * n
+        assert list(basis) == sorted(basis, key=grlex_key)
+        assert basis[0] == (0,) * n
 
     def test_vector_to_polynomial(self):
-        basis = MonomialBasis.build(2, 1)
-        p = basis.vector_to_polynomial([1.0, 0.0, -2.0])
-        assert p.coefficient((0, 0)) == 1
-        assert p.coefficient((1, 0)) == -2  # grlex: (0,0), (0,1), (1,0)
+        # the density is g^2 with g = sum_i v_i x^{basis_i}
+        f = parse_polynomial("x1^2 - x1*x2", 2)
+        b = compute_bound(f, Domain.cube(2), 1)
+        assert b.basis == ((0, 0), (0, 1), (1, 0))  # grlex
+        g = Polynomial(2, {exp: Fraction(float(c)) for exp, c in zip(b.basis, b.eigvec)})
+        assert b.density == g * g
 
     def test_negative_order(self):
         with pytest.raises(ValueError):
-            MonomialBasis.build(2, -1)
+            assemble_AB(parse_polynomial("x1", 2), Domain.cube(2), -1)
+
+
+def _reference_AB(f, dom, r):
+    """Plain per-entry assembly: every (a, b) pair gets its own exact sums."""
+    basis = sorted((a for a in itertools.product(range(r + 1), repeat=dom.n) if sum(a) <= r), key=grlex_key)
+    scale = math.pi ** (dom.n // 2) if dom.kind == "ball" else 1.0
+    m = len(basis)
+    A, B = np.empty((m, m)), np.empty((m, m))
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            ab = tuple(x + y for x, y in zip(a, b))
+            B[i, j] = float(moment_rational(dom, ab)) * scale
+            acc = sum(
+                (c * moment_rational(dom, tuple(x + y for x, y in zip(ab, d))) for d, c in f.terms.items()),
+                Fraction(0),
+            )
+            A[i, j] = float(acc) * scale
+    return A, B, tuple(basis)
+
+
+_OBJECTIVES = {1: "x1^3 - 2*x1 + 1/3", 2: "x1^2*x2 - 3/7*x2^2 + x1", 3: "x1*x2*x3 - x1^2 + 5/2*x3 - 1"}
+_DOMAINS = {
+    "box": lambda n: Domain.box([(-1, 2), (Fraction(1, 3), 3), (-2, Fraction(-1, 2))][:n]),
+    "simplex": Domain.simplex,
+    "ball": Domain.ball,
+}
+
+
+@pytest.mark.parametrize("r", range(4))
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(_DOMAINS))
+def test_assembly_exact_against_per_entry_reference(kind, n, r):
+    f, dom = parse_polynomial(_OBJECTIVES[n], n), _DOMAINS[kind](n)
+    A, B, basis = assemble_AB(f, dom, r)
+    A_ref, B_ref, basis_ref = _reference_AB(f, dom, r)
+    assert basis == basis_ref
+    assert np.array_equal(A, A_ref)
+    assert np.array_equal(B, B_ref)
 
 
 class TestAssembly:
@@ -125,9 +165,3 @@ class TestSweep:
             compute_bound(f, Domain.box([(0, 1000)]), 40)
         assert "reduce r or rescale" in str(exc.value)
 
-
-def test_dump_matrix_roundtrip():
-    M = np.array([[1.0, 0.25], [0.25, 1 / 3]])
-    text = dump_matrix(M)
-    back = np.array([[float(v) for v in line.split()] for line in text.splitlines()])
-    assert np.array_equal(M, back)

@@ -1,14 +1,19 @@
 """Static checks on the package source, using only the standard library:
-no module imports a name it never uses, and every name in an ``__all__``
-is defined in its module.
+no module imports a name it never uses, every name in an ``__all__`` is
+defined in its module, and every package name the benchmark harness in
+``perfbench/`` reaches still exists.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sosdensity"
+import sosdensity
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sosdensity"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -63,3 +68,44 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_all_names_defined(path):
     assert undefined_exports(path) == []
+
+
+def perfbench_names() -> tuple[set[str], set[str]]:
+    """The ``TRACED`` keys and the dotted ``sd.<name>...`` chains in perfbench/*.py.
+
+    The harness is read as source, never imported.
+    """
+    traced, used = set(), set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+                traced |= {k.value for k in node.value.keys}
+            elif isinstance(node, ast.Attribute):
+                parts, base = [node.attr], node.value
+                while isinstance(base, ast.Attribute):
+                    parts.append(base.attr)
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id == "sd":
+                    used.add(".".join(reversed(parts)))
+    return traced, used
+
+
+def _resolves(dotted: str) -> bool:
+    obj = sosdensity
+    for part in dotted.split("."):
+        if not hasattr(obj, part) and hasattr(obj, "__path__"):
+            # a submodule, which the harness imports as ``import sosdensity.<part>``
+            try:
+                importlib.import_module(f"{obj.__name__}.{part}")
+            except ImportError:
+                return False
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_perfbench_names_exist():
+    traced, used = perfbench_names()
+    assert traced and used
+    assert [name for name in sorted(traced | used) if not _resolves(name)] == []

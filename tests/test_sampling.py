@@ -146,6 +146,15 @@ class TestSample:
         b4 = sample(chain, 50, seed=12)
         assert not np.array_equal(b1.points, b4.points)
 
+    def test_equality_compares_content(self):
+        dom = Domain.cube(2)
+        chain = build_chain(uniform_density(dom), dom)
+        assert sample(chain, 3, seed=1) == sample(chain, 3, seed=1)
+        assert sample(chain, 3, seed=1) != sample(chain, 3, seed=2)
+        f = parse_polynomial("x1 + x2", 2)
+        assert sample(chain, 3, seed=1, f=f) == sample(chain, 3, seed=1, f=f)
+        assert sample(chain, 3, seed=1, f=f) != sample(chain, 3, seed=1)
+
     def test_values_attached(self):
         dom = Domain.cube(1)
         f = parse_polynomial("x1", 1)
