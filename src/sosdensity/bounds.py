@@ -54,15 +54,22 @@ class ConditioningError(RuntimeError):
         self.cond_B = cond_B
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: the generated one would ask an array for a bool
 class BoundResult:
     r: int
     value: float
     eigvec: np.ndarray
-    density: Polynomial
     cond_B: float
     residual: float
     basis: tuple[tuple[int, ...], ...]  # exponents of the monomial basis, grlex
+
+    @property
+    def density(self) -> Polynomial:
+        """The optimal density g*g, g = sum_i eigvec_i x^{basis_i}, squared
+        exactly each time it is read (only the sampler needs it)."""
+        terms = {exp: Fraction(float(c)) for exp, c in zip(self.basis, self.eigvec) if c != 0}
+        g = Polynomial(len(self.basis[0]), terms)
+        return g * g
 
 
 def assemble_AB(f: Polynomial, dom: Domain, r: int, table=None):
@@ -137,14 +144,12 @@ def smallest_generalized_eigenpair(A: np.ndarray, B: np.ndarray):
 
 
 def compute_bound(f: Polynomial, dom: Domain, r: int, table=None) -> BoundResult:
-    """Order-r upper bound with the optimal degree-2r SOS density attached."""
+    """Order-r upper bound; its optimal degree-2r SOS density is .density."""
     A, B, basis = assemble_AB(f, dom, r, table=table)
     lam, v, cond_B = smallest_generalized_eigenpair(A, B)
     bv = B @ v
     residual = float(np.linalg.norm(A @ v - lam * bv) / np.linalg.norm(bv))
-    g = Polynomial(dom.n, {exp: Fraction(float(c)) for exp, c in zip(basis, v) if c != 0})
-    density = g * g
-    return BoundResult(r=r, value=lam, eigvec=v, density=density, cond_B=cond_B, residual=residual, basis=basis)
+    return BoundResult(r=r, value=lam, eigvec=v, cond_B=cond_B, residual=residual, basis=basis)
 
 
 def bound_sweep(f: Polynomial, dom: Domain, r_max: int, r_min: int = 1) -> list[BoundResult]:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .moments import Domain, integrate_poly
+from .moments import Domain, _double_factorial, integrate_poly
 from .polynomials import Polynomial
 
 __all__ = [
@@ -88,39 +88,28 @@ def geom_params(dom: Domain) -> GeomParams:
     """
     n = dom.n
     gamma_n = math.pi ** (n / 2) / math.gamma(1 + n / 2)
+    if dom.kind == "ball":
+        D = 4.0
+        return GeomParams(
+            D=D,
+            w_min=2.0,
+            eta=_cone_eta(n, math.pi / 3.0),
+            eps_K=1.0,
+            r_K=_threshold_order(D, 1.0, n),
+            gamma_n=gamma_n,
+        )
     if dom.kind == "box":
         sides = [float(hi - lo) for lo, hi in dom.bounds]
-        D = sum(s * s for s in sides)
-        rho = min(sides) / 2.0
-        theta = 2.0 * math.asin(rho / (2.0 * math.sqrt(D)))
-        return GeomParams(
-            D=D,
-            w_min=min(sides),
-            eta=_cone_eta(n, theta),
-            eps_K=rho,
-            r_K=_threshold_order(D, rho, n),
-            gamma_n=gamma_n,
-        )
-    if dom.kind == "simplex":
-        D = 2.0
-        rho = 1.0 / (n + math.sqrt(n))
-        theta = 2.0 * math.asin(rho / (2.0 * math.sqrt(D)))
-        return GeomParams(
-            D=D,
-            w_min=1.0 / math.sqrt(n),
-            eta=_cone_eta(n, theta),
-            eps_K=rho,
-            r_K=_threshold_order(D, rho, n),
-            gamma_n=gamma_n,
-        )
-    # unit ball
-    D = 4.0
+        D, w_min, rho = sum(s * s for s in sides), min(sides), min(sides) / 2.0
+    else:  # the standard simplex
+        D, w_min, rho = 2.0, 1.0 / math.sqrt(n), 1.0 / (n + math.sqrt(n))
+    theta = 2.0 * math.asin(rho / (2.0 * math.sqrt(D)))
     return GeomParams(
         D=D,
-        w_min=2.0,
-        eta=_cone_eta(n, math.pi / 3.0),
-        eps_K=1.0,
-        r_K=_threshold_order(D, 1.0, n),
+        w_min=w_min,
+        eta=_cone_eta(n, theta),
+        eps_K=rho,
+        r_K=_threshold_order(D, rho, n),
         gamma_n=gamma_n,
     )
 
@@ -129,19 +118,9 @@ def p_constant(n: int) -> float:
     """p(n) = integral over t >= 0 of t^n * exp(-t^2/2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return 1.0
     if n % 2 == 0:
-        k = n // 2
-        prod = 1
-        for j in range(1, k + 1):
-            prod *= 2 * j - 1
-        return math.sqrt(math.pi / 2.0) * prod
-    k = (n - 1) // 2
-    prod = 1
-    for j in range(1, k + 1):
-        prod *= 2 * j
-    return float(prod)
+        return math.sqrt(math.pi / 2.0) * _double_factorial(n - 1)
+    return float(_double_factorial(n - 1))
 
 
 # ---- the truncated-Gaussian density ----------------------------------
@@ -265,7 +244,7 @@ def lipschitz_bound(f: Polynomial, dom: Domain) -> float:
     if d == 0:
         return 0.0
     pts = _domain_grid(dom)
-    sup = max(abs(f.evaluate(p)) for p in pts) * SUP_SAFETY
+    sup = float(np.max(np.abs(f.evaluate(pts)))) * SUP_SAFETY
     return 2.0 * d * d * sup / geom_params(dom).w_min
 
 

@@ -110,33 +110,18 @@ def cmd_bound(args) -> int:
         f, dom = _rescale_box(f, dom)
     r_lo, r_hi = _parse_orders(args.r)
     table = moment_table(dom, 2 * r_hi + f.degree)
-    rows, ok = [], 0
+    rows = []
     for r in range(r_lo, r_hi + 1):
         t0 = time.perf_counter()
         try:
             b = compute_bound(f, dom, r, table=table)
-            rows.append(
-                {
-                    "r": r,
-                    "value": b.value,
-                    "cond_B": b.cond_B,
-                    "time_sec": round(time.perf_counter() - t0, 6),
-                    "status": "ok",
-                }
-            )
-            ok += 1
+            value, cond_B, status = b.value, b.cond_B, "ok"
         except ConditioningError as exc:
-            rows.append(
-                {
-                    "r": r,
-                    "value": None,
-                    "cond_B": exc.cond_B,
-                    "time_sec": round(time.perf_counter() - t0, 6),
-                    "status": "conditioning-error",
-                }
-            )
+            value, cond_B, status = None, exc.cond_B, "conditioning-error"
+        time_sec = round(time.perf_counter() - t0, 6)
+        rows.append({"r": r, "value": value, "cond_B": cond_B, "time_sec": time_sec, "status": status})
     _emit(rows, ["r", "value", "cond_B", "time_sec", "status"], args.json, args.out)
-    return EX_OK if ok else EX_CONDITIONING
+    return EX_OK if any(row["status"] == "ok" for row in rows) else EX_CONDITIONING
 
 
 def cmd_sample(args) -> int:

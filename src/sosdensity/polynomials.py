@@ -2,8 +2,11 @@
 
 Exponent vectors are plain tuples of nonnegative ints; terms live in a dict
 mapping exponent tuple -> Fraction.  All arithmetic is exact; floating point
-enters only in evaluate().  Canonical term order is graded lexicographic
-(total degree first, then lex on the exponent tuple).
+enters only in evaluate(), which takes one point or an (N, n) array and
+gives every row the same float operations, hence the same bits, as a
+point-by-point loop (evaluate_exact() is the rational path).  Canonical
+term order is graded lexicographic (total degree first, then lex on the
+exponent tuple).
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import json
 import re
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "Polynomial",
@@ -177,17 +182,30 @@ class Polynomial:
 
     # ---- evaluation ---------------------------------------------------
 
-    def evaluate(self, x: Sequence[float]) -> float:
-        if len(x) != self.n_vars:
-            raise ValueError(f"point has length {len(x)}, expected {self.n_vars}")
-        total = 0.0
+    def evaluate(self, x):
+        """f at one point (length n; a float) or at each row of an (N, n) array.
+
+        Both shapes take one path, and every row gets the operations of a
+        per-point loop: x_i ** e by CPython's float pow, element by element
+        (numpy's array ** rounds differently), once per distinct (i, e); then
+        for each term, in term order, float(coef) times its powers in
+        variable order, added to a running total that starts at 0.0.
+        """
+        pts = np.asarray(x, dtype=float)
+        if pts.ndim not in (1, 2) or pts.shape[-1] != self.n_vars:
+            raise ValueError(f"points have shape {pts.shape}, expected length {self.n_vars}")
+        rows = pts.reshape(-1, self.n_vars)
+        powers: dict[tuple[int, int], np.ndarray] = {}
+        total = np.zeros(len(rows))
         for exp, coef in self.terms.items():
             m = float(coef)
-            for xi, e in zip(x, exp):
+            for i, e in enumerate(exp):
                 if e:
-                    m *= xi ** e
+                    if (i, e) not in powers:
+                        powers[i, e] = (rows[:, i].astype(object) ** e).astype(float)
+                    m = m * powers[i, e]
             total += m
-        return total
+        return float(total[0]) if pts.ndim == 1 else total
 
     def evaluate_exact(self, x: Sequence) -> Fraction:
         """Evaluate at a rational point with exact arithmetic."""
@@ -203,7 +221,7 @@ class Polynomial:
             total += m
         return total
 
-    def __call__(self, x: Sequence[float]) -> float:
+    def __call__(self, x):
         return self.evaluate(x)
 
     # ---- calculus -----------------------------------------------------

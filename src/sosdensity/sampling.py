@@ -245,9 +245,7 @@ def sample(chain: ConditionalChain, count: int, seed: int, f: Polynomial | None 
     for j in range(count):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
         points[j] = _draw_point(chain, rng)
-    values = None
-    if f is not None:
-        values = np.array([f.evaluate(p) for p in points])
+    values = None if f is None else f.evaluate(points)
     return SampleBatch(points=points, seed=seed, values=values)
 
 
@@ -260,9 +258,7 @@ def markov_check(f: Polynomial, batch: SampleBatch, bound: float, f_min: float, 
         raise ValueError("eps must be positive")
     if bound < f_min:
         raise ValueError("bound must be >= f_min")
-    values = batch.values
-    if values is None:
-        values = np.array([f.evaluate(p) for p in batch.points])
+    values = f.evaluate(batch.points) if batch.values is None else batch.values
     threshold = bound + eps * (bound - f_min)
     return float(np.mean(values >= threshold))
 

@@ -142,6 +142,14 @@ class TestComputeBound:
         b = compute_bound(parse_polynomial("5", 1), Domain.cube(1), 3)
         assert b.value == pytest.approx(5.0, abs=1e-9)
 
+    def test_equality_is_identity_and_hashable(self):
+        x1 = parse_polynomial("x1", 1)
+        a = compute_bound(x1, Domain.box([(0, 1)]), 1)
+        b = compute_bound(x1, Domain.box([(0, 1)]), 1)
+        assert a == a
+        assert a != b  # identity, not content: eigvec is an array
+        assert isinstance(hash(a), int)
+
 
 class TestSweep:
     def test_monotone_and_shared_table(self):

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sosdensity import benchmarks
 from sosdensity.bounds import compute_bound
 from sosdensity.certificate import (
+    SUP_SAFETY,
+    _domain_grid,
     certificate,
     gaussian_mass,
     geom_params,
@@ -174,6 +177,19 @@ class TestLipschitz:
         grad = [f.partial(i) for i in range(2)]
         true_lip = max(math.hypot(*(g.evaluate(p) for g in grad)) for p in pts)
         assert lipschitz_bound(f, dom) >= true_lip
+
+    @pytest.mark.parametrize(
+        "f,dom",
+        [
+            (benchmarks.get("motzkin").f, benchmarks.get("motzkin").domain),
+            (parse_polynomial("x1^3 - 2*x1*x2^2", 2), Domain.simplex(2)),
+            (parse_polynomial("x1^3 - 2*x1*x2^2", 2), Domain.ball(2)),
+        ],
+        ids=["box", "simplex", "ball"],
+    )
+    def test_matches_pointwise_reference(self, f, dom):
+        sup = max(abs(f.evaluate(p)) for p in _domain_grid(dom)) * SUP_SAFETY
+        assert lipschitz_bound(f, dom) == 2.0 * f.degree**2 * sup / geom_params(dom).w_min
 
 
 class TestCertificate:

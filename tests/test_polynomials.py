@@ -1,10 +1,14 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sosdensity import benchmarks
+from sosdensity.certificate import _domain_grid
+from sosdensity.moments import Domain
 from sosdensity.polynomials import (
     ParseError,
     Polynomial,
@@ -101,6 +105,54 @@ class TestEvaluation:
     def test_length_check(self):
         with pytest.raises(ValueError):
             x.evaluate([1.0])
+        with pytest.raises(ValueError):
+            x.evaluate(np.zeros((4, 3)))
+
+    def test_point_and_batch_shapes(self):
+        p = x**2 * y + 3
+        v = p.evaluate([1.5, 2.0])
+        assert type(v) is float and v == 7.5
+        assert np.array_equal(p.evaluate(np.array([[1.5, 2.0], [0.0, 1.0]])), [7.5, 3.0])
+
+
+def _pointwise(f, pts):
+    """The per-point float loop that evaluate() must reproduce, on Python floats."""
+    out = []
+    for point in pts.tolist():
+        total = 0.0
+        for exp, coef in f.terms.items():
+            m = float(coef)
+            for xi, e in zip(point, exp):
+                if e:
+                    m *= xi**e
+            total += m
+        out.append(total)
+    return np.array(out)
+
+
+class TestBatchEvaluation:
+    """A batch gives every row the bits of evaluating that row on its own."""
+
+    @pytest.mark.parametrize("name", benchmarks.list_names())
+    def test_catalog_grids(self, name):
+        try:
+            tc = benchmarks.get(name)
+        except ValueError:  # a parametric family
+            tc = benchmarks.get(name, 2)
+        grid = _domain_grid(tc.domain)
+        values = tc.f.evaluate(grid)
+        assert np.array_equal(values, _pointwise(tc.f, grid))
+        # one-point calls on every 25th row (a full loop would take seconds per grid)
+        assert np.array_equal(values[::25], [tc.f.evaluate(p) for p in grid[::25]])
+
+    def test_powers_are_cpython_pow(self):
+        # numpy's array ** rounds differently from CPython's float pow at some
+        # simplex grid points, so switching evaluate to it must fail here
+        grid = _domain_grid(Domain.simplex(2))
+        X = grid[:, 0]
+        cube = (X.astype(object) ** 3).astype(float)
+        assert not np.array_equal(X**3, cube)
+        assert np.array_equal(parse_polynomial("x1^3", 2).evaluate(grid), cube)
 
 
 class TestCalculus:
