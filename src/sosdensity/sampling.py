@@ -3,6 +3,18 @@
 Coordinates are generated one at a time via the method of conditional
 distributions; each univariate conditional CDF is a polynomial, inverted by
 bracketed bisection with a safeguarded Newton polish.
+
+The draw is batched.  `sample` takes its points in blocks of BLOCK_SIZE and,
+coordinate by coordinate, builds and inverts the conditional CDFs of the
+whole block at once.  Each point keeps its own generator, draws its own
+uniforms and retries on its own, and it gets the bits it would get if it
+were drawn alone: every batched step is the elementwise operation one point
+does (Horner through `polyval(..., tensor=False)`, a per-row `bincount` that
+adds terms in term order, and 1 - (((0 + x_1) + x_2) + ...) for the simplex
+range), never a matmul or `einsum`, whose sums run in another order.
+`conditional_cdf` and `invert_cdf` run the same helpers on one row.  Blocks
+bound the memory: a block's generators and its (points, terms, coordinates)
+power array live only while that block is drawn.
 """
 
 from __future__ import annotations
@@ -33,6 +45,11 @@ __all__ = [
 MEMBERSHIP_SLACK = 1e-12
 DENOMINATOR_FLOOR = 1e-12
 MAX_PREFIX_RETRIES = 100
+# Points drawn together.  A block's generators and its (points, terms,
+# coordinates) power array set the memory: for 4000 motzkin r = 12 points,
+# blocks of 256 draw about as fast as one block of all 4000, which would
+# need ~25 MB more peak memory; blocks of 128 are ~25% slower.
+BLOCK_SIZE = 256
 
 
 class DegeneratePrefixError(RuntimeError):
@@ -79,14 +96,15 @@ class CdfSlice:
         return float(np.polynomial.polynomial.polyval(t, self.coeffs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
     points: np.ndarray  # (count, n)
     seed: int
     values: np.ndarray | None = None  # objective evaluated at points, if requested
 
     def __eq__(self, other):
-        # content, not identity: the generated == would ask an array for a bool
+        # content, not identity: the generated == would ask an array for a bool;
+        # defining __eq__ here leaves __hash__ None, so a batch is unhashable
         if not isinstance(other, SampleBatch):
             return NotImplemented
         if (self.values is None) != (other.values is None):
@@ -131,34 +149,48 @@ def build_chain(hstar: Polynomial, dom: Domain) -> ConditionalChain:
     return ConditionalChain(domain=dom, density=h, marginals=tuple(marginals))
 
 
-def _coordinate_range(dom: Domain, i: int, prefix: Sequence[float]) -> tuple[float, float]:
+def _coordinate_range(dom: Domain, i: int, prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of (lo, hi) for coordinate i (0-based) given (N, i) prefixes."""
+    rows = len(prefix)
     if dom.kind == "box":
         lo, hi = dom.bounds[i]
-        return float(lo), float(hi)
-    return 0.0, 1.0 - float(sum(prefix))
+        return np.full(rows, float(lo)), np.full(rows, float(hi))
+    used = np.zeros(rows)
+    for col in prefix.T:  # ((0 + x_1) + x_2) + ..., the order of Python's sum
+        used = used + col
+    return np.zeros(rows), 1.0 - used
+
+
+def _polyval_rows(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Horner value of each row of ascending coefficients at that row's x."""
+    return np.polynomial.polynomial.polyval(x, coeffs.T, tensor=False)
 
 
 def _univariate(chain: ConditionalChain, i: int, prefix: np.ndarray) -> np.ndarray:
-    """Coefficients (ascending) of f_{1..i+1}(prefix, x_{i+1}) as a polynomial in x_{i+1}."""
+    """Rows of coefficients (ascending) of f_{1..i+1}(prefix, x_{i+1}) as a polynomial
+    in x_{i+1}, one row per (N, i) prefix row.
+    """
     exps, own, coefs, deg = chain.arrays[i]
-    w = coefs if i == 0 else coefs * np.prod(prefix[None, :] ** exps, axis=1)
-    return np.bincount(own, weights=w, minlength=deg + 1)
+    rows = len(prefix)
+    w = coefs * np.prod(prefix[:, None, :] ** exps, axis=2)
+    # one bincount adds each row's terms into that row's bins, in term order
+    bins = (np.arange(rows)[:, None] * (deg + 1) + own).ravel()
+    return np.bincount(bins, weights=w.ravel(), minlength=rows * (deg + 1)).reshape(rows, deg + 1)
 
 
-def _cdf_coeffs(dens: np.ndarray, lo: float, denom: float) -> np.ndarray:
-    """Coefficients of t -> (integral of dens from lo to t) / denom."""
-    anti = np.concatenate([[0.0], dens / np.arange(1, len(dens) + 1)])
-    coeffs = anti / denom
-    coeffs[0] -= np.polynomial.polynomial.polyval(lo, anti) / denom
+def _cdf_coeffs(dens: np.ndarray, lo: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """Rows of coefficients of t -> (integral of dens from lo to t) / denom."""
+    anti = np.zeros((dens.shape[0], dens.shape[1] + 1))
+    anti[:, 1:] = dens / np.arange(1, dens.shape[1] + 1)
+    coeffs = anti / denom[:, None]
+    coeffs[:, 0] -= _polyval_rows(lo, anti) / denom
     return coeffs
 
 
-def _conditional(chain: ConditionalChain, i: int, prefix: np.ndarray, denom: float):
-    """CDF coefficients, range and density coefficients of coordinate i (0-based)
-    given the prefix; denom = f_{1..i}(prefix) is the conditional's mass.
+def _conditional(chain: ConditionalChain, i: int, prefix: np.ndarray, denom: np.ndarray):
+    """Rows of CDF coefficients, range and density coefficients of coordinate i
+    (0-based) given (N, i) prefixes; denom = f_{1..i}(prefix) is each row's mass.
     """
-    if denom < DENOMINATOR_FLOOR:
-        raise DegeneratePrefixError(f"conditional density mass {denom:.3e} at prefix {list(prefix)}")
     lo, hi = _coordinate_range(chain.domain, i, prefix)
     dens = _univariate(chain, i, prefix)
     return _cdf_coeffs(dens, lo, denom), lo, hi, dens
@@ -180,71 +212,81 @@ def conditional_cdf(chain: ConditionalChain, i: int, prefix: Sequence[float]) ->
         raise ValueError(f"prefix must have length {i - 1}")
     prefix = np.asarray(prefix, dtype=float)
     _check_prefix(chain.domain, prefix)
-    if i == 1:
-        denom = 1.0
-    else:
-        denom = np.polynomial.polynomial.polyval(prefix[-1], _univariate(chain, i - 2, prefix[:-1]))
-    coeffs, lo, hi, _ = _conditional(chain, i - 1, prefix, denom)
-    return CdfSlice(coeffs=tuple(coeffs.tolist()), lo=lo, hi=hi)
+    row = prefix[None, :]
+    denom = np.ones(1) if i == 1 else _polyval_rows(row[:, -1], _univariate(chain, i - 2, row[:, :-1]))
+    if denom[0] < DENOMINATOR_FLOOR:
+        raise DegeneratePrefixError(f"conditional density mass {denom[0]:.3e} at prefix {list(prefix)}")
+    coeffs, lo, hi, _ = _conditional(chain, i - 1, row, denom)
+    return CdfSlice(coeffs=tuple(coeffs[0].tolist()), lo=float(lo[0]), hi=float(hi[0]))
 
 
-def _invert(coeffs: np.ndarray, lo: float, hi: float, u: float) -> float:
-    """min{y : F(y) >= u} by bisection to width 1e-12, then one guarded Newton step."""
-    pv = np.polynomial.polynomial.polyval
-    if u <= pv(lo, coeffs):
-        return lo
-    if u >= pv(hi, coeffs):
-        return hi
-    a, b = lo, hi
-    while b - a > 1e-12:
-        mid = 0.5 * (a + b)
-        if pv(mid, coeffs) >= u:
-            b = mid
-        else:
-            a = mid
-    x = 0.5 * (a + b)
-    deriv = np.polynomial.polynomial.polyder(coeffs)
-    d = pv(x, deriv)
-    if d > 0:
-        step = (pv(x, coeffs) - u) / d
-        y = x - step
-        if a <= y <= b:
-            x = y
+def _invert(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise min{y : F(y) >= u}: bisection to width 1e-12, then one guarded Newton step."""
+    at_lo = u <= _polyval_rows(lo, coeffs)
+    x = np.where(at_lo, lo, hi)
+    inner = np.flatnonzero(~at_lo & ~(u >= _polyval_rows(hi, coeffs)))
+    coeffs, a, b, u = coeffs[inner], lo[inner], hi[inner], u[inner]
+    active = np.flatnonzero(b - a > 1e-12)
+    while active.size:
+        mid = 0.5 * (a[active] + b[active])
+        up = _polyval_rows(mid, coeffs[active]) >= u[active]
+        b[active[up]] = mid[up]
+        a[active[~up]] = mid[~up]
+        active = active[b[active] - a[active] > 1e-12]
+    mid = 0.5 * (a + b)
+    d = _polyval_rows(mid, np.polynomial.polynomial.polyder(coeffs, axis=1))
+    # rows with d <= 0 (or NaN) keep the midpoint and never use their step
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = mid - (_polyval_rows(mid, coeffs) - u) / d
+    x[inner] = np.where((d > 0) & (a <= y) & (y <= b), y, mid)
     return x
 
 
 def invert_cdf(F: CdfSlice, u: float) -> float:
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
-    return _invert(np.array(F.coeffs), F.lo, F.hi, u)
+    return float(_invert(np.array([F.coeffs]), np.array([F.lo]), np.array([F.hi]), np.array([u]))[0])
 
 
-def _draw_point(chain: ConditionalChain, rng: np.random.Generator) -> np.ndarray:
+def _draw_block(chain: ConditionalChain, rngs: list[np.random.Generator]) -> np.ndarray:
+    """One point per generator, each the point its generator gives when drawn alone.
+
+    A row whose conditional mass falls below DENOMINATOR_FLOOR leaves the
+    attempt before it draws its next uniform and starts again in the next
+    round, from where its own generator stands.
+    """
     n = chain.domain.n
+    points = np.empty((len(rngs), n))
+    todo = np.arange(len(rngs))
     for _ in range(MAX_PREFIX_RETRIES):
-        x = np.empty(n)
-        denom = 1.0  # f_{1..i}(x_1..x_i) carried forward from the previous step
-        try:
-            for i in range(n):
-                coeffs, lo, hi, dens = _conditional(chain, i, x[:i], denom)
-                x[i] = _invert(coeffs, lo, hi, rng.random())
-                denom = np.polynomial.polynomial.polyval(x[i], dens)
-        except DegeneratePrefixError:
-            continue
-        return x
+        rows, x, denom = todo, np.empty((len(todo), n)), np.ones(len(todo))
+        for i in range(n):
+            keep = ~(denom < DENOMINATOR_FLOOR)  # NaN is not below the floor
+            rows, x, denom = rows[keep], x[keep], denom[keep]
+            u = np.array([rngs[j].random() for j in rows])
+            coeffs, lo, hi, dens = _conditional(chain, i, x[:, :i], denom)
+            x[:, i] = _invert(coeffs, lo, hi, u)
+            denom = _polyval_rows(x[:, i], dens)
+        points[rows] = x
+        todo = np.setdiff1d(todo, rows, assume_unique=True)
+        if not todo.size:
+            return points
     raise DegeneratePrefixError(f"no usable prefix after {MAX_PREFIX_RETRIES} attempts")
 
 
 def sample(chain: ConditionalChain, count: int, seed: int, f: Polynomial | None = None) -> SampleBatch:
     """Deterministic batch of `count` points; per-point RNG streams are derived
-    from (seed, point index), so the batch is independent of generation order.
+    from (seed, point index), so the batch is independent of generation order
+    and of the blocks of BLOCK_SIZE points it is drawn in.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     points = np.empty((count, chain.domain.n))
-    for j in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
-        points[j] = _draw_point(chain, rng)
+    for start in range(0, count, BLOCK_SIZE):
+        stop = min(start + BLOCK_SIZE, count)
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
+                for j in range(start, stop)]
+        points[start:stop] = _draw_block(chain, rngs)
     values = None if f is None else f.evaluate(points)
     return SampleBatch(points=points, seed=seed, values=values)
 

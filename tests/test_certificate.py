@@ -35,14 +35,14 @@ class TestPhi:
         ts = np.linspace(-50.0, 50.0, 2001)
         for r in range(0, 11, 2):
             ph = phi_coeffs(r)
-            assert min(ph.evaluate([t]) for t in ts) >= -1e-12
+            assert min(ph.evaluate(ts[:, None])) >= -1e-12
 
     def test_sandwich_above_exponential(self):
         ts = np.linspace(0.0, 30.0, 301)
         for r in (1, 4, 7, 10):
-            ph = phi_coeffs(r)
-            for t in ts:
-                gap = ph.evaluate([t]) - math.exp(-t)
+            values = phi_coeffs(r).evaluate(ts[:, None])
+            for t, v in zip(ts, values):
+                gap = v - math.exp(-t)
                 assert gap >= -1e-12
                 assert gap <= t ** (2 * r + 1) / math.factorial(2 * r + 1) + 1e-12
 

@@ -1,13 +1,18 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sosdensity import sampling
+from sosdensity.benchmarks import get
 from sosdensity.bounds import compute_bound
-from sosdensity.moments import Domain
+from sosdensity.moments import Domain, integrate_poly_exact
 from sosdensity.polynomials import Polynomial, parse_polynomial
 from sosdensity.sampling import (
+    BLOCK_SIZE,
+    DegeneratePrefixError,
     build_chain,
     conditional_cdf,
     invert_cdf,
@@ -19,6 +24,42 @@ from sosdensity.sampling import (
 
 def uniform_density(dom: Domain) -> Polynomial:
     return Polynomial.constant(dom.n, Fraction(1) / Fraction(dom.volume()))
+
+
+def exact_chain(dom: Domain, source: str):
+    """Chain of the density proportional to a hand-written polynomial, normalized exactly."""
+    g = parse_polynomial(source, dom.n)
+    return build_chain(g * (1 / integrate_poly_exact(dom, g)), dom)
+
+
+# Exact densities: no eigensolve, so BLAS cannot move their samples.
+BOX3 = Domain.box([(0, 2), (-1, 1), (0, 1)])
+BOX3_DENSITY = "1 + x1 + x1*x2 + x2^2*x3 + x3^3"
+SIMPLEX3 = Domain.simplex(3)
+SIMPLEX3_DENSITY = "1 + 2*x1^2 - x1*x2 + x2*x3 + x3^3"
+
+
+def reference_sample(chain, count: int, seed: int):
+    """Point by point: conditional_cdf and invert_cdf on each point's own
+    generator, starting the point again when its prefix is degenerate.
+    Returns the points and the number of restarts.
+    """
+    points, restarts = [], 0
+    for j in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
+        for _ in range(sampling.MAX_PREFIX_RETRIES):
+            x = []
+            try:
+                for i in range(1, chain.domain.n + 1):
+                    x.append(invert_cdf(conditional_cdf(chain, i, x), rng.random()))
+            except DegeneratePrefixError:
+                restarts += 1
+                continue
+            break
+        else:
+            raise DegeneratePrefixError(f"point {j}")
+        points.append(x)
+    return np.array(points), restarts
 
 
 class TestBuildChain:
@@ -155,6 +196,12 @@ class TestSample:
         assert sample(chain, 3, seed=1, f=f) == sample(chain, 3, seed=1, f=f)
         assert sample(chain, 3, seed=1, f=f) != sample(chain, 3, seed=1)
 
+    def test_unhashable(self):
+        dom = Domain.cube(2)
+        chain = build_chain(uniform_density(dom), dom)
+        with pytest.raises(TypeError, match="SampleBatch"):
+            hash(sample(chain, 3, seed=1))
+
     def test_values_attached(self):
         dom = Domain.cube(1)
         f = parse_polynomial("x1", 1)
@@ -167,6 +214,58 @@ class TestSample:
         chain = build_chain(uniform_density(dom), dom)
         with pytest.raises(ValueError):
             sample(chain, 0, seed=1)
+
+
+class TestPinnedBits:
+    # sha256 of points.tobytes() and values.tobytes() from the per-point
+    # sampler the batched draw replaced; 300 points cross a block boundary,
+    # and the 4-D simplex pins the order of the sum in its range 1 - x1 - x2 - x3
+    @pytest.mark.parametrize("dom,density,objective,digests", [
+        (BOX3, BOX3_DENSITY, "x1^2 - x2*x3 + x3", (
+            "6f3057c0a481665d5dbea1ee32cac6ec2061491c1a6216384f34e1e1f1ecc32e",
+            "33b389ab1e21760acfcd785a55395ef4eab0fbb5daeef408b430674076f05787",
+        )),
+        (SIMPLEX3, SIMPLEX3_DENSITY, "x1^2 - x2*x3 + x3", (
+            "b964af1e6edcbd46bd97e79986c884910881c35b61338374a7f60649544026c1",
+            "119f6e2f43955762c456b185c90e12603b06f31f95bdb51b6bea3c7c4374709f",
+        )),
+        (Domain.simplex(4), "1 + x1^2*x4 + x2*x3 + x3^3 + x4^4", "x1^2 - x2*x3 + x3*x4", (
+            "96f3d45a5906b668e847eed170fdf5a0274f77a130ebebca224c2c593ff81731",
+            "04ebba2285f387f031e5032f5920af5e16940525ea92dcd771253f1dacbaa070",
+        )),
+    ], ids=["box3", "simplex3", "simplex4"])
+    def test_digests(self, dom, density, objective, digests):
+        assert 300 > BLOCK_SIZE
+        batch = sample(exact_chain(dom, density), 300, seed=2024, f=parse_polynomial(objective, dom.n))
+        assert hashlib.sha256(batch.points.tobytes()).hexdigest() == digests[0]
+        assert hashlib.sha256(batch.values.tobytes()).hexdigest() == digests[1]
+
+    @pytest.mark.parametrize("dom,density", [(BOX3, BOX3_DENSITY), (SIMPLEX3, SIMPLEX3_DENSITY)],
+                             ids=["box3", "simplex3"])
+    def test_block_independent(self, dom, density):
+        chain = exact_chain(dom, density)
+        longer = sample(chain, BLOCK_SIZE + 7, seed=6)
+        assert np.array_equal(sample(chain, 5, seed=6).points, longer.points[:5])
+
+
+@pytest.fixture(scope="module")
+def motzkin_chain():
+    tc = get("motzkin")
+    return build_chain(compute_bound(tc.f, tc.domain, 12).density, tc.domain)
+
+
+class TestRetries:
+    def test_matches_reference_with_raised_floor(self, monkeypatch, motzkin_chain):
+        monkeypatch.setattr(sampling, "DENOMINATOR_FLOOR", 0.5)
+        for chain, count in ((exact_chain(SIMPLEX3, SIMPLEX3_DENSITY), 300), (motzkin_chain, 40)):
+            expected, restarts = reference_sample(chain, count, seed=5)
+            assert restarts > 0
+            assert np.array_equal(sample(chain, count, seed=5).points, expected)
+
+    def test_exhausted_retries_raise(self, monkeypatch, motzkin_chain):
+        monkeypatch.setattr(sampling, "DENOMINATOR_FLOOR", 1.0)
+        with pytest.raises(DegeneratePrefixError, match="no usable prefix"):
+            sample(motzkin_chain, 3, seed=0)
 
 
 class TestOptimalDensitySampling:
