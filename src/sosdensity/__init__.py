@@ -30,6 +30,7 @@ from .certificate import (
 )
 from .moments import (
     Domain,
+    MomentTable,
     PiMultiple,
     domain_from_json,
     integrate_poly,
@@ -70,6 +71,7 @@ __all__ = [
     "moment",
     "moment_rational",
     "moment_table",
+    "MomentTable",
     "integrate_poly",
     "integrate_poly_exact",
     "BoundResult",

@@ -7,10 +7,17 @@ x^a with |a| <= r.  Every entry depends on the sum a+b alone:
     B[a, b] = m_{a+b},    A[a, b] = sum_d f_d m_{a+b+d}.
 
 The basis is read off the moment table, each distinct sum gamma = a+b gets
-its two values mB[gamma] and mA[gamma] once (an exact rational sum, rounded
-to float once), and both matrices are gathered as mB[idx] and mA[idx] with
-idx[i, j] the position of a_i + a_j among the distinct sums.  The eigensolve
-reduces to a standard dense symmetric problem after factoring B.
+its two values mB[gamma] and mA[gamma] once, and both matrices are gathered
+as mB[idx] and mA[idx] with idx[i, j] the position of a_i + a_j among the
+distinct sums.  The table stores each moment as an integer numerator over a
+common denominator, keyed by a linear code of the multi-index; codes add
+like multi-indices, so idx and every m_{gamma+d} are found by searchsorted
+on codes, and mA[gamma] = sum_d (f_d F) num_{gamma+d} / (den F), with F the
+lcm of f's denominators, is one exact integer sum and one int/int division.
+That division rounds the exact rational correctly, as float(Fraction) does,
+so A and B have the bits of summing Fraction moments and rounding once.
+The eigensolve reduces to a standard dense symmetric problem after
+factoring B.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import eigh
 
-from .moments import Domain, ball_pi_power, moment_table
-from .polynomials import Polynomial, grlex_key
+from .moments import Domain, MomentTable, moment_table
+from .polynomials import Polynomial
 
 __all__ = [
     "BoundResult",
@@ -72,13 +79,14 @@ class BoundResult:
         return g * g
 
 
-def assemble_AB(f: Polynomial, dom: Domain, r: int, table=None):
+def assemble_AB(f: Polynomial, dom: Domain, r: int, table: MomentTable | None = None):
     """Exact assembly of the moment matrices A (f-weighted) and B.
 
     A[a, b] = sum_d f_d m_{a+b+d}(K),  B[a, b] = m_{a+b}(K), for the basis
     {a in table : |a| <= r} in grlex order, which is returned with A and B.
-    For the ball the common pi power is reinstated as a single float factor
-    at conversion time.
+    Each distinct sum gets its exact rational value as one integer numerator
+    over the table's denominator (times F, the lcm of f's denominators, for
+    A), divided once; on the ball the pi power is the table's float scale.
     """
     if f.n_vars != dom.n:
         raise ValueError(f"polynomial has {f.n_vars} variables, domain has {dom.n}")
@@ -86,28 +94,27 @@ def assemble_AB(f: Polynomial, dom: Domain, r: int, table=None):
         raise ValueError("order r must be >= 0")
     if table is None:
         table = moment_table(dom, 2 * r + f.degree)
-    if dom.kind == "ball":
-        rat = {alpha: m.coef for alpha, m in table.items()}
-        scale = math.pi ** ball_pi_power(dom.n)
-    else:
-        rat = table
-        scale = 1.0
+    if table.dom != dom or table.max_degree < 2 * r + f.degree:
+        raise ValueError(f"the moment table does not cover degree {2 * r + f.degree} on this domain")
 
-    basis = tuple(sorted((a for a in table if sum(a) <= r), key=grlex_key))
-    m = len(basis)
-    E = np.array(basis, dtype=np.min_scalar_type(2 * r))  # a_i + a_j <= 2r: no overflow
-    # the distinct sums a_i + a_j, and idx[i, j] = position of a_i + a_j among them
-    sums, idx = np.unique((E[:, None, :] + E[None, :, :]).reshape(m * m, dom.n), axis=0, return_inverse=True)
-    fterms = list(f.terms.items())
-    mB, mA = [], []
-    for gamma in map(tuple, sums.tolist()):
-        mB.append(float(rat[gamma]) * scale)
-        acc = Fraction(0)
-        for d, coef in fterms:
-            acc += coef * rat[tuple(x + y for x, y in zip(gamma, d))]
-        mA.append(float(acc) * scale)
-    idx = idx.reshape(m, m)
-    return np.array(mA)[idx], np.array(mB)[idx], basis
+    sel = np.flatnonzero(table.degrees <= r)
+    E = table.decode(table.codes[sel])
+    order = np.lexsort([E[:, i] for i in reversed(range(dom.n))] + [table.degrees[sel]])  # grlex
+    basis = tuple(map(tuple, E[order].tolist()))
+    cb = table.codes[sel][order]
+    # the distinct sums a_i + a_j are all gamma with |gamma| <= 2r, and since
+    # c(a_i + a_j) = c(a_i) + c(a_j), idx[i, j] = position of a_i + a_j among them
+    within = np.flatnonzero(table.degrees <= 2 * r)
+    sums = table.codes[within]
+    idx = np.searchsorted(sums, cb[:, None] + cb[None, :])
+    mB = table.nums[within] / table.den
+    F = math.lcm(*(c.denominator for c in f.terms.values()))
+    dcodes = table.encode(list(f.terms))
+    acc = np.zeros(len(sums), dtype=object)
+    for dc, coef in zip(dcodes, f.terms.values()):
+        acc += int(coef * F) * table.nums[np.searchsorted(table.codes, sums + dc)]
+    mA = acc / (table.den * F)
+    return (mA.astype(float) * table.scale)[idx], (mB.astype(float) * table.scale)[idx], basis
 
 
 def smallest_generalized_eigenpair(A: np.ndarray, B: np.ndarray):

@@ -15,8 +15,14 @@ ball in dimension n:
 Each kind's (w, g) is stated once (_axis_weight, _degree_factor); the scalar
 oracle and the memoized table both read from it.  Box and simplex moments
 are plain Fractions.  Ball moments carry the common factor pi^(n//2)
-symbolically (PiMultiple) so that matrix assembly can stay exact: the
-formula above is their rational part.
+symbolically (PiMultiple): the formula above is their rational part.
+
+The table (MomentTable) holds every moment with |alpha| <= D as a Python-int
+numerator over one common denominator, den = lcm(g denominators) *
+prod_i lcm(w_i denominators), so that exact sums of moments are integer
+sums; it is keyed by the code c(alpha) = sum_i alpha_i (D+1)^i, which adds
+like the multi-indices (c(a+b) = c(a) + c(b) while no coordinate exceeds D).
+On the ball the pi power is the table's single float `scale`.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .polynomials import Polynomial
 
 __all__ = [
@@ -35,6 +43,7 @@ __all__ = [
     "PiMultiple",
     "moment",
     "moment_rational",
+    "MomentTable",
     "moment_table",
     "integrate_poly",
     "integrate_poly_exact",
@@ -211,31 +220,102 @@ def moment(dom: Domain, alpha: Sequence[int]):
     return _with_pi(dom, moment_rational(dom, alpha))
 
 
+# Largest table moment_table builds.  An entry holds an int64 code, an int64
+# degree, an object pointer and a Python int numerator (28-33 bytes for the
+# catalog's 10-D boxes); with the arrays of the build the peak is ~60 bytes
+# per entry (3.3e6 entries: 195 MB), so the limit keeps a table under
+# ~250 MB and its build under ~1 s.  C(n+D, n) grows fast in D, so a larger
+# limit buys little: n = 10 goes from D = 14 (2.0e6 entries) to D = 16 (5.3e6).
+MAX_TABLE_ENTRIES = 4_000_000
+
+
+def _over_lcm(values) -> tuple[int, list[int]]:
+    """(L, [v * L for v in values]) with L the lcm of the denominators."""
+    values = [Fraction(v) for v in values]
+    L = math.lcm(*(v.denominator for v in values))
+    return L, [v.numerator * (L // v.denominator) for v in values]
+
+
+@dataclass(frozen=True, eq=False)
+class MomentTable:
+    """All moments m_alpha(K) with |alpha| <= max_degree, as integers over
+    one common denominator.
+
+    Entry k is the multi-index with code codes[k], c(alpha) = sum_i
+    alpha_i (D+1)^i for D = max_degree; codes are sorted, and int64 unless
+    (D+1)^n >= 2^63 (then Python ints in an object array).  Its moment is
+    nums[k] / den exactly, times the float `scale` (pi^(n//2) on the ball,
+    1.0 otherwise); degrees[k] = |alpha|.  Codes add like the multi-indices
+    they encode as long as no coordinate of the sum exceeds D.
+    """
+
+    dom: Domain
+    max_degree: int
+    codes: np.ndarray
+    degrees: np.ndarray
+    nums: np.ndarray
+    den: int
+    scale: float
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def encode(self, exps) -> np.ndarray:
+        """Codes of the rows of an (N, n) array of multi-indices."""
+        exps = np.asarray(exps, dtype=np.int64).reshape(-1, self.dom.n).astype(self.codes.dtype)
+        powers = np.array([(self.max_degree + 1) ** i for i in range(self.dom.n)], dtype=self.codes.dtype)
+        return (exps * powers).sum(axis=1)
+
+    def decode(self, codes) -> np.ndarray:
+        """The (N, n) int64 multi-indices of the given codes."""
+        base = self.max_degree + 1
+        out = np.empty((len(codes), self.dom.n), dtype=np.int64)
+        for i in range(self.dom.n):
+            out[:, i] = codes % base
+            codes = codes // base
+        return out
+
+
 @lru_cache(maxsize=64)
-def _cached_table(dom: Domain, max_degree: int):
-    # the product g(|alpha|) * prod_i w_i(alpha_i), built as running partial
-    # products over the coordinates; the box has g = 1 and skips it
-    n = dom.n
-    w = [[_axis_weight(dom, i, k) for k in range(max_degree + 1)] for i in range(n)]
-    g = None if dom.kind == "box" else [_degree_factor(dom, s) for s in range(max_degree + 1)]
-    table = {}
+def _cached_table(dom: Domain, max_degree: int) -> MomentTable:
+    # m_alpha = g(|alpha|) * prod_i w_i(alpha_i) = G[|alpha|] * prod_i W_i[alpha_i] / den,
+    # with G and W_i the factors scaled to integers by the lcm of their
+    # denominators and den the product of those lcms
+    n, D = dom.n, max_degree
+    count = math.comb(n + D, n)
+    if count > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"moment table for n = {n}, degree {D} would hold {count} entries "
+            f"(limit {MAX_TABLE_ENTRIES}); reduce r"
+        )
+    base = D + 1
+    ctype = object if base**n >= 2**63 else np.int64
+    den, G = _over_lcm(_degree_factor(dom, s) for s in range(D + 1))
+    codes = np.zeros(1, dtype=ctype)
+    degrees = np.zeros(1, dtype=np.int64)
+    nums = np.ones(1, dtype=object)
+    # coordinates from the most significant down: each entry is followed by
+    # its children alpha_i = 0..D-|alpha| in order, so the codes stay sorted
+    for i in reversed(range(n)):
+        L, W = _over_lcm(_axis_weight(dom, i, k) for k in range(D + 1))
+        den *= L
+        counts = D + 1 - degrees
+        k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        codes = np.repeat(codes * base, counts) + k
+        degrees = np.repeat(degrees, counts) + k
+        nums = np.repeat(nums, counts) * np.array(W, dtype=object)[k]
+    nums = nums * np.array(G, dtype=object)[degrees]
+    for a in (codes, degrees, nums):
+        a.flags.writeable = False  # the memo hands the same arrays to every caller
+    scale = math.pi ** ball_pi_power(n) if dom.kind == "ball" else 1.0
+    return MomentTable(dom, D, codes, degrees, nums, den, scale)
 
-    def rec(i, prefix, partial, left):
-        wi = w[i]
-        if i == n - 1:
-            for k in range(left + 1):
-                m = partial * wi[k]
-                table[prefix + (k,)] = m if g is None else _with_pi(dom, m * g[max_degree - left + k])
-            return
-        for k in range(left + 1):
-            rec(i + 1, prefix + (k,), partial * wi[k], left - k)
 
-    rec(0, (), 1, max_degree)
-    return table
+def moment_table(dom: Domain, max_degree: int) -> MomentTable:
+    """All moments with |alpha| <= max_degree; memoized per (domain, degree).
 
-
-def moment_table(dom: Domain, max_degree: int) -> dict:
-    """All moments with |alpha| <= max_degree; memoized per (domain, degree)."""
+    Raises ValueError for a table of more than MAX_TABLE_ENTRIES entries.
+    """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     return _cached_table(dom, max_degree)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -41,6 +42,15 @@ class TestBound:
         v1 = float(out1.strip().splitlines()[1].split(",")[1])
         v2 = float(out2.strip().splitlines()[1].split(",")[1])
         assert v2 == pytest.approx(v1, rel=1e-6)
+
+    def test_oversized_table_refused_up_front(self, capsys):
+        # n = 10, r = 30 needs the C(74, 10) ~ 7e11 moments of degree <= 64
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "bound", "--fn", "rosenbrock", "--n", "10", "--r", "30")
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 2
+        assert out == ""
+        assert "n = 10, degree 64" in err
 
     def test_conditioning_exit_code(self, capsys):
         code, out, _ = run(

@@ -3,9 +3,11 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sosdensity.moments import (
+    MAX_TABLE_ENTRIES,
     Domain,
     PiMultiple,
     domain_from_json,
@@ -94,6 +96,12 @@ class TestBallMoments:
         assert moment_rational(Domain.ball(4), (2, 0, 0, 0)) == m.coef
 
 
+def _entries(table) -> dict:
+    """{alpha: rational part of m_alpha} read off a table: num / den."""
+    alphas = map(tuple, table.decode(table.codes).tolist())
+    return {alpha: Fraction(num, table.den) for alpha, num in zip(alphas, table.nums)}
+
+
 class TestMomentTable:
     @pytest.mark.parametrize("dom", [Domain.box([(-2, 2), (0, 1)]), Domain.simplex(3), Domain.ball(2)])
     def test_matches_pointwise_oracle(self, dom):
@@ -101,17 +109,35 @@ class TestMomentTable:
         n = dom.n
         count = math.comb(n + 6, 6)
         assert len(table) == count
-        for alpha, val in table.items():
-            assert sum(alpha) <= 6
-            single = moment(dom, alpha)
-            if isinstance(single, PiMultiple):
-                assert val.coef == single.coef
-            else:
-                assert val == single
+        assert table.codes.dtype == np.int64
+        assert np.all(np.diff(table.codes) > 0)  # sorted, distinct
+        assert np.array_equal(table.encode(table.decode(table.codes)), table.codes)
+        assert table.scale == (math.pi ** (n // 2) if dom.kind == "ball" else 1.0)
+        entries = _entries(table)
+        assert len(entries) == count
+        for (alpha, val), deg in zip(entries.items(), table.degrees):
+            assert sum(alpha) == deg <= 6
+            assert val == moment_rational(dom, alpha)
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             moment_table(Domain.cube(1), -1)
+
+    def test_refuses_oversized_table(self):
+        count = math.comb(10 + 64, 10)
+        assert count > MAX_TABLE_ENTRIES
+        with pytest.raises(ValueError, match=f"n = 10, degree 64 would hold {count} entries"):
+            moment_table(Domain.cube(10), 64)
+
+    def test_wide_codes(self):
+        # (D+1)^n = 2^64 codes do not fit int64: the same path runs on Python ints
+        dom = Domain.cube(64)
+        table = moment_table(dom, 1)
+        assert table.codes.dtype == object
+        assert len(table) == 65
+        entries = _entries(table)
+        for alpha in [(0,) * 64, (1,) + (0,) * 63, (0,) * 63 + (1,)]:
+            assert entries[alpha] == moment_rational(dom, alpha)
 
 
 BOX_SIDES = [(Fraction(-3, 2), Fraction(7, 3)), (Fraction(1, 4), 2), (-2, Fraction(-1, 2)), (0, 5)]
@@ -141,12 +167,13 @@ class TestClosedFormOracle:
     )
     def test_every_moment_up_to_degree_6(self, dom):
         table = moment_table(dom, 6)
+        entries = _entries(table)
         for alpha in itertools.product(range(7), repeat=dom.n):
             if sum(alpha) > 6:
                 continue
             want = _closed_form(dom, alpha)
             assert float(moment(dom, alpha)) == pytest.approx(want, rel=1e-12, abs=0.0)
-            assert float(table[alpha]) == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert float(entries[alpha]) * table.scale == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestIntegratePoly:
