@@ -8,7 +8,7 @@ recovered from the eigenvector, feasible points can be sampled from it, and
 an explicit O(1/sqrt(r)) rate certificate can be evaluated.
 """
 
-from .benchmarks import TestCase, catalog_json, get, list_names
+from .benchmarks import TestCase, get, list_names
 from .bounds import (
     BoundResult,
     ConditioningError,
@@ -31,20 +31,13 @@ from .certificate import (
 from .moments import (
     Domain,
     MomentTable,
-    PiMultiple,
     domain_from_json,
     integrate_poly,
     integrate_poly_exact,
-    moment,
     moment_rational,
     moment_table,
 )
-from .polynomials import (
-    ParseError,
-    Polynomial,
-    parse_polynomial,
-    polynomial_from_json,
-)
+from .polynomials import ParseError, Polynomial, parse_polynomial
 from .sampling import (
     CdfSlice,
     ConditionalChain,
@@ -64,11 +57,8 @@ __all__ = [
     "Polynomial",
     "ParseError",
     "parse_polynomial",
-    "polynomial_from_json",
     "Domain",
-    "PiMultiple",
     "domain_from_json",
-    "moment",
     "moment_rational",
     "moment_table",
     "MomentTable",
@@ -102,6 +92,5 @@ __all__ = [
     "TestCase",
     "get",
     "list_names",
-    "catalog_json",
     "__version__",
 ]

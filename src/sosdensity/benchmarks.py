@@ -9,14 +9,13 @@ direct evaluation in the test suite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .moments import Domain
 from .polynomials import Polynomial, parse_polynomial
 
-__all__ = ["TestCase", "get", "list_names", "catalog_json"]
+__all__ = ["TestCase", "get", "list_names"]
 
 # Minimizer of x^4/2 - 8x^2 + 5x/2 per coordinate (root of 2x^3 - 16x + 5/2),
 # and the corresponding per-coordinate minimum value.  Benchmark listings
@@ -40,16 +39,6 @@ class TestCase:
     @property
     def n(self) -> int:
         return self.domain.n
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "source": self.source,
-            "n": self.n,
-            "domain": self.domain.to_json(),
-            "f_min": self.f_min,
-            "minimizers": [list(m) for m in self.minimizers],
-        }
 
 
 def _sum_source(template: str, n: int, joiner: str = " + ") -> str:
@@ -171,9 +160,3 @@ def get(name: str, n: int | None = None) -> TestCase:
             raise ValueError(f"{name!r} is parametric; pass n")
         return _PARAMETRIC[name](n)
     raise KeyError(f"unknown benchmark {name!r}; known: {', '.join(list_names())}")
-
-
-def catalog_json(parametric_n: int = 2) -> str:
-    """The full catalog as a JSON document (parametric families at the given n)."""
-    cases = [get(name) if name in _FIXED else get(name, parametric_n) for name in list_names()]
-    return json.dumps([c.to_json() for c in cases], indent=2, sort_keys=True)

@@ -46,6 +46,15 @@ __all__ = [
 # the Cholesky step is no longer trustworthy.
 COND_LIMIT = 1e16
 
+# Largest pencil size m = C(n+r, r) taken on.  Assembly and the eigensolve
+# hold several m x m arrays of 8-byte entries at once (the code sums and
+# index, A and B, their equilibrated copies, the eigenvectors): one bound at
+# m = 1001 (rosenbrock, n = 10, r = 4) raises peak memory by ~60 MB over its
+# moment table and takes ~0.7 s with one BLAS thread, so m = 3500 needs
+# ~0.75 GB and ~30 s.  The table limit does not bound m at small n: motzkin
+# (n = 2) at r = 243 has a 121,771-entry table but m = 29,890 (~7 GB a matrix).
+MAX_PENCIL_SIZE = 3500
+
 
 class ConditioningError(RuntimeError):
     """B is numerically indefinite or too ill-conditioned to trust."""
@@ -79,6 +88,16 @@ class BoundResult:
         return g * g
 
 
+def _check_pencil_size(n: int, r: int) -> None:
+    """Refuse an order whose m x m pencil would exceed MAX_PENCIL_SIZE."""
+    m = math.comb(n + r, r)
+    if m > MAX_PENCIL_SIZE:
+        raise ValueError(
+            f"order r = {r} in n = {n} variables needs m x m moment matrices with "
+            f"m = {m} (limit {MAX_PENCIL_SIZE}); reduce r"
+        )
+
+
 def assemble_AB(f: Polynomial, dom: Domain, r: int, table: MomentTable | None = None):
     """Exact assembly of the moment matrices A (f-weighted) and B.
 
@@ -92,6 +111,7 @@ def assemble_AB(f: Polynomial, dom: Domain, r: int, table: MomentTable | None = 
         raise ValueError(f"polynomial has {f.n_vars} variables, domain has {dom.n}")
     if r < 0:
         raise ValueError("order r must be >= 0")
+    _check_pencil_size(dom.n, r)
     if table is None:
         table = moment_table(dom, 2 * r + f.degree)
     if table.dom != dom or table.max_degree < 2 * r + f.degree:
@@ -159,17 +179,18 @@ def compute_bound(f: Polynomial, dom: Domain, r: int, table=None) -> BoundResult
     return BoundResult(r=r, value=lam, eigvec=v, cond_B=cond_B, residual=residual, basis=basis)
 
 
-def bound_sweep(f: Polynomial, dom: Domain, r_max: int, r_min: int = 1) -> list[BoundResult]:
-    """Bounds for r = r_min..r_max, sharing one moment table.
+def bound_sweep(f: Polynomial, dom: Domain, r_max: int) -> list[BoundResult]:
+    """Bounds for r = 1..r_max, sharing one moment table.
 
     Stops at the first conditioning failure (the remaining orders would only
     be less trustworthy).
     """
-    if r_max < r_min:
+    if r_max < 1:
         raise ValueError("empty order range")
+    _check_pencil_size(dom.n, r_max)
     table = moment_table(dom, 2 * r_max + f.degree)
     results = []
-    for r in range(r_min, r_max + 1):
+    for r in range(1, r_max + 1):
         try:
             results.append(compute_bound(f, dom, r, table=table))
         except ConditioningError:

@@ -87,30 +87,22 @@ def geom_params(dom: Domain) -> GeomParams:
     (Validated numerically over random directions in the test suite.)
     """
     n = dom.n
-    gamma_n = math.pi ** (n / 2) / math.gamma(1 + n / 2)
     if dom.kind == "ball":
-        D = 4.0
-        return GeomParams(
-            D=D,
-            w_min=2.0,
-            eta=_cone_eta(n, math.pi / 3.0),
-            eps_K=1.0,
-            r_K=_threshold_order(D, 1.0, n),
-            gamma_n=gamma_n,
-        )
-    if dom.kind == "box":
-        sides = [float(hi - lo) for lo, hi in dom.bounds]
-        D, w_min, rho = sum(s * s for s in sides), min(sides), min(sides) / 2.0
-    else:  # the standard simplex
-        D, w_min, rho = 2.0, 1.0 / math.sqrt(n), 1.0 / (n + math.sqrt(n))
-    theta = 2.0 * math.asin(rho / (2.0 * math.sqrt(D)))
+        D, w_min, rho, theta = 4.0, 2.0, 1.0, math.pi / 3.0
+    else:
+        if dom.kind == "box":
+            sides = [float(hi - lo) for lo, hi in dom.bounds]
+            D, w_min, rho = sum(s * s for s in sides), min(sides), min(sides) / 2.0
+        else:  # the standard simplex
+            D, w_min, rho = 2.0, 1.0 / math.sqrt(n), 1.0 / (n + math.sqrt(n))
+        theta = 2.0 * math.asin(rho / (2.0 * math.sqrt(D)))
     return GeomParams(
         D=D,
         w_min=w_min,
         eta=_cone_eta(n, theta),
         eps_K=rho,
         r_K=_threshold_order(D, rho, n),
-        gamma_n=gamma_n,
+        gamma_n=math.pi ** (n / 2) / math.gamma(1 + n / 2),
     )
 
 
@@ -167,12 +159,12 @@ def taylor_density(a: Sequence[float], sigma: float, r: int, n: int) -> Polynomi
     return h * Fraction(prefactor)
 
 
-def gaussian_mass(dom: Domain, a: Sequence[float], sigma: float, seed: int = 0) -> tuple[float, float]:
+def gaussian_mass(dom: Domain, a: Sequence[float], sigma: float) -> tuple[float, float]:
     """Integral over K of the Gaussian G_a (this is 1/C_{K,a}).
 
     Returns (mass, standard_error).  Boxes are exact products of 1-D
     cumulative differences (standard error 0); the simplex and ball use
-    seeded Monte-Carlo with MC_POINTS uniform points.
+    Monte-Carlo with MC_POINTS uniform points, seeded with 0.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -187,7 +179,7 @@ def gaussian_mass(dom: Domain, a: Sequence[float], sigma: float, seed: int = 0) 
             l = (float(lo) - ai) / (sigma * root2)
             mass *= 0.5 * (math.erf(u) - math.erf(l))
         return mass, 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     if dom.kind == "simplex":
         pts = rng.dirichlet(np.ones(n + 1), size=MC_POINTS)[:, :n]
         vol = 1.0 / math.factorial(n)
@@ -207,23 +199,22 @@ def gaussian_mass(dom: Domain, a: Sequence[float], sigma: float, seed: int = 0) 
 # ---- Lipschitz bound --------------------------------------------------
 
 
-def _domain_grid(dom: Domain, seed: int = 0) -> np.ndarray:
-    """Evaluation points for estimating sup |f| over the domain."""
+def _domain_grid(dom: Domain) -> np.ndarray:
+    """Evaluation points for estimating sup |f| over the domain (random ones
+    seeded with 0)."""
     n = dom.n
+    if dom.kind == "box" and n <= 3:
+        axes = [np.linspace(float(lo), float(hi), 101) for lo, hi in dom.bounds]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
+    rng = np.random.default_rng(0)
+    m = 10**5
     if dom.kind == "box":
-        if n <= 3:
-            axes = [np.linspace(float(lo), float(hi), 101) for lo, hi in dom.bounds]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            return np.stack([m.ravel() for m in mesh], axis=1)
-        rng = np.random.default_rng(seed)
         lo = np.array([float(l) for l, _ in dom.bounds])
         hi = np.array([float(h) for _, h in dom.bounds])
         # stratified per coordinate (Latin-hypercube style)
-        m = 10**5
         u = (rng.permuted(np.tile(np.arange(m), (n, 1)), axis=1).T + rng.random((m, n))) / m
         return lo + u * (hi - lo)
-    rng = np.random.default_rng(seed)
-    m = 10**5
     if dom.kind == "simplex":
         pts = rng.dirichlet(np.ones(n + 1), size=m)[:, :n]
         vertices = np.vstack([np.zeros(n), np.eye(n)])

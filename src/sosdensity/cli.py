@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from . import benchmarks, golden
-from .bounds import ConditioningError, bound_sweep, compute_bound
+from .bounds import ConditioningError, _check_pencil_size, bound_sweep, compute_bound
 from .certificate import certificate
 from .moments import Domain, domain_from_json, moment_table
 from .polynomials import ParseError, Polynomial, parse_polynomial
@@ -109,6 +109,7 @@ def cmd_bound(args) -> int:
     if args.rescale:
         f, dom = _rescale_box(f, dom)
     r_lo, r_hi = _parse_orders(args.r)
+    _check_pencil_size(dom.n, r_hi)
     table = moment_table(dom, 2 * r_hi + f.degree)
     rows = []
     for r in range(r_lo, r_hi + 1):

@@ -13,9 +13,10 @@ ball in dimension n:
               g(s) = 1/((n+s)/2)! for even n, 2^((n+s+1)/2)/(n+s)!! for odd n.
 
 Each kind's (w, g) is stated once (_axis_weight, _degree_factor); the scalar
-oracle and the memoized table both read from it.  Box and simplex moments
-are plain Fractions.  Ball moments carry the common factor pi^(n//2)
-symbolically (PiMultiple): the formula above is their rational part.
+oracle and the memoized table both read from it.  Exact values are the
+rational part of a moment: on the ball every moment carries the common
+factor pi^(n//2), which is left out of the formula above and enters once,
+as the float _pi_scale(K), wherever a moment becomes a float.
 
 The table (MomentTable) holds every moment with |alpha| <= D as a Python-int
 numerator over one common denominator, den = lcm(g denominators) *
@@ -40,8 +41,6 @@ from .polynomials import Polynomial
 
 __all__ = [
     "Domain",
-    "PiMultiple",
-    "moment",
     "moment_rational",
     "MomentTable",
     "moment_table",
@@ -61,20 +60,6 @@ def _double_factorial(k: int) -> int:
         result *= k
         k -= 2
     return result
-
-
-@dataclass(frozen=True)
-class PiMultiple:
-    """Exact rational multiple of an integer power of pi."""
-
-    coef: Fraction
-    pi_power: int
-
-    def __float__(self) -> float:
-        return float(self.coef) * math.pi ** self.pi_power
-
-    def __repr__(self) -> str:
-        return f"{self.coef}*pi^{self.pi_power}"
 
 
 @dataclass(frozen=True)
@@ -136,7 +121,7 @@ class Domain:
         return sum(xi * xi for xi in x) <= 1 + slack
 
     def volume(self) -> float:
-        return float(moment(self, (0,) * self.n))
+        return float(moment_rational(self, (0,) * self.n)) * _pi_scale(self)
 
     def to_json(self) -> dict:
         if self.kind == "box":
@@ -170,9 +155,9 @@ def _check_alpha(dom: Domain, alpha: Sequence[int]) -> tuple[int, ...]:
     return alpha
 
 
-def ball_pi_power(n: int) -> int:
-    """Power of pi common to every nonzero unit-ball moment in dimension n."""
-    return n // 2
+def _pi_scale(dom: Domain) -> float:
+    """The factor a moment's rational part leaves out: pi^(n//2) on the ball."""
+    return math.pi ** (dom.n // 2) if dom.kind == "ball" else 1.0
 
 
 def _axis_weight(dom: Domain, i: int, k: int):
@@ -201,11 +186,6 @@ def _degree_factor(dom: Domain, s: int) -> Fraction:
     return Fraction(2 ** ((n + s + 1) // 2), _double_factorial(n + s))
 
 
-def _with_pi(dom: Domain, rational: Fraction):
-    """The moment with rational part `rational`: a PiMultiple on the ball."""
-    return PiMultiple(rational, ball_pi_power(dom.n)) if dom.kind == "ball" else rational
-
-
 def moment_rational(dom: Domain, alpha: Sequence[int]) -> Fraction:
     """The rational part of the moment (ball: the common pi power stripped)."""
     alpha = _check_alpha(dom, alpha)
@@ -213,11 +193,6 @@ def moment_rational(dom: Domain, alpha: Sequence[int]) -> Fraction:
     for i, k in enumerate(alpha):
         m *= _axis_weight(dom, i, k)
     return m
-
-
-def moment(dom: Domain, alpha: Sequence[int]):
-    """m_alpha(K): exact Fraction for box/simplex, PiMultiple for the ball."""
-    return _with_pi(dom, moment_rational(dom, alpha))
 
 
 # Largest table moment_table builds.  An entry holds an int64 code, an int64
@@ -307,8 +282,7 @@ def _cached_table(dom: Domain, max_degree: int) -> MomentTable:
     nums = nums * np.array(G, dtype=object)[degrees]
     for a in (codes, degrees, nums):
         a.flags.writeable = False  # the memo hands the same arrays to every caller
-    scale = math.pi ** ball_pi_power(n) if dom.kind == "ball" else 1.0
-    return MomentTable(dom, D, codes, degrees, nums, den, scale)
+    return MomentTable(dom, D, codes, degrees, nums, den, _pi_scale(dom))
 
 
 def moment_table(dom: Domain, max_degree: int) -> MomentTable:
@@ -321,16 +295,17 @@ def moment_table(dom: Domain, max_degree: int) -> MomentTable:
     return _cached_table(dom, max_degree)
 
 
-def integrate_poly_exact(dom: Domain, p: Polynomial):
-    """Sum of coefficients times moments; Fraction or PiMultiple (ball)."""
+def integrate_poly_exact(dom: Domain, p: Polynomial) -> Fraction:
+    """Sum of coefficients times moments, exactly: the rational part (on the
+    ball the integral is this times pi^(n//2))."""
     if p.n_vars != dom.n:
         raise ValueError(f"polynomial has {p.n_vars} variables, domain has {dom.n}")
     total = Fraction(0)
     for exp, coef in p.terms.items():
         total += coef * moment_rational(dom, exp)
-    return _with_pi(dom, total)
+    return total
 
 
 def integrate_poly(dom: Domain, p: Polynomial) -> float:
     """Integral of p over the domain, as a float."""
-    return float(integrate_poly_exact(dom, p))
+    return float(integrate_poly_exact(dom, p)) * _pi_scale(dom)

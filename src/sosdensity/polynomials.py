@@ -11,7 +11,6 @@ exponent tuple).
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -22,7 +21,6 @@ __all__ = [
     "Polynomial",
     "grlex_key",
     "parse_polynomial",
-    "polynomial_from_json",
 ]
 
 
@@ -104,9 +102,6 @@ class Polynomial:
         return Polynomial(n_vars, {tuple(exponents): _as_fraction(coef)})
 
     # ---- basic queries ------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exponents), Fraction(0))
@@ -221,9 +216,6 @@ class Polynomial:
             total += m
         return total
 
-    def __call__(self, x):
-        return self.evaluate(x)
-
     # ---- calculus -----------------------------------------------------
 
     def partial(self, i: int) -> "Polynomial":
@@ -290,7 +282,7 @@ class Polynomial:
         anti = self.antiderivative(var)
         return anti.substitute_var(var, upper) - anti.substitute_var(var, lower)
 
-    # ---- printing / serialization -------------------------------------
+    # ---- printing -----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
@@ -313,24 +305,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial(n_vars={self.n_vars}, '{self}')"
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n_vars,
-            "terms": [{"exp": list(e), "coef": str(c)} for e, c in self.sorted_terms()],
-        }
-
-
-def polynomial_from_json(obj) -> Polynomial:
-    """Read the {"n": ..., "terms": [...]} wire form (dict or JSON string)."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    n = int(obj["n"])
-    terms = {}
-    for t in obj["terms"]:
-        exp = tuple(int(e) for e in t["exp"])
-        terms[exp] = Fraction(str(t["coef"]))  # decimal strings like "1.05" are exact
-    return Polynomial(n, terms)
 
 
 # ---- expression parser -----------------------------------------------

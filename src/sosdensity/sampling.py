@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -133,7 +132,7 @@ def build_chain(hstar: Polynomial, dom: Domain) -> ConditionalChain:
     mass = integrate_poly_exact(dom, hstar)
     if abs(float(mass) - 1.0) > 1e-6:
         raise ValueError(f"density integrates to {float(mass)}, not 1")
-    h = hstar * (1 / Fraction(mass))  # exact renormalization
+    h = hstar * (1 / mass)  # exact renormalization
     marginals = [h]
     for i in range(dom.n - 1, 0, -1):
         # integrate out coordinate i (0-based) from f_{1..i+1}

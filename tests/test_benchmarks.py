@@ -1,8 +1,6 @@
-import json
-
 import pytest
 
-from sosdensity.benchmarks import catalog_json, get, list_names
+from sosdensity.benchmarks import get, list_names
 from sosdensity.polynomials import parse_polynomial
 
 
@@ -75,10 +73,3 @@ class TestSpecificEntries:
     def test_modified_b_degree(self):
         assert get("three-hump-camel-modified-b").f.degree == 12
 
-
-def test_catalog_json_wellformed():
-    data = json.loads(catalog_json())
-    assert len(data) == 10
-    entry = {e["name"]: e for e in data}["motzkin"]
-    assert entry["f_min"] == 0.0
-    assert entry["domain"]["kind"] == "box"

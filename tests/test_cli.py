@@ -44,13 +44,25 @@ class TestBound:
         assert v2 == pytest.approx(v1, rel=1e-6)
 
     def test_oversized_table_refused_up_front(self, capsys):
-        # n = 10, r = 30 needs the C(74, 10) ~ 7e11 moments of degree <= 64
+        # n = 20, r = 3 needs the C(30, 10) ~ 3e7 moments of degree <= 10,
+        # with a pencil of m = C(23, 3) = 1771 the pencil guard admits
         t0 = time.perf_counter()
-        code, out, err = run(capsys, "bound", "--fn", "rosenbrock", "--n", "10", "--r", "30")
+        code, out, err = run(capsys, "bound", "--fn", "rosenbrock", "--n", "20", "--r", "3")
         assert time.perf_counter() - t0 < 5.0
         assert code == 2
         assert out == ""
-        assert "n = 10, degree 64" in err
+        assert "n = 20, degree 10" in err
+
+    @pytest.mark.parametrize("orders", ["243", "1..243"])
+    def test_oversized_pencil_refused_up_front(self, capsys, orders):
+        # motzkin's table at r = 243 is small (121,771 entries), but each
+        # m x m matrix of its pencil would take ~7 GB
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "bound", "--fn", "motzkin", "--r", orders)
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 2
+        assert out == ""
+        assert "m = 29890" in err
 
     def test_conditioning_exit_code(self, capsys):
         code, out, _ = run(

@@ -1,11 +1,13 @@
 """Static checks on the package source, using only the standard library:
 no module imports a name it never uses, every name in an ``__all__`` is
-defined in its module, and every package name the benchmark harness in
-``perfbench/`` reaches still exists.
+defined in its module, every package name the benchmark harness in
+``perfbench/`` reaches still exists, and every name the package exports has
+a reader.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -109,3 +111,36 @@ def test_perfbench_names_exist():
     traced, used = perfbench_names()
     assert traced and used
     assert [name for name in sorted(traced | used) if not _resolves(name)] == []
+
+
+def src_references() -> set[str]:
+    """Names and attributes read in the package modules other than
+    ``__init__``, each outside the top-level definition of that name."""
+    refs = set()
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        for node in _parse(path).body:
+            own = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name is not None and name != own:
+                    refs.add(name)
+    return refs
+
+
+def dead_exports() -> list[str]:
+    """Exported names (dunders aside) that no other module, no perfbench/ use
+    and no README line reaches."""
+    traced, used = perfbench_names()
+    reached = src_references() | traced | {dotted.split(".")[0] for dotted in used}
+    readme = (ROOT / "README.md").read_text()
+    return [
+        name
+        for name in sosdensity.__all__
+        if not name.startswith("__") and name not in reached and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+
+
+def test_no_dead_exports():
+    assert dead_exports() == []

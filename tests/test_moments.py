@@ -9,15 +9,18 @@ import pytest
 from sosdensity.moments import (
     MAX_TABLE_ENTRIES,
     Domain,
-    PiMultiple,
     domain_from_json,
     integrate_poly,
     integrate_poly_exact,
-    moment,
     moment_rational,
     moment_table,
 )
-from sosdensity.polynomials import parse_polynomial
+from sosdensity.polynomials import Polynomial, parse_polynomial
+
+
+def _ball_moment(n: int, alpha) -> float:
+    """m_alpha of the unit ball as a float: the integral of the monomial."""
+    return integrate_poly(Domain.ball(n), Polynomial.monomial(n, alpha))
 
 
 class TestDomain:
@@ -56,44 +59,44 @@ class TestDomain:
 class TestBoxMoments:
     def test_closed_form(self):
         dom = Domain.box([(0, 1), (-1, 1)])
-        assert moment(dom, (2, 0)) == Fraction(2, 3)  # 1/3 * 2
-        assert moment(dom, (0, 1)) == 0
-        assert moment(dom, (3, 2)) == Fraction(1, 4) * Fraction(2, 3)
+        assert moment_rational(dom, (2, 0)) == Fraction(2, 3)  # 1/3 * 2
+        assert moment_rational(dom, (0, 1)) == 0
+        assert moment_rational(dom, (3, 2)) == Fraction(1, 4) * Fraction(2, 3)
 
     def test_rational_bounds(self):
         dom = Domain.box([(Fraction(-2048, 1000), Fraction(2048, 1000))])
-        assert moment(dom, (1,)) == 0
-        assert moment(dom, (2,)) == 2 * Fraction(2048, 1000) ** 3 / 3
+        assert moment_rational(dom, (1,)) == 0
+        assert moment_rational(dom, (2,)) == 2 * Fraction(2048, 1000) ** 3 / 3
 
 
 class TestSimplexMoments:
     def test_closed_form(self):
         dom = Domain.simplex(2)
         # m_alpha = prod(alpha_i!) / (|alpha| + n)!
-        assert moment(dom, (0, 0)) == Fraction(1, 2)
-        assert moment(dom, (1, 0)) == Fraction(1, 6)
-        assert moment(dom, (1, 1)) == Fraction(1, 24)
-        assert moment(dom, (2, 0)) == Fraction(2, 24)
+        assert moment_rational(dom, (0, 0)) == Fraction(1, 2)
+        assert moment_rational(dom, (1, 0)) == Fraction(1, 6)
+        assert moment_rational(dom, (1, 1)) == Fraction(1, 24)
+        assert moment_rational(dom, (2, 0)) == Fraction(2, 24)
 
 
 class TestBallMoments:
     def test_odd_vanishes(self):
-        assert float(moment(Domain.ball(3), (1, 0, 0))) == 0.0
-        assert float(moment(Domain.ball(2), (2, 3))) == 0.0
+        assert _ball_moment(3, (1, 0, 0)) == 0.0
+        assert _ball_moment(2, (2, 3)) == 0.0
 
     def test_even_closed_form(self):
         # n=2: volume pi; m_{(2,0)} = pi/4
-        assert float(moment(Domain.ball(2), (0, 0))) == pytest.approx(math.pi)
-        assert float(moment(Domain.ball(2), (2, 0))) == pytest.approx(math.pi / 4)
-        assert float(moment(Domain.ball(2), (2, 2))) == pytest.approx(math.pi / 24)
+        assert _ball_moment(2, (0, 0)) == pytest.approx(math.pi)
+        assert _ball_moment(2, (2, 0)) == pytest.approx(math.pi / 4)
+        assert _ball_moment(2, (2, 2)) == pytest.approx(math.pi / 24)
         # n=3: m_{(2,0,0)} = 4*pi/15
-        assert float(moment(Domain.ball(3), (2, 0, 0))) == pytest.approx(4 * math.pi / 15)
+        assert _ball_moment(3, (2, 0, 0)) == pytest.approx(4 * math.pi / 15)
 
     def test_pi_multiple_structure(self):
-        m = moment(Domain.ball(4), (2, 0, 0, 0))
-        assert isinstance(m, PiMultiple)
-        assert m.pi_power == 2
-        assert moment_rational(Domain.ball(4), (2, 0, 0, 0)) == m.coef
+        # the rational part times pi^(n//2), rounded as float(rational) * pi^2
+        rational = moment_rational(Domain.ball(4), (2, 0, 0, 0))
+        assert rational == Fraction(1, 12)
+        assert _ball_moment(4, (2, 0, 0, 0)) == float(rational) * math.pi**2
 
 
 def _entries(table) -> dict:
@@ -172,7 +175,8 @@ class TestClosedFormOracle:
             if sum(alpha) > 6:
                 continue
             want = _closed_form(dom, alpha)
-            assert float(moment(dom, alpha)) == pytest.approx(want, rel=1e-12, abs=0.0)
+            got = integrate_poly(dom, Polynomial.monomial(dom.n, alpha))
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
             assert float(entries[alpha]) * table.scale == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -183,10 +187,9 @@ class TestIntegratePoly:
         assert integrate_poly_exact(dom, f) == Fraction(1, 6) + Fraction(1, 2)
 
     def test_ball_carries_pi(self):
+        # the exact value is the rational part; the float carries pi^(n//2)
         f = parse_polynomial("x1^2 + x2^2", 2)
-        val = integrate_poly_exact(Domain.ball(2), f)
-        assert isinstance(val, PiMultiple)
-        assert float(val) == pytest.approx(math.pi / 2)
+        assert integrate_poly_exact(Domain.ball(2), f) == Fraction(1, 2)
         assert integrate_poly(Domain.ball(2), f) == pytest.approx(math.pi / 2)
 
     def test_dimension_mismatch(self):
@@ -197,6 +200,6 @@ class TestIntegratePoly:
 class TestAlphaValidation:
     def test_bad_multi_index(self):
         with pytest.raises(ValueError):
-            moment(Domain.cube(2), (1,))
+            moment_rational(Domain.cube(2), (1,))
         with pytest.raises(ValueError):
-            moment(Domain.cube(2), (-1, 0))
+            moment_rational(Domain.cube(2), (-1, 0))
