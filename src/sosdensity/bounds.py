@@ -17,7 +17,10 @@ lcm of f's denominators, is one exact integer sum and one int/int division.
 That division rounds the exact rational correctly, as float(Fraction) does,
 so A and B have the bits of summing Fraction moments and rounding once.
 The eigensolve reduces to a standard dense symmetric problem after
-factoring B.
+factoring B.  The bound does not move when K and f are translated together,
+but monomials lose digits fast on an off-centre box, so compute_bound solves
+f(y + c) on K - c, c the box centre, exactly; sweep_table builds a sweep's
+table there.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "smallest_generalized_eigenpair",
     "compute_bound",
     "bound_sweep",
+    "sweep_table",
 ]
 
 # Hard guard against returning garbage from a numerically indefinite B.
@@ -60,10 +64,7 @@ class ConditioningError(RuntimeError):
     """B is numerically indefinite or too ill-conditioned to trust."""
 
     def __init__(self, cond_B: float, detail: str = ""):
-        msg = (
-            f"moment matrix B is numerically unusable (cond ~ {cond_B:.3e}); "
-            "reduce r or rescale the domain"
-        )
+        msg = f"moment matrix B is numerically unusable (cond ~ {cond_B:.3e}); reduce r"
         if detail:
             msg += f" [{detail}]"
         super().__init__(msg)
@@ -78,13 +79,16 @@ class BoundResult:
     cond_B: float
     residual: float
     basis: tuple[tuple[int, ...], ...]  # exponents of the monomial basis, grlex
+    shift: tuple[Fraction, ...] | None  # the box centre c; eigvec and basis are in powers of x - c
 
     @property
     def density(self) -> Polynomial:
-        """The optimal density g*g, g = sum_i eigvec_i x^{basis_i}, squared
-        exactly each time it is read (only the sampler needs it)."""
+        """The optimal density g*g in x, g = sum_i eigvec_i (x - shift)^{basis_i},
+        squared exactly each time it is read (only the sampler needs it)."""
         terms = {exp: Fraction(float(c)) for exp, c in zip(self.basis, self.eigvec) if c != 0}
         g = Polynomial(len(self.basis[0]), terms)
+        if self.shift is not None:
+            g = g.substitute_affine([1] * len(self.shift), [-c for c in self.shift])
         return g * g
 
 
@@ -170,13 +174,29 @@ def smallest_generalized_eigenpair(A: np.ndarray, B: np.ndarray):
     return lam, v, cond_B
 
 
+def _centred(f: Polynomial, dom: Domain):
+    """(f(y + c), K - c, c) for a box K with centre c != 0, else (f, K, None)."""
+    c = tuple((lo + hi) / 2 for lo, hi in dom.bounds) if dom.kind == "box" else ()
+    if not any(c):
+        return f, dom, None
+    box = Domain.box([(lo - ci, hi - ci) for (lo, hi), ci in zip(dom.bounds, c)])
+    return f.substitute_affine([1] * dom.n, c), box, c
+
+
+def sweep_table(f: Polynomial, dom: Domain, r_max: int) -> MomentTable:
+    """The table compute_bound(f, dom, r, table=...) takes for r <= r_max, on centred dom."""
+    _check_pencil_size(dom.n, r_max)
+    return moment_table(_centred(f, dom)[1], 2 * r_max + f.degree)
+
+
 def compute_bound(f: Polynomial, dom: Domain, r: int, table=None) -> BoundResult:
-    """Order-r upper bound; its optimal degree-2r SOS density is .density."""
-    A, B, basis = assemble_AB(f, dom, r, table=table)
+    """Order-r upper bound, on a centred box; its optimal SOS density is .density."""
+    fc, domc, shift = _centred(f, dom)
+    A, B, basis = assemble_AB(fc, domc, r, table=table)
     lam, v, cond_B = smallest_generalized_eigenpair(A, B)
     bv = B @ v
     residual = float(np.linalg.norm(A @ v - lam * bv) / np.linalg.norm(bv))
-    return BoundResult(r=r, value=lam, eigvec=v, cond_B=cond_B, residual=residual, basis=basis)
+    return BoundResult(r=r, value=lam, eigvec=v, cond_B=cond_B, residual=residual, basis=basis, shift=shift)
 
 
 def bound_sweep(f: Polynomial, dom: Domain, r_max: int) -> list[BoundResult]:
@@ -187,8 +207,7 @@ def bound_sweep(f: Polynomial, dom: Domain, r_max: int) -> list[BoundResult]:
     """
     if r_max < 1:
         raise ValueError("empty order range")
-    _check_pencil_size(dom.n, r_max)
-    table = moment_table(dom, 2 * r_max + f.degree)
+    table = sweep_table(f, dom, r_max)
     results = []
     for r in range(1, r_max + 1):
         try:

@@ -15,9 +15,9 @@ import time
 import numpy as np
 
 from . import benchmarks, golden
-from .bounds import ConditioningError, _check_pencil_size, bound_sweep, compute_bound
+from .bounds import ConditioningError, bound_sweep, compute_bound, sweep_table
 from .certificate import certificate
-from .moments import Domain, domain_from_json, moment_table
+from .moments import Domain, domain_from_json
 from .polynomials import ParseError, Polynomial, parse_polynomial
 from .sampling import build_chain, markov_check, sample, write_batch_csv
 
@@ -46,6 +46,14 @@ def _parse_orders(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _single_order(args) -> int:
+    """The one order sample and certificate take."""
+    lo, hi = _parse_orders(args.r)
+    if lo != hi:
+        raise ConfigError(f"{args.command} takes a single order, not a range")
+    return lo
+
+
 def _load_instance(args) -> tuple[Polynomial, Domain, benchmarks.TestCase | None]:
     """Resolve --fn or --poly/--domain into (f, domain, catalog entry or None)."""
     if args.fn and args.poly:
@@ -69,15 +77,6 @@ def _load_instance(args) -> tuple[Polynomial, Domain, benchmarks.TestCase | None
             raise ConfigError(f"bad --poly: {exc}") from exc
         return f, dom, None
     raise ConfigError("pass --fn NAME or --poly EXPR --domain JSON")
-
-
-def _rescale_box(f: Polynomial, dom: Domain) -> tuple[Polynomial, Domain]:
-    """Map a box instance onto [-1, 1]^n by an exact affine substitution."""
-    if dom.kind != "box":
-        raise ConfigError("--rescale applies to box domains only")
-    scale = [(hi - lo) / 2 for lo, hi in dom.bounds]
-    shift = [(hi + lo) / 2 for lo, hi in dom.bounds]
-    return f.substitute_affine(scale, shift), Domain.box([(-1, 1)] * dom.n)
 
 
 def _write(text: str, path: str | None) -> None:
@@ -106,11 +105,8 @@ def _emit(rows: list[dict], columns: list[str], as_json: bool, path: str | None)
 
 def cmd_bound(args) -> int:
     f, dom, _ = _load_instance(args)
-    if args.rescale:
-        f, dom = _rescale_box(f, dom)
     r_lo, r_hi = _parse_orders(args.r)
-    _check_pencil_size(dom.n, r_hi)
-    table = moment_table(dom, 2 * r_hi + f.degree)
+    table = sweep_table(f, dom, r_hi)
     rows = []
     for r in range(r_lo, r_hi + 1):
         t0 = time.perf_counter()
@@ -127,20 +123,16 @@ def cmd_bound(args) -> int:
 
 def cmd_sample(args) -> int:
     f, dom, tc = _load_instance(args)
-    if args.rescale:
-        f, dom = _rescale_box(f, dom)
     if dom.kind == "ball":
         raise ConfigError("sampling is not supported on the ball (box and simplex only)")
-    r_lo, r_hi = _parse_orders(args.r)
-    if r_lo != r_hi:
-        raise ConfigError("sample takes a single order, not a range")
+    r = _single_order(args)
     if args.count < 1:
         raise ConfigError("--count must be >= 1")
-    b = compute_bound(f, dom, r_lo)
+    b = compute_bound(f, dom, r)
     chain = build_chain(b.density, dom)
     batch = sample(chain, args.count, args.seed, f=f)
     summary = {
-        "r": r_lo,
+        "r": r,
         "count": args.count,
         "seed": args.seed,
         "bound": b.value,
@@ -165,11 +157,7 @@ def cmd_sample(args) -> int:
 
 def cmd_certificate(args) -> int:
     f, dom, tc = _load_instance(args)
-    if args.rescale:
-        f, dom = _rescale_box(f, dom)
-    r_lo, r_hi = _parse_orders(args.r)
-    if r_lo != r_hi:
-        raise ConfigError("certificate takes a single order, not a range")
+    r = _single_order(args)
     if args.a is None:
         if tc is None or not tc.minimizers:
             raise ConfigError("pass --a (minimizer) for inline polynomials")
@@ -185,10 +173,7 @@ def cmd_certificate(args) -> int:
         f_min = tc.f_min
     else:
         raise ConfigError("pass --f-min for inline polynomials")
-    try:
-        report = certificate(f, dom, a, r_lo, f_min)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = certificate(f, dom, a, r, f_min)
     _write(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", args.out)
     return EX_OK
 
@@ -251,7 +236,6 @@ def _add_common(p: argparse.ArgumentParser, orders_default: str | None = None):
     p.add_argument("--n", type=int, help="dimension for parametric catalog families")
     p.add_argument("--r", required=orders_default is None, default=orders_default,
                    help="order, or range like 1..12")
-    p.add_argument("--rescale", action="store_true", help="map a box instance onto [-1,1]^n first")
     p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     p.add_argument("--out", help="write output to this path instead of stdout")
 
@@ -290,13 +274,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_CONFIG
     except ConditioningError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_CONDITIONING
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and ParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return EX_CONFIG
 

@@ -74,7 +74,6 @@ class ConditionalChain:
     """
 
     domain: Domain
-    density: Polynomial
     marginals: tuple[Polynomial, ...]
     arrays: tuple = field(init=False, repr=False, compare=False)
 
@@ -145,7 +144,7 @@ def build_chain(hstar: Polynomial, dom: Domain) -> ConditionalChain:
             upper = _simplex_upper(dom.n, i)
         marginals.append(marginals[-1].definite_integrate(i, lower, upper))
     marginals.reverse()
-    return ConditionalChain(domain=dom, density=h, marginals=tuple(marginals))
+    return ConditionalChain(domain=dom, marginals=tuple(marginals))
 
 
 def _coordinate_range(dom: Domain, i: int, prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,10 +30,22 @@ class TestMonomialBasis:
         assert basis[0] == (0,) * n
 
     def test_vector_to_polynomial(self):
-        # the density is g^2 with g = sum_i v_i x^{basis_i}
+        # the density is g^2 with g = sum_i v_i (x - shift)^{basis_i}, shift
+        # the centre of [0, 1]^2
         f = parse_polynomial("x1^2 - x1*x2", 2)
         b = compute_bound(f, Domain.cube(2), 1)
         assert b.basis == ((0, 0), (0, 1), (1, 0))  # grlex
+        assert b.shift == (Fraction(1, 2), Fraction(1, 2))
+        y = [Polynomial.variable(2, i) - c for i, c in enumerate(b.shift)]
+        g = Polynomial.zero(2)
+        for a, v in zip(b.basis, b.eigvec):
+            g = g + Fraction(float(v)) * y[0] ** a[0] * y[1] ** a[1]
+        assert b.density == g * g
+
+    def test_centred_box_keeps_monomials_in_x(self):
+        f = parse_polynomial("x1^2 - x1*x2", 2)
+        b = compute_bound(f, Domain.cube(2, -1, 1), 2)
+        assert b.shift is None
         g = Polynomial(2, {exp: Fraction(float(c)) for exp, c in zip(b.basis, b.eigvec)})
         assert b.density == g * g
 
@@ -194,6 +206,16 @@ class TestComputeBound:
         b = compute_bound(parse_polynomial("5", 1), Domain.cube(1), 3)
         assert b.value == pytest.approx(5.0, abs=1e-9)
 
+    def test_translation_gives_the_same_bits(self):
+        # f on K and f(y + t) on K - t centre to the same instance exactly
+        tc = get("booth")
+        t = (Fraction(7, 3), Fraction(-5, 2))
+        moved = Domain.box([(lo - ti, hi - ti) for (lo, hi), ti in zip(tc.domain.bounds, t)])
+        for r in (2, 6, 10):
+            b = compute_bound(tc.f.substitute_affine([1, 1], t), moved, r)
+            assert b.shift == tuple(-ti for ti in t)
+            assert b.value == compute_bound(tc.f, tc.domain, r).value
+
     def test_equality_is_identity_and_hashable(self):
         x1 = parse_polynomial("x1", 1)
         a = compute_bound(x1, Domain.box([(0, 1)]), 1)
@@ -222,6 +244,16 @@ class TestSweep:
     def test_pencil_limit_admits_largest_golden_row(self):
         _check_pencil_size(10, 5)  # m = C(15, 5) = 3003: n = 10, r = 5
 
+    def test_off_centre_sweep_matches_single_orders(self):
+        # the sweep's shared table is built on the centred box, as a single order's is
+        f = parse_polynomial("x1^2 - x1*x2 + x2", 2)
+        dom = Domain.box([(0, 3), (-1, 2)])
+        for b in bound_sweep(f, dom, 8):
+            one = compute_bound(f, dom, b.r)
+            fields = ("value", "cond_B", "residual", "basis", "shift")
+            assert [getattr(b, k) for k in fields] == [getattr(one, k) for k in fields]
+            assert b.eigvec.tobytes() == one.eigvec.tobytes()
+
     def test_empty_range(self):
         with pytest.raises(ValueError):
             bound_sweep(parse_polynomial("x1", 1), Domain.cube(1), 0)
@@ -234,7 +266,7 @@ class TestSweep:
         assert 0 < len(res) < 40
         with pytest.raises(ConditioningError) as exc:
             compute_bound(f, Domain.box([(0, 1000)]), 40)
-        assert "reduce r or rescale" in str(exc.value)
+        assert str(exc.value).endswith("; reduce r")
 
 
 
@@ -262,28 +294,31 @@ class TestLegendreOracle:
         f = Polynomial(2, {(1, 0): Fraction(sign)})
         assert abs(compute_bound(f, Domain.cube(2, -1, 1), r).value - _smallest_node(r)) <= self.TOL
 
-    def _affine_error(self, r, sign):
-        """|bound - oracle| for sign*x1 on the off-centre interval [-1/2, 5/2]."""
-        a, b = Fraction(-1, 2), Fraction(5, 2)
+    def _affine_error(self, r, sign, a=Fraction(-1, 2), b=Fraction(5, 2)):
+        """|bound - oracle| for sign*x1 on the off-centre interval [a, b]."""
         f = Polynomial(1, {(1,): Fraction(sign)})
         # min of sign*x over the nodes mapped to [a, b]
         want = (float(a) + float(b - a) * (_smallest_node(r) + 1) / 2) if sign > 0 else \
             -(float(b) - float(b - a) * (_smallest_node(r) + 1) / 2)
         return abs(compute_bound(f, Domain.box([(a, b)]), r).value - want)
 
+    # compute_bound centres the box, so [-1/2, 5/2] is solved on [-3/2, 3/2]
+    # and keeps the oracle as [-1, 1] does: r = 13 is within 4.0e-11; r = 14
+    # (8e-11 for x1, 2.0e-10 for -x1) is left out
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("r", range(7))
+    @pytest.mark.parametrize("r", range(14))
     def test_affine_interval(self, r, sign):
         assert self._affine_error(r, sign) <= self.TOL
 
-    # off centre the oracle is lost earlier: r = 9..13 miss it by 7e-9 to
-    # 1.4e-3 (for x1 the value falls below the true bound from r = 11 on,
-    # inside COND_LIMIT), and r = 14 raises; r = 7..8 (<= 1.2e-9) are left out
-    @pytest.mark.xfail(strict=True, raises=(AssertionError, ConditioningError))
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("r", range(9, 15))
-    def test_affine_interval_high_order(self, r, sign):
-        assert self._affine_error(r, sign) <= self.TOL
+    @pytest.mark.parametrize("r", range(14))
+    def test_unit_interval(self, r, sign):
+        assert self._affine_error(r, sign, Fraction(0), Fraction(1)) <= self.TOL
+
+    def test_unit_interval_conditioning(self):
+        # centred, B is the [-1/2, 1/2] matrix: cond_B 1.4e7 (6.2e15 on [0, 1] uncentred)
+        b = compute_bound(parse_polynomial("x1", 1), Domain.cube(1), 11)
+        assert b.cond_B < 1e9
 
     # double precision on the monomial basis loses the oracle from r ~ 14 on
     # (r = 14..17 sit near the tolerance and are left out); from r = 23 on B

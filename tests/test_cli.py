@@ -1,10 +1,13 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 from sosdensity import cli
 
+UNIT = '{"kind":"box","bounds":[["0","1"]]}'
+WIDE = '{"kind":"box","bounds":[["0","1000"]]}'
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -35,13 +38,23 @@ class TestBound:
         rows = json.loads(out)
         assert rows[0]["value"] == pytest.approx(7.2243, abs=1e-3)
 
-    def test_rescale_affine_invariance(self, capsys):
-        code, out1, _ = run(capsys, "bound", "--fn", "booth", "--r", "4")
-        code2, out2, _ = run(capsys, "bound", "--fn", "booth", "--r", "4", "--rescale")
-        assert code == code2 == 0
-        v1 = float(out1.strip().splitlines()[1].split(",")[1])
-        v2 = float(out2.strip().splitlines()[1].split(",")[1])
-        assert v2 == pytest.approx(v1, rel=1e-6)
+    def test_off_centre_box_is_centred(self, capsys):
+        # x1 on [0, 1000] at r = 11 is 1000 (1 + node) / 2, with node the smallest
+        # Gauss-Legendre node of order 12; solved uncentred it came out as 7.345
+        code, out, _ = run(capsys, "bound", "--poly", "x1", "--domain", WIDE, "--r", "11")
+        assert code == 0
+        node = float(np.polynomial.legendre.leggauss(12)[0][0])
+        assert abs(float(out.strip().splitlines()[1].split(",")[1]) - 1000 * (1 + node) / 2) <= 1e-9
+
+    def test_unit_interval_runs_every_order(self, capsys):
+        code, out, _ = run(capsys, "bound", "--poly", "x1", "--domain", UNIT, "--r", "1..22")
+        assert code == 0
+        assert [line.split(",")[-1] for line in out.strip().splitlines()[1:]] == ["ok"] * 22
+
+    def test_no_rescale_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bound", "--fn", "booth", "--r", "4", "--rescale"])
+        assert exc.value.code == 2
 
     def test_oversized_table_refused_up_front(self, capsys):
         # n = 20, r = 3 needs the C(30, 10) ~ 3e7 moments of degree <= 10,
@@ -129,6 +142,18 @@ class TestSample:
         s = json.loads(out)[0]
         se = (s["variance"] / s["count"]) ** 0.5
         assert abs(s["mean"] - s["bound"]) <= 3 * se
+
+    def test_points_in_the_given_box(self, capsys, tmp_path):
+        path = tmp_path / "s.csv"
+        domain = '{"kind":"box","bounds":[["0","3"],["-1","2"]]}'
+        code, _, _ = run(
+            capsys, "sample", "--poly", "x1^2 - x1*x2 + x2", "--domain", domain, "--r", "4",
+            "--count", "300", "--out", str(path),
+        )
+        assert code == 0
+        pts = np.loadtxt(path, delimiter=",", skiprows=1)[:, :2]
+        assert np.all(pts >= [0, -1]) and np.all(pts <= [3, 2])
+        assert pts[:, 0].max() > 1.5  # in the box, not in its centred copy [-3/2, 3/2]^2
 
 
 class TestCertificate:

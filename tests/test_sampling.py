@@ -278,6 +278,18 @@ class TestOptimalDensitySampling:
         se = float(np.std(batch.values)) / math.sqrt(len(batch.values))
         assert abs(float(np.mean(batch.values)) - b.value) <= 3 * se
 
+    def test_off_centre_box(self):
+        # the bound is solved on the centred box; .density is back in x
+        f = parse_polynomial("x1^2 - x1*x2 + x2", 2)
+        dom = Domain.box([(0, 3), (-1, 2)])
+        b = compute_bound(f, dom, 8)
+        density = b.density
+        assert abs(float(integrate_poly_exact(dom, density)) - 1.0) <= 1e-9
+        batch = sample(build_chain(density, dom), 2000, seed=0, f=f)
+        assert all(dom.contains(p, slack=0.0) for p in batch.points)
+        se = float(np.std(batch.values)) / math.sqrt(len(batch.values))
+        assert abs(float(np.mean(batch.values)) - b.value) <= 4 * se
+
 
 class TestMarkov:
     def test_frequency_and_validation(self):
