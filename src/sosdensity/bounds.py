@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .moments import Domain, MomentTable, moment_table
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _over_lcm
 
 __all__ = [
     "BoundResult",
@@ -118,8 +118,13 @@ def assemble_AB(f: Polynomial, dom: Domain, r: int, table: MomentTable | None = 
     _check_pencil_size(dom.n, r)
     if table is None:
         table = moment_table(dom, 2 * r + f.degree)
-    if table.dom != dom or table.max_degree < 2 * r + f.degree:
-        raise ValueError(f"the moment table does not cover degree {2 * r + f.degree} on this domain")
+    if table.dom != dom:
+        raise ValueError(
+            f"the moment table is for the domain {table.dom.to_json()}, but the pencil is "
+            f"assembled on {dom.to_json()} (compute_bound centres a box); build it with sweep_table"
+        )
+    if table.max_degree < 2 * r + f.degree:
+        raise ValueError(f"the moment table covers degree {table.max_degree}, not {2 * r + f.degree}")
 
     sel = np.flatnonzero(table.degrees <= r)
     E = table.decode(table.codes[sel])
@@ -132,11 +137,11 @@ def assemble_AB(f: Polynomial, dom: Domain, r: int, table: MomentTable | None = 
     sums = table.codes[within]
     idx = np.searchsorted(sums, cb[:, None] + cb[None, :])
     mB = table.nums[within] / table.den
-    F = math.lcm(*(c.denominator for c in f.terms.values()))
+    F, fnums = _over_lcm(f.terms.values())
     dcodes = table.encode(list(f.terms))
     acc = np.zeros(len(sums), dtype=object)
-    for dc, coef in zip(dcodes, f.terms.values()):
-        acc += int(coef * F) * table.nums[np.searchsorted(table.codes, sums + dc)]
+    for dc, fn in zip(dcodes, fnums):
+        acc += fn * table.nums[np.searchsorted(table.codes, sums + dc)]
     mA = acc / (table.den * F)
     return (mA.astype(float) * table.scale)[idx], (mB.astype(float) * table.scale)[idx], basis
 

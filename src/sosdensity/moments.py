@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _over_lcm
 
 __all__ = [
     "Domain",
@@ -204,13 +204,6 @@ def moment_rational(dom: Domain, alpha: Sequence[int]) -> Fraction:
 MAX_TABLE_ENTRIES = 4_000_000
 
 
-def _over_lcm(values) -> tuple[int, list[int]]:
-    """(L, [v * L for v in values]) with L the lcm of the denominators."""
-    values = [Fraction(v) for v in values]
-    L = math.lcm(*(v.denominator for v in values))
-    return L, [v.numerator * (L // v.denominator) for v in values]
-
-
 @dataclass(frozen=True, eq=False)
 class MomentTable:
     """All moments m_alpha(K) with |alpha| <= max_degree, as integers over
@@ -251,11 +244,21 @@ class MomentTable:
         return out
 
 
+def _scaled_factors(dom: Domain, D: int) -> tuple[int, list[int], list[list[int]]]:
+    """(den, G, W) with m_alpha = G[|alpha|] * prod_i W[i][alpha_i] / den for
+    |alpha| <= D: g and each w_i scaled to integers by the lcm of their
+    denominators, den the product of those lcms."""
+    den, G = _over_lcm(_degree_factor(dom, s) for s in range(D + 1))
+    W = []
+    for i in range(dom.n):
+        L, Wi = _over_lcm(_axis_weight(dom, i, k) for k in range(D + 1))
+        den *= L
+        W.append(Wi)
+    return den, G, W
+
+
 @lru_cache(maxsize=64)
 def _cached_table(dom: Domain, max_degree: int) -> MomentTable:
-    # m_alpha = g(|alpha|) * prod_i w_i(alpha_i) = G[|alpha|] * prod_i W_i[alpha_i] / den,
-    # with G and W_i the factors scaled to integers by the lcm of their
-    # denominators and den the product of those lcms
     n, D = dom.n, max_degree
     count = math.comb(n + D, n)
     if count > MAX_TABLE_ENTRIES:
@@ -265,20 +268,18 @@ def _cached_table(dom: Domain, max_degree: int) -> MomentTable:
         )
     base = D + 1
     ctype = object if base**n >= 2**63 else np.int64
-    den, G = _over_lcm(_degree_factor(dom, s) for s in range(D + 1))
+    den, G, W = _scaled_factors(dom, D)
     codes = np.zeros(1, dtype=ctype)
     degrees = np.zeros(1, dtype=np.int64)
     nums = np.ones(1, dtype=object)
     # coordinates from the most significant down: each entry is followed by
     # its children alpha_i = 0..D-|alpha| in order, so the codes stay sorted
     for i in reversed(range(n)):
-        L, W = _over_lcm(_axis_weight(dom, i, k) for k in range(D + 1))
-        den *= L
         counts = D + 1 - degrees
         k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         codes = np.repeat(codes * base, counts) + k
         degrees = np.repeat(degrees, counts) + k
-        nums = np.repeat(nums, counts) * np.array(W, dtype=object)[k]
+        nums = np.repeat(nums, counts) * np.array(W[i], dtype=object)[k]
     nums = nums * np.array(G, dtype=object)[degrees]
     for a in (codes, degrees, nums):
         a.flags.writeable = False  # the memo hands the same arrays to every caller
@@ -297,13 +298,23 @@ def moment_table(dom: Domain, max_degree: int) -> MomentTable:
 
 def integrate_poly_exact(dom: Domain, p: Polynomial) -> Fraction:
     """Sum of coefficients times moments, exactly: the rational part (on the
-    ball the integral is this times pi^(n//2))."""
+    ball the integral is this times pi^(n//2)).
+
+    One integer sum over L * den, L the lcm of p's denominators and den the
+    common denominator of the factored moments up to p.degree; no table is
+    built, so a sparse polynomial in many variables stays cheap.
+    """
     if p.n_vars != dom.n:
         raise ValueError(f"polynomial has {p.n_vars} variables, domain has {dom.n}")
-    total = Fraction(0)
-    for exp, coef in p.terms.items():
-        total += coef * moment_rational(dom, exp)
-    return total
+    L, coefs = _over_lcm(p.terms.values())
+    den, G, W = _scaled_factors(dom, p.degree)
+    total = 0
+    for exp, c in zip(p.terms, coefs):
+        c *= G[sum(exp)]
+        for Wi, k in zip(W, exp):
+            c *= Wi[k]
+        total += c
+    return Fraction(total, L * den)
 
 
 def integrate_poly(dom: Domain, p: Polynomial) -> float:

@@ -1,8 +1,12 @@
 """Sparse multivariate polynomials over exact rational coefficients.
 
 Exponent vectors are plain tuples of nonnegative ints; terms live in a dict
-mapping exponent tuple -> Fraction.  All arithmetic is exact; floating point
-enters only in evaluate(), which takes one point or an (N, n) array and
+mapping exponent tuple -> Fraction.  All arithmetic is exact; a product of
+two polynomials sums Python-int numerators over one common denominator per
+operand (_over_lcm) and builds one Fraction per output term, so its
+Fractions, and the bits of every float rounded from them, are those of
+per-term Fraction sums, without a gcd per product.  Floating point enters
+only in evaluate(), which takes one point or an (N, n) array and
 gives every row the same float operations, hence the same bits, as a
 point-by-point loop (evaluate_exact() is the rational path).  Canonical
 term order is graded lexicographic (total degree first, then lex on the
@@ -11,8 +15,10 @@ exponent tuple).
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,6 +33,24 @@ __all__ = [
 def grlex_key(exponents: tuple[int, ...]) -> tuple:
     """Sort key realizing the graded lexicographic order."""
     return (sum(exponents), exponents)
+
+
+def _over_lcm(values) -> tuple[int, list[int]]:
+    """(L, [v * L for v in values]) for ints and Fractions, L the lcm of their denominators."""
+    values = list(values)
+    L = math.lcm(*(v.denominator for v in values))
+    return L, [v.numerator * (L // v.denominator) for v in values]
+
+
+def _mul_nums(p: Mapping, q: Mapping) -> dict:
+    """Product of two integer coefficient maps; terms in first-reached order
+    (p's terms outer, q's inner), sums that cancel to 0 dropped."""
+    out: dict[tuple[int, ...], int] = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 # scalars that arithmetic with a Polynomial accepts, each taken exactly
@@ -156,12 +180,11 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.n_vars, terms)
+        L1, n1 = _over_lcm(self.terms.values())
+        L2, n2 = _over_lcm(other.terms.values())
+        nums = _mul_nums(dict(zip(self.terms, n1)), dict(zip(other.terms, n2)))
+        L = L1 * L2
+        return Polynomial(self.n_vars, {e: Fraction(c, L) for e, c in nums.items()})
 
     __rmul__ = __mul__
 

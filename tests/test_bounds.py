@@ -13,6 +13,7 @@ from sosdensity.bounds import (
     bound_sweep,
     compute_bound,
     smallest_generalized_eigenpair,
+    sweep_table,
 )
 from sosdensity.benchmarks import get
 from sosdensity.moments import Domain, integrate_poly, moment_rational, moment_table
@@ -150,6 +151,20 @@ class TestAssembly:
             assemble_AB(f, Domain.cube(2), 2, table=moment_table(Domain.cube(2), 5))
         with pytest.raises(ValueError):
             assemble_AB(f, Domain.cube(2), 2, table=moment_table(Domain.simplex(2), 6))
+
+    def test_table_of_another_domain_is_named(self):
+        # an off-centre box is solved on its centred copy, so its own table is
+        # the wrong domain, however high its degree
+        f = parse_polynomial("x1*x2", 2)
+        dom = Domain.box([(0, 3), (-1, 2)])
+        with pytest.raises(ValueError, match=r"assembled on .*'bounds'.*sweep_table") as err:
+            compute_bound(f, dom, 2, table=moment_table(dom, 8))
+        assert "degree" not in str(err.value)
+        assert "['0', '3']" in str(err.value) and "['-3/2', '3/2']" in str(err.value)
+        with pytest.raises(ValueError, match="covers degree 4, not 6"):
+            compute_bound(f, dom, 2, table=sweep_table(f, dom, 1))
+        value = compute_bound(f, dom, 2, table=sweep_table(f, dom, 2)).value
+        assert value == compute_bound(f, dom, 2).value
 
     def test_wide_codes(self):
         # 2^64 codes: the table keeps Python-int codes, the gather is the same

@@ -1,4 +1,8 @@
+import hashlib
+import json
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from sosdensity.certificate import (
     zeta_constant,
 )
 from sosdensity.moments import Domain
-from sosdensity.polynomials import parse_polynomial
+from sosdensity.polynomials import Polynomial, parse_polynomial
 
 
 class TestPhi:
@@ -63,7 +67,53 @@ class TestPConstant:
         assert p_constant(n) == pytest.approx(val, rel=1e-8)
 
 
+def _fraction_product(p: Polynomial, q: Polynomial) -> Polynomial:
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+    return Polynomial(p.n_vars, terms)
+
+
+def _fraction_taylor(a, sigma, r, n) -> Polynomial:
+    """H_{r,a} summed term by term in Fractions: the reference for taylor_density."""
+    sig2 = Fraction(float(sigma)) ** 2
+    t = Polynomial.zero(n)
+    for i in range(n):
+        d = Polynomial.variable(n, i) - Polynomial.constant(n, Fraction(float(a[i])))
+        t = t + _fraction_product(d, d)
+    t = t * (1 / (2 * sig2))
+    phi = phi_coeffs(r)
+    h = Polynomial.zero(n)
+    tpow = Polynomial.constant(n, 1)
+    for k in range(phi.degree + 1):
+        h = h + tpow * phi.coefficient((k,))
+        if k < phi.degree:
+            tpow = _fraction_product(tpow, t)
+    return h * Fraction((2.0 * math.pi * float(sig2)) ** (-n / 2.0))
+
+
 class TestTaylorDensity:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_fraction_expansion(self, n):
+        # same Fractions in the same term order, at the centre 0 (no overlap
+        # between the powers of t) and off it
+        rng = random.Random(n)
+        for r in range(7):
+            for a in ([0.0] * n, [rng.uniform(-2, 2) for _ in range(n)]):
+                sigma = rng.uniform(0.05, 2.0)
+                H = taylor_density(a, sigma, r, n)
+                assert list(H.terms.items()) == list(_fraction_taylor(a, sigma, r, n).terms.items())
+
+    def test_cancelled_term_keeps_fraction_order(self):
+        # a = (s, s), sigma = s: t(0) = 1, so the constant of 1 - t cancels and
+        # comes back with t^2 / 2, after the terms of 1 - t, as in the Fraction sums
+        H = taylor_density([0.5, 0.5], 0.5, 1, 2)
+        assert list(H.terms.items()) == list(_fraction_taylor([0.5, 0.5], 0.5, 1, 2).terms.items())
+        assert list(H.terms).index((0, 0)) > 0
+
+
     def test_degree_and_peak(self):
         H = taylor_density([0.3, -0.2], 0.7, 3, 2)
         assert H.degree == 12  # 4r
@@ -221,6 +271,22 @@ class TestCertificate:
     def test_zeta_positive_and_scaling(self):
         gp = geom_params(Domain.cube(1))
         assert zeta_constant(gp, 1) > 0
+
+    # sha256 of json.dumps(report.to_json(), sort_keys=True) at the first
+    # catalog minimizer, from the certificate that built the Taylor density,
+    # f * H and the exact integrals in per-term Fraction arithmetic
+    @pytest.mark.parametrize("name,n,r,digest", [
+        ("motzkin", None, 4, "f3cf813970124568dda66d4075cc40b919e1fbecb45db996c9bd53d21a76613c"),
+        ("motzkin", None, 8, "9237a0eedeac2d7cd01399e79216968d4495e1d230d4e49c0552eb0fecacf07a"),
+        ("booth", None, 2, "f6ca69873b5b5f0565548ca1f800a7a04b4cff58bed0e1fed22247b30adebdae"),
+        ("three-hump-camel-modified-s", None, 1, "c50e95b8676d5f10aa8e4b8616292b9673b5b7099289c9bf11a4ec385f97d712"),
+        ("three-hump-camel-modified-b", None, 1, "26e0a462a539c52cfb81fd4d48dc731bd9aa6fdf0d1f72d02609e31be53c3e5a"),
+        ("styblinski-tang", 4, 2, "6780e0909d72a7f8c33a0c8be7ae2692cef3f12bcd077f93b922731f62f8bb50"),
+    ], ids=lambda v: str(v)[:12] if isinstance(v, str) else str(v))
+    def test_report_digests(self, name, n, r, digest):
+        tc = benchmarks.get(name, n)
+        rep = certificate(tc.f, tc.domain, tc.minimizers[0], r, tc.f_min)
+        assert hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest() == digest
 
     def test_validation(self):
         f = parse_polynomial("x1", 1)

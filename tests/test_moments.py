@@ -1,11 +1,13 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sosdensity import moments
 from sosdensity.moments import (
     MAX_TABLE_ENTRIES,
     Domain,
@@ -195,6 +197,38 @@ class TestIntegratePoly:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             integrate_poly(Domain.cube(3), parse_polynomial("x1", 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["box", "simplex", "ball"])
+    def test_equals_sum_of_moment_oracle(self, kind, n):
+        # the one integer sum over a common denominator is the Fraction sum
+        rng = random.Random(10 * n + len(kind))
+        if kind == "box":
+            dom = Domain.box([(Fraction(-rng.randint(1, 9), 4), Fraction(rng.randint(1, 9), 3)) for _ in range(n)])
+        else:
+            dom = Domain(kind, n)
+        for _ in range(5):
+            terms = {
+                tuple(rng.randint(0, 5) for _ in range(n)): rng.choice(
+                    [Fraction(rng.randint(-99, 99), rng.choice([1, 3, 7, 2**40, 10**9])), Fraction(rng.uniform(-2, 2))]
+                )
+                for _ in range(10)
+            }
+            p = Polynomial(n, terms)
+            assert integrate_poly_exact(dom, p) == sum(c * moment_rational(dom, e) for e, c in p.terms.items())
+        assert integrate_poly_exact(dom, Polynomial.zero(n)) == 0
+
+    def test_sparse_high_dimension_builds_no_table(self, monkeypatch):
+        # degree 28 in 10 variables: a table would hold C(38, 10) > 4e8 entries
+        def no_table(*_):
+            raise AssertionError("integrate_poly_exact built a moment table")
+
+        monkeypatch.setattr(moments, "_cached_table", no_table)
+        dom = Domain.box([(Fraction(-1, 2), Fraction(3, 2))] * 10)
+        p = Polynomial(10, {(28,) + (0,) * 9: Fraction(1, 3), (2,) * 10: 0.25, (0,) * 9 + (7,): -1, (0,) * 10: 5})
+        assert p.degree == 28
+        want = sum(c * moment_rational(dom, e) for e, c in p.terms.items())
+        assert integrate_poly_exact(dom, p) == want
 
 
 class TestAlphaValidation:

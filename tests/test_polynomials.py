@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +85,63 @@ class TestArithmetic:
             x - bad
         with pytest.raises(TypeError):
             x * bad
+
+
+def _fraction_product(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p * q summed term by term in Fractions: the reference for the integer product."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+    return Polynomial(p.n_vars, terms)
+
+
+def _random_polynomial(rng: random.Random, n: int, size: int, deg: int) -> Polynomial:
+    """Coefficients over 2^k, 10^k, 3 and 7, and binary floats taken exactly."""
+    terms = {}
+    for _ in range(size):
+        e = tuple(rng.randint(0, deg) for _ in range(n))
+        den = rng.choice([2 ** rng.randint(0, 60), 10 ** rng.randint(0, 20), 3, 7, 21])
+        terms[e] = rng.choice([Fraction(rng.randint(-10**6, 10**6), den), Fraction(rng.uniform(-5, 5))])
+    return Polynomial(n, terms)
+
+
+class TestExactProduct:
+    """p * q sums integer numerators over one denominator per operand; its
+    Fractions and their order are those of the per-term Fraction loop."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_against_fraction_loop(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            p = _random_polynomial(rng, n, rng.randint(1, 12), 4)
+            q = _random_polynomial(rng, n, rng.randint(1, 12), 4)
+            assert list((p * q).terms.items()) == list(_fraction_product(p, q).terms.items())
+
+    def test_zero_polynomial(self):
+        p = _random_polynomial(random.Random(0), 2, 8, 3)
+        for a, b in ((p, Polynomial.zero(2)), (Polynomial.zero(2), p), (Polynomial.zero(2), Polynomial.zero(2))):
+            assert (a * b).terms == {}
+
+    def test_cancellation_to_zero(self):
+        third, tenth = Fraction(1, 3), Fraction(0.1)
+        p = x * third + y * tenth
+        q = x * third - y * tenth
+        prod = p * q  # the x*y terms cancel
+        assert list(prod.terms.items()) == list(_fraction_product(p, q).terms.items())
+        assert prod.terms == {(2, 0): third**2, (0, 2): -(tenth**2)}
+        # (1 + x/7 + x^2/49)(1 - x/7) = 1 - x^3/343: both middle sums cancel
+        t = Polynomial(1, {(1,): Fraction(1, 7)})
+        u, v = 1 + t + t * t, 1 - t
+        assert list((u * v).terms.items()) == [((0,), Fraction(1)), ((3,), Fraction(-1, 343))]
+
+    def test_float_coefficients_keep_their_bits(self):
+        p = Polynomial(1, {(0,): 0.1, (1,): 1 / 3})
+        q = Polynomial(1, {(0,): 2.5e-300, (2,): math.pi})
+        prod = p * q
+        assert list(prod.terms.items()) == list(_fraction_product(p, q).terms.items())
+        assert float(prod.coefficient((3,))) == float(Fraction(1 / 3) * Fraction(math.pi))
 
 
 class TestEvaluation:
