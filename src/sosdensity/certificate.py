@@ -10,9 +10,10 @@ zeta(K) and checks the rate inequality
     f^{(r)}_{K,a} - f_min  <=  zeta(K) * M_f / sqrt(2r + 1)    for r >= r_K / 2.
 
 H, f * H and their integrals over K stay exact: sums of Python-int
-numerators over one common denominator, one Fraction per output term.
-For motzkin's certificate taylor_density takes ~10, ~30 and ~50 ms at
-r = 6, 8 and 10 (2-vCPU x86-64 host), against 0.14, 0.39 and 0.88 s for
+numerators over one common denominator, one Fraction per output term; H is
+phi_{2r} composed with ||x-a||^2 / (2*sigma^2) by Polynomial.substitute_var.
+For motzkin's certificate taylor_density takes ~16, ~40 and ~85 ms at
+r = 6, 8 and 10 (2-vCPU x86-64 host), against 0.15, 0.43 and 0.84 s for
 per-term Fraction sums.
 """
 
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .moments import Domain, _double_factorial, integrate_poly
-from .polynomials import Polynomial, _mul_nums, _over_lcm
+from .polynomials import Polynomial
 
 __all__ = [
     "GeomParams",
@@ -140,11 +141,9 @@ def taylor_density(a: Sequence[float], sigma: float, r: int, n: int) -> Polynomi
 
     sigma, a and the prefactor are exactified at their binary float values,
     so the returned degree-4r Polynomial can be integrated exactly by the
-    moment oracle.  The sum is taken in integers: with t = tn / T (tn
-    integer numerators, T their common denominator) and phi_k = P_k / (2r)!,
-    (2r)! T^(2r) phi_{2r}(t) = sum_k P_k T^(2r-k) tn^k, then one Fraction per
-    term.  Its terms and their order are those of summing the Fractions
-    phi_k t^k term by term, including a term that cancels and reappears.
+    moment oracle.  It is prefactor * phi_{2r}(x1) with x1 replaced by t
+    (Polynomial.substitute_var): the terms and their order of summing the
+    Fractions prefactor * phi_k * t^k term by term.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -156,23 +155,9 @@ def taylor_density(a: Sequence[float], sigma: float, r: int, n: int) -> Polynomi
         d = Polynomial.variable(n, i) - Polynomial.constant(n, Fraction(float(a[i])))
         t = t + d * d
     t = t * (1 / (2 * sig2))
-    T, tn = _over_lcm(t.terms.values())
-    tn = dict(zip(t.terms, tn))
-    phi = phi_coeffs(r)
-    K = phi.degree
-    L, P = _over_lcm(phi.terms.values())  # phi_k for k = 0..K in order
-    h: dict[tuple[int, ...], int] = {}
-    tpow = {(0,) * n: 1}  # tn^k
-    for k in range(K + 1):
-        s = P[k] * T ** (K - k)
-        for e, v in tpow.items():
-            h[e] = h.get(e, 0) + s * v
-        h = {e: v for e, v in h.items() if v}
-        if k < K:
-            tpow = _mul_nums(tpow, tn)
     prefactor = Fraction((2.0 * math.pi * float(sig2)) ** (-n / 2.0))
-    den = L * T**K * prefactor.denominator
-    return Polynomial(n, {e: Fraction(v * prefactor.numerator, den) for e, v in h.items()})
+    phi = {(k,) + (0,) * (n - 1): c * prefactor for (k,), c in phi_coeffs(r).terms.items()}
+    return Polynomial(n, phi).substitute_var(0, t)
 
 
 def gaussian_mass(dom: Domain, a: Sequence[float], sigma: float) -> tuple[float, float]:

@@ -69,7 +69,7 @@ def _load_instance(args) -> tuple[Polynomial, Domain, benchmarks.TestCase | None
             raise ConfigError("--poly requires --domain")
         try:
             dom = domain_from_json(args.domain)
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad --domain: {exc}") from exc
         try:
             f = parse_polynomial(args.poly, dom.n)

@@ -1,16 +1,18 @@
 """Sparse multivariate polynomials over exact rational coefficients.
 
 Exponent vectors are plain tuples of nonnegative ints; terms live in a dict
-mapping exponent tuple -> Fraction.  All arithmetic is exact; a product of
-two polynomials sums Python-int numerators over one common denominator per
-operand (_over_lcm) and builds one Fraction per output term, so its
-Fractions, and the bits of every float rounded from them, are those of
-per-term Fraction sums, without a gcd per product.  Floating point enters
-only in evaluate(), which takes one point or an (N, n) array and
-gives every row the same float operations, hence the same bits, as a
-point-by-point loop (evaluate_exact() is the rational path).  Canonical
-term order is graded lexicographic (total degree first, then lex on the
-exponent tuple).
+mapping exponent tuple -> Fraction.  All arithmetic is exact and sums
+Python-int numerators over one common denominator (_over_lcm), building one
+Fraction per output term: a product scales each operand to integers, and
+substitute_var sums one ladder of integer powers of the substituted
+polynomial (p ** k is x1^k with x1 replaced by p; definite_integrate and
+substitute_affine go through it too).  The Fractions, and the bits of every
+float rounded from them, are those of per-term Fraction sums, without a gcd
+per product.  Floating point enters only in evaluate(), which takes one
+point or an (N, n) array and gives every row the same float operations,
+hence the same bits, as a point-by-point loop (evaluate_exact() is the
+rational path).  Canonical term order is graded lexicographic (total
+degree first, then lex on the exponent tuple).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add
+from operator import add, index
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -85,17 +87,17 @@ class Polynomial:
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exp, coef in terms.items():
-                exp = tuple(int(e) for e in exp)
+                try:
+                    exp = tuple(map(index, exp))
+                except TypeError:
+                    raise ValueError(f"non-integer exponent in {exp!r}") from None
                 if len(exp) != n_vars:
                     raise ValueError(f"exponent tuple {exp} has length {len(exp)}, expected {n_vars}")
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
                 c = _as_fraction(coef)
                 if c != 0:
-                    c0 = clean.get(exp)
-                    clean[exp] = c if c0 is None else c0 + c
-                    if clean[exp] == 0:
-                        del clean[exp]
+                    clean[exp] = c
         object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "degree", max((sum(e) for e in clean), default=0))
@@ -191,12 +193,10 @@ class Polynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.constant(self.n_vars, 1)
-        # expanded by repeated multiplication: downstream code needs the
-        # full coefficient map, not a factored form
-        for _ in range(k):
-            result = result * self
-        return result
+        # x1^k with x1 replaced by self: the full coefficient map, which
+        # downstream code needs, not a factored form
+        x1_k = Polynomial.monomial(self.n_vars, (k,) + (0,) * (self.n_vars - 1))
+        return x1_k.substitute_var(0, self)
 
     # ---- evaluation ---------------------------------------------------
 
@@ -261,23 +261,37 @@ class Polynomial:
         return Polynomial(self.n_vars, terms)
 
     def substitute_var(self, i: int, value: "Polynomial") -> "Polynomial":
-        """Substitute a polynomial for variable i."""
+        """Substitute a polynomial for variable i.
+
+        With self's coefficients N / L, value's W / V (L, V the lcms of their
+        denominators) and K self's degree in x_i, each term N x^rest x_i^k
+        adds N V^(K-k) x^rest W^k to one integer sum over L V^K, then one
+        Fraction per term.  Terms and their order are those of adding
+        term * value^k in Fractions: a sum that cancels to 0 leaves at once
+        and comes back at the end if it reappears.
+        """
         self._check_same(value)
-        result = Polynomial.zero(self.n_vars)
-        powers: dict[int, Polynomial] = {0: Polynomial.constant(self.n_vars, 1)}
-
-        def power(k: int) -> Polynomial:
-            if k not in powers:
-                powers[k] = power(k - 1) * value
-            return powers[k]
-
-        for exp, coef in self.terms.items():
-            rest = list(exp)
-            e = rest[i]
-            rest[i] = 0
-            term = Polynomial.monomial(self.n_vars, rest, coef)
-            result = result + term * power(e)
-        return result
+        L, nums = _over_lcm(self.terms.values())
+        V, vnums = _over_lcm(value.terms.values())
+        w = dict(zip(value.terms, vnums))
+        K = max((e[i] for e in self.terms), default=0)
+        ladder = [{(0,) * self.n_vars: 1}]  # W^k
+        for _ in range(K):
+            ladder.append(_mul_nums(ladder[-1], w))
+        out: dict[tuple[int, ...], int] = {}
+        for exp, c in zip(self.terms, nums):
+            k = exp[i]
+            rest = exp[:i] + (0,) + exp[i + 1 :]
+            c *= V ** (K - k)
+            for e, v in ladder[k].items():
+                e = tuple(map(add, rest, e))
+                s = out.get(e, 0) + c * v
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        den = L * V**K
+        return Polynomial(self.n_vars, {e: Fraction(c, den) for e, c in out.items()})
 
     def substitute_affine(self, scale: Sequence, shift: Sequence) -> "Polynomial":
         """Return q with q(y) = p(scale * y + shift), exactly."""

@@ -118,6 +118,15 @@ class TestConfigErrors:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "domain", ['[1]', '"box"', '{"kind":"box","bounds":5}', '{"kind":"simplex","n":null}']
+    )
+    def test_malformed_domain(self, capsys, domain):
+        code, out, err = run(capsys, "bound", "--poly", "x1", "--domain", domain, "--r", "1")
+        assert code == 2
+        assert "bad --domain" in err
+        assert out == ""
+
 
 class TestSample:
     def test_summary_and_determinism(self, capsys, tmp_path):

@@ -33,6 +33,16 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             x.degree = 5
 
+    @pytest.mark.parametrize("bad", [(1.5,), ("1",), (np.float64(2.0),)])
+    def test_non_integer_exponent_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            Polynomial(1, {bad: 1})
+
+    def test_integer_like_exponents_accepted(self):
+        p = Polynomial(2, {(True, np.int64(3)): 1, (np.uint8(2), 0): 2})
+        assert list(p.terms) == [(1, 3), (2, 0)]
+        assert all(type(e) is int for exp in p.terms for e in exp)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Polynomial(0, {})
@@ -142,6 +152,64 @@ class TestExactProduct:
         prod = p * q
         assert list(prod.terms.items()) == list(_fraction_product(p, q).terms.items())
         assert float(prod.coefficient((3,))) == float(Fraction(1 / 3) * Fraction(math.pi))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pow_equals_repeated_product(self, n):
+        rng = random.Random(10 + n)
+        for _ in range(10):
+            p = _random_polynomial(rng, n, rng.randint(1, 6), 3)
+            q = Polynomial.constant(n, 1)
+            for k in range(7):
+                assert list((p**k).terms.items()) == list(q.terms.items())
+                q = q * p
+
+
+def _fraction_substitute(p: Polynomial, i: int, value: Polynomial) -> Polynomial:
+    """p with value for x_i, adding term * value^k term by term in Fractions:
+    the reference for the integer substitute_var."""
+    result = Polynomial.zero(p.n_vars)
+    powers = [Polynomial.constant(p.n_vars, 1)]
+    for exp, coef in p.terms.items():
+        while len(powers) <= exp[i]:
+            powers.append(_fraction_product(powers[-1], value))
+        rest = exp[:i] + (0,) + exp[i + 1 :]
+        result = result + _fraction_product(Polynomial.monomial(p.n_vars, rest, coef), powers[exp[i]])
+    return result
+
+
+class TestSubstitution:
+    """substitute_var sums integers over one denominator; its Fractions and
+    their order are those of the per-term Fraction sums."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_against_fraction_loop(self, n):
+        rng = random.Random(20 + n)
+        for _ in range(15):
+            p = _random_polynomial(rng, n, rng.randint(1, 10), 4)
+            i = rng.randrange(n)
+            others = [j for j in range(n) if j != i]
+            values = [
+                _random_polynomial(rng, n, 1, 0),  # a constant
+                Polynomial.zero(n),
+                _random_polynomial(rng, n, rng.randint(1, 4), 2),  # depends on x_i too
+            ]
+            if others:  # free of x_i, as integration bounds are
+                v = _random_polynomial(rng, n, rng.randint(1, 4), 2)
+                values.append(Polynomial(n, {e: c for e, c in v.terms.items() if e[i] == 0}))
+            for value in values:
+                got = p.substitute_var(i, value)
+                assert list(got.terms.items()) == list(_fraction_substitute(p, i, value).terms.items())
+
+    def test_zero_polynomial(self):
+        assert Polynomial.zero(2).substitute_var(0, 1 + y).terms == {}
+
+    def test_cancelled_sum_reappears_last(self):
+        # x1 -> x2 + 1 in x2 - x1 + x1^2: the x2 sum cancels at -x1 and comes
+        # back with x1^2, after x2^2, while the constant cancels for good
+        p = Polynomial(2, {(0, 1): 1, (1, 0): -1, (2, 0): 1})
+        got = p.substitute_var(0, y + 1)
+        assert list(got.terms.items()) == list(_fraction_substitute(p, 0, y + 1).terms.items())
+        assert list(got.terms.items()) == [((0, 2), Fraction(1)), ((0, 1), Fraction(2))]
 
 
 class TestEvaluation:
