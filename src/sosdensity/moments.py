@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -136,11 +137,12 @@ def domain_from_json(obj) -> Domain:
     kind = obj["kind"]
     if kind == "box":
         return Domain.box([(Fraction(str(lo)), Fraction(str(hi))) for lo, hi in obj["bounds"]])
-    if kind == "simplex":
-        return Domain.simplex(int(obj["n"]))
-    if kind == "ball":
-        return Domain.ball(int(obj["n"]))
-    raise ValueError(f"unknown domain kind {kind!r}")
+    if kind not in ("simplex", "ball"):
+        raise ValueError(f"unknown domain kind {kind!r}")
+    try:
+        return Domain(kind, index(obj["n"]))
+    except TypeError:
+        raise ValueError(f"non-integer dimension {obj['n']!r}") from None
 
 
 # ---- moment oracles ---------------------------------------------------

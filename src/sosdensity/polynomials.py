@@ -193,8 +193,7 @@ class Polynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        # x1^k with x1 replaced by self: the full coefficient map, which
-        # downstream code needs, not a factored form
+        # x1^k with x1 replaced by self: downstream code needs the full coefficient map
         x1_k = Polynomial.monomial(self.n_vars, (k,) + (0,) * (self.n_vars - 1))
         return x1_k.substitute_var(0, self)
 

@@ -77,9 +77,7 @@ def _fraction_product(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def _fraction_taylor(a, sigma, r, n) -> Polynomial:
-    """H_{r,a} summed term by term in Fractions: the reference for taylor_density.
-    The powers of t are integer products, which test_polynomials.TestExactProduct pins to the
-    Fraction loop."""
+    """H_{r,a} summed term by term in Fractions: the reference for taylor_density."""
     sig2 = Fraction(float(sigma)) ** 2
     t = Polynomial.zero(n)
     for i in range(n):
@@ -92,7 +90,7 @@ def _fraction_taylor(a, sigma, r, n) -> Polynomial:
     for k in range(phi.degree + 1):
         h = h + tpow * phi.coefficient((k,))
         if k < phi.degree:
-            tpow = tpow * t
+            tpow = _fraction_product(tpow, t)
     return h * Fraction((2.0 * math.pi * float(sig2)) ** (-n / 2.0))
 
 
@@ -100,10 +98,11 @@ class TestTaylorDensity:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equals_fraction_expansion(self, n):
         # same Fractions in the same term order, at the centre 0 (no overlap
-        # between the powers of t) and off it; n = 4 stops at r = 6 because
-        # the reference alone takes ~8 and ~15 s at r = 7 and 8
+        # between the powers of t) and off it; r stops at 7 for n = 3 and at 5
+        # for n = 4 because the Fraction reference alone takes ~4 s off the
+        # centre at n = 3, r = 8 and ~8 s at n = 4, r = 6 (2-vCPU x86-64)
         rng = random.Random(n)
-        for r in range(9 if n < 4 else 7):
+        for r in range({1: 9, 2: 9, 3: 8, 4: 6}[n]):
             for a in ([0.0] * n, [rng.uniform(-2, 2) for _ in range(n)]):
                 sigma = rng.uniform(0.05, 2.0)
                 H = taylor_density(a, sigma, r, n)

@@ -119,7 +119,15 @@ class TestConfigErrors:
         assert "error:" in err
 
     @pytest.mark.parametrize(
-        "domain", ['[1]', '"box"', '{"kind":"box","bounds":5}', '{"kind":"simplex","n":null}']
+        "domain",
+        [
+            '[1]',
+            '"box"',
+            '{"kind":"box","bounds":5}',
+            '{"kind":"simplex","n":null}',
+            '{"kind":"simplex","n":1e400}',
+            '{"kind":"ball","n":1.5}',
+        ],
     )
     def test_malformed_domain(self, capsys, domain):
         code, out, err = run(capsys, "bound", "--poly", "x1", "--domain", domain, "--r", "1")

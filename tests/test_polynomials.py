@@ -25,7 +25,7 @@ class TestConstruction:
         assert p - p == Polynomial.zero(2)
 
     def test_duplicate_exponents_accumulate(self):
-        # dict literals can't carry duplicates, but ints and Fractions merge
+        # a string coefficient parses exactly
         p = Polynomial(1, {(2,): "1/3"})
         assert p.coefficient((2,)) == Fraction(1, 3)
 
