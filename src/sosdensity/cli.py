@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -82,10 +84,19 @@ def _load_instance(args) -> tuple[Polynomial, Domain, benchmarks.TestCase | None
 def _write(text: str, path: str | None) -> None:
     """Text to the file at path, or to stdout when path is None."""
     if path:
-        with open(path, "w") as fh:
+        with _writable(path), open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+@contextmanager
+def _writable(path: str):
+    """An --out file that cannot be written is a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path!r}: {exc.strerror or exc}") from exc
 
 
 def _emit(rows: list[dict], columns: list[str], as_json: bool, path: str | None) -> None:
@@ -128,6 +139,11 @@ def cmd_sample(args) -> int:
     r = _single_order(args)
     if args.count < 1:
         raise ConfigError("--count must be >= 1")
+    if args.eps is not None:
+        if not (math.isfinite(args.eps) and args.eps > 0):
+            raise ConfigError(f"--eps must be finite and > 0, not {args.eps}")
+        if tc is None:
+            raise ConfigError("--eps needs a catalog function (known minimum)")
     b = compute_bound(f, dom, r)
     chain = build_chain(b.density, dom)
     batch = sample(chain, args.count, args.seed, f=f)
@@ -142,15 +158,14 @@ def cmd_sample(args) -> int:
     }
     columns = ["r", "count", "seed", "bound", "mean", "variance", "min"]
     if args.eps is not None:
-        if tc is None:
-            raise ConfigError("--eps needs a catalog function (known minimum)")
         freq = markov_check(f, batch, b.value, tc.f_min, args.eps)
         summary["markov_eps"] = args.eps
         summary["markov_freq"] = freq
         summary["markov_cap"] = 1.0 / (1.0 + args.eps)
         columns += ["markov_eps", "markov_freq", "markov_cap"]
     if args.out:
-        write_batch_csv(batch, args.out, dom, bound=b.value)
+        with _writable(args.out):
+            write_batch_csv(batch, args.out, dom, bound=b.value)
     _emit([summary], columns, args.json, None)  # the summary always goes to stdout
     return EX_OK
 

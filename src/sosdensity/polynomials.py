@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import repeat
 from operator import add, index
 from typing import Mapping, Sequence
 
@@ -203,23 +204,27 @@ class Polynomial:
         """f at one point (length n; a float) or at each row of an (N, n) array.
 
         Both shapes take one path, and every row gets the operations of a
-        per-point loop: x_i ** e by CPython's float pow, element by element
-        (numpy's array ** rounds differently), once per distinct (i, e); then
-        for each term, in term order, float(coef) times its powers in
-        variable order, added to a running total that starts at 0.0.
+        per-point loop: x_i ** e by C pow (math.pow, which float ** int
+        calls too), element by element (numpy's array ** rounds differently),
+        once per distinct (i, e); then for each term, in term order,
+        float(coef) times its powers in variable order, added to a running
+        total that starts at 0.0.
         """
         pts = np.asarray(x, dtype=float)
         if pts.ndim not in (1, 2) or pts.shape[-1] != self.n_vars:
             raise ValueError(f"points have shape {pts.shape}, expected length {self.n_vars}")
         rows = pts.reshape(-1, self.n_vars)
         powers: dict[tuple[int, int], np.ndarray] = {}
+        for i in range(self.n_vars):
+            # iterating a memoryview makes each CPython float as pow takes it
+            col = memoryview(np.ascontiguousarray(rows[:, i]))
+            for e in {exp[i] for exp in self.terms} - {0}:
+                powers[i, e] = np.fromiter(map(math.pow, col, repeat(float(e))), float, len(rows))
         total = np.zeros(len(rows))
         for exp, coef in self.terms.items():
             m = float(coef)
             for i, e in enumerate(exp):
                 if e:
-                    if (i, e) not in powers:
-                        powers[i, e] = (rows[:, i].astype(object) ** e).astype(float)
                     m = m * powers[i, e]
             total += m
         return float(total[0]) if pts.ndim == 1 else total

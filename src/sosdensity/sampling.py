@@ -9,17 +9,19 @@ coordinate by coordinate, builds and inverts the conditional CDFs of the
 whole block at once.  Each point keeps its own generator, draws its own
 uniforms and retries on its own, and it gets the bits it would get if it
 were drawn alone: every batched step is the elementwise operation one point
-does (Horner through `polyval(..., tensor=False)`, a per-row `bincount` that
-adds terms in term order, and 1 - (((0 + x_1) + x_2) + ...) for the simplex
-range), never a matmul or `einsum`, whose sums run in another order.
-`conditional_cdf` and `invert_cdf` run the same helpers on one row.  Blocks
-bound the memory: a block's generators and its (points, terms, coordinates)
-power array live only while that block is drawn.
+does (one in-place Horner kernel over columns of coefficients, powers of the
+prefix by numpy's array-exponent pow, a per-row `bincount` that adds terms
+in term order, and 1 - (((0 + x_1) + x_2) + ...) for the simplex range),
+never a matmul or `einsum`, whose sums run in another order.
+`conditional_cdf` and `invert_cdf` run the same helpers on one column.
+Blocks bound the memory: a block's generators and its (points, terms,
+coordinates) gathered powers live only while that block is drawn.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,9 +47,11 @@ MEMBERSHIP_SLACK = 1e-12
 DENOMINATOR_FLOOR = 1e-12
 MAX_PREFIX_RETRIES = 100
 # Points drawn together.  A block's generators and its (points, terms,
-# coordinates) power array set the memory: for 4000 motzkin r = 12 points,
-# blocks of 256 draw about as fast as one block of all 4000, which would
-# need ~25 MB more peak memory; blocks of 128 are ~25% slower.
+# coordinates) gathered powers set the memory.  Drawing 4000 motzkin r = 12
+# points on a 2-vCPU x86-64 host: blocks of 256 take 0.26-0.30 s with
+# ~1.5 MB more peak memory than one point at a time; blocks of 128 take
+# 0.31-0.36 s (0.5 MB), 512 take 0.23-0.27 s (3.3 MB), and one block of all
+# 4000 takes 0.17-0.19 s but ~26 MB more.
 BLOCK_SIZE = 256
 
 
@@ -56,11 +60,21 @@ class DegeneratePrefixError(RuntimeError):
 
 
 def _marginal_arrays(marg: Polynomial, i: int):
-    """Array form of f_{1..i+1}: prefix exponents, own exponents, float coefficients."""
+    """Array form of f_{1..i+1}: the distinct prefix exponents and each term's
+    gather index into a row's (coordinate, exponent) powers (_term_powers),
+    own exponents, float coefficients and degree.
+    """
     exps = np.array([[e[j] for j in range(i)] for e in marg.terms], dtype=float).reshape(len(marg.terms), i)
+    # numpy's float power squares (x * x, which pow rounds differently) when
+    # its exponent operand repeats one value along the inner loop.  The
+    # per-term array prefix ** exps does so only when exps has one entry, a
+    # table with one distinct exponent always would; so a larger exps also
+    # puts exponent 0 in the table (pow(x, 0) is 1 either way).
+    uniq = np.unique(np.append(exps, 0.0) if exps.size > 1 else exps)
+    gather = np.arange(i) * uniq.size + np.searchsorted(uniq, exps)
     own = np.array([e[i] for e in marg.terms])
     coefs = np.array([float(c) for c in marg.terms.values()])
-    return exps, own, coefs, marg.degree
+    return uniq, gather, own, coefs, marg.degree
 
 
 @dataclass(frozen=True)
@@ -91,7 +105,7 @@ class CdfSlice:
     hi: float
 
     def __call__(self, t: float) -> float:
-        return float(np.polynomial.polynomial.polyval(t, self.coeffs))
+        return float(_horner(t, np.array(self.coeffs)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,35 +173,58 @@ def _coordinate_range(dom: Domain, i: int, prefix: np.ndarray) -> tuple[np.ndarr
     return np.zeros(rows), 1.0 - used
 
 
-def _polyval_rows(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Horner value of each row of ascending coefficients at that row's x."""
-    return np.polynomial.polynomial.polyval(x, coeffs.T, tensor=False)
+def _horner(x, cols: np.ndarray):
+    """Horner value at x of the polynomials whose ascending coefficients run
+    down the columns of cols (one column per entry of x).
+
+    cols[-1] + x * 0, then times x plus the next lower coefficient: in order
+    the IEEE operations of numpy.polynomial's evaluation with tensor=False,
+    on one array updated in place.
+    """
+    c0 = cols[-1] + x * 0
+    for col in cols[-2::-1]:
+        c0 *= x
+        c0 += col
+    return c0
+
+
+def _term_powers(prefix: np.ndarray, uniq: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """(N, terms, i) powers x_j ** e of (N, i) prefixes, bit for bit the
+    per-term array prefix[:, None, :] ** exps: each coordinate goes to each
+    distinct exponent once, by the same array-exponent power, and is
+    gathered per term.
+    """
+    table = (prefix[:, :, None] ** uniq).reshape(len(prefix), prefix.shape[1] * uniq.size)
+    # take, not table[:, gather], whose result runs down the rows: the products
+    # and weights must be C-ordered for w.ravel() in _univariate to be a view
+    return np.take(table, gather, axis=1)
 
 
 def _univariate(chain: ConditionalChain, i: int, prefix: np.ndarray) -> np.ndarray:
-    """Rows of coefficients (ascending) of f_{1..i+1}(prefix, x_{i+1}) as a polynomial
-    in x_{i+1}, one row per (N, i) prefix row.
+    """Columns of coefficients (ascending) of f_{1..i+1}(prefix, x_{i+1}) as a
+    polynomial in x_{i+1}, one column per (N, i) prefix row.
     """
-    exps, own, coefs, deg = chain.arrays[i]
+    uniq, gather, own, coefs, deg = chain.arrays[i]
     rows = len(prefix)
-    w = coefs * np.prod(prefix[:, None, :] ** exps, axis=2)
+    w = coefs * np.prod(_term_powers(prefix, uniq, gather), axis=2)
     # one bincount adds each row's terms into that row's bins, in term order
-    bins = (np.arange(rows)[:, None] * (deg + 1) + own).ravel()
-    return np.bincount(bins, weights=w.ravel(), minlength=rows * (deg + 1)).reshape(rows, deg + 1)
+    bins = (own * rows + np.arange(rows)[:, None]).ravel()
+    return np.bincount(bins, weights=w.ravel(), minlength=(deg + 1) * rows).reshape(deg + 1, rows)
 
 
 def _cdf_coeffs(dens: np.ndarray, lo: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Rows of coefficients of t -> (integral of dens from lo to t) / denom."""
-    anti = np.zeros((dens.shape[0], dens.shape[1] + 1))
-    anti[:, 1:] = dens / np.arange(1, dens.shape[1] + 1)
-    coeffs = anti / denom[:, None]
-    coeffs[:, 0] -= _polyval_rows(lo, anti) / denom
+    """Columns of coefficients of t -> (integral of dens from lo to t) / denom."""
+    anti = np.zeros((dens.shape[0] + 1, dens.shape[1]))
+    anti[1:] = dens / np.arange(1, dens.shape[0] + 1)[:, None]
+    coeffs = anti / denom
+    coeffs[0] -= _horner(lo, anti) / denom
     return coeffs
 
 
 def _conditional(chain: ConditionalChain, i: int, prefix: np.ndarray, denom: np.ndarray):
-    """Rows of CDF coefficients, range and density coefficients of coordinate i
-    (0-based) given (N, i) prefixes; denom = f_{1..i}(prefix) is each row's mass.
+    """Columns of CDF coefficients, range and columns of density coefficients of
+    coordinate i (0-based) given (N, i) prefixes; denom = f_{1..i}(prefix) is
+    each row's mass.
     """
     lo, hi = _coordinate_range(chain.domain, i, prefix)
     dens = _univariate(chain, i, prefix)
@@ -211,31 +248,34 @@ def conditional_cdf(chain: ConditionalChain, i: int, prefix: Sequence[float]) ->
     prefix = np.asarray(prefix, dtype=float)
     _check_prefix(chain.domain, prefix)
     row = prefix[None, :]
-    denom = np.ones(1) if i == 1 else _polyval_rows(row[:, -1], _univariate(chain, i - 2, row[:, :-1]))
+    denom = np.ones(1) if i == 1 else _horner(row[:, -1], _univariate(chain, i - 2, row[:, :-1]))
     if denom[0] < DENOMINATOR_FLOOR:
         raise DegeneratePrefixError(f"conditional density mass {denom[0]:.3e} at prefix {list(prefix)}")
     coeffs, lo, hi, _ = _conditional(chain, i - 1, row, denom)
-    return CdfSlice(coeffs=tuple(coeffs[0].tolist()), lo=float(lo[0]), hi=float(hi[0]))
+    return CdfSlice(coeffs=tuple(coeffs[:, 0].tolist()), lo=float(lo[0]), hi=float(hi[0]))
 
 
 def _invert(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise min{y : F(y) >= u}: bisection to width 1e-12, then one guarded Newton step."""
-    at_lo = u <= _polyval_rows(lo, coeffs)
+    """Column-wise min{y : F(y) >= u}: bisection to width 1e-12, then one guarded
+    Newton step.  coeffs holds one CDF per column, so each bisection step
+    gathers the columns still active.
+    """
+    at_lo = u <= _horner(lo, coeffs)
     x = np.where(at_lo, lo, hi)
-    inner = np.flatnonzero(~at_lo & ~(u >= _polyval_rows(hi, coeffs)))
-    coeffs, a, b, u = coeffs[inner], lo[inner], hi[inner], u[inner]
+    inner = np.flatnonzero(~at_lo & ~(u >= _horner(hi, coeffs)))
+    coeffs, a, b, u = coeffs[:, inner], lo[inner], hi[inner], u[inner]
     active = np.flatnonzero(b - a > 1e-12)
     while active.size:
         mid = 0.5 * (a[active] + b[active])
-        up = _polyval_rows(mid, coeffs[active]) >= u[active]
+        up = _horner(mid, coeffs[:, active]) >= u[active]
         b[active[up]] = mid[up]
         a[active[~up]] = mid[~up]
         active = active[b[active] - a[active] > 1e-12]
     mid = 0.5 * (a + b)
-    d = _polyval_rows(mid, np.polynomial.polynomial.polyder(coeffs, axis=1))
-    # rows with d <= 0 (or NaN) keep the midpoint and never use their step
+    d = _horner(mid, np.polynomial.polynomial.polyder(coeffs))
+    # columns with d <= 0 (or NaN) keep the midpoint and never use their step
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = mid - (_polyval_rows(mid, coeffs) - u) / d
+        y = mid - (_horner(mid, coeffs) - u) / d
     x[inner] = np.where((d > 0) & (a <= y) & (y <= b), y, mid)
     return x
 
@@ -243,7 +283,7 @@ def _invert(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -
 def invert_cdf(F: CdfSlice, u: float) -> float:
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
-    return float(_invert(np.array([F.coeffs]), np.array([F.lo]), np.array([F.hi]), np.array([u]))[0])
+    return float(_invert(np.array(F.coeffs)[:, None], np.array([F.lo]), np.array([F.hi]), np.array([u]))[0])
 
 
 def _draw_block(chain: ConditionalChain, rngs: list[np.random.Generator]) -> np.ndarray:
@@ -264,7 +304,7 @@ def _draw_block(chain: ConditionalChain, rngs: list[np.random.Generator]) -> np.
             u = np.array([rngs[j].random() for j in rows])
             coeffs, lo, hi, dens = _conditional(chain, i, x[:, :i], denom)
             x[:, i] = _invert(coeffs, lo, hi, u)
-            denom = _polyval_rows(x[:, i], dens)
+            denom = _horner(x[:, i], dens)
         points[rows] = x
         todo = np.setdiff1d(todo, rows, assume_unique=True)
         if not todo.size:
@@ -294,8 +334,8 @@ def markov_check(f: Polynomial, batch: SampleBatch, bound: float, f_min: float, 
 
     The tail bound 1/(1+eps) is the caller's assertion, with statistical slack.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, not {eps}")
     if bound < f_min:
         raise ValueError("bound must be >= f_min")
     values = f.evaluate(batch.points) if batch.values is None else batch.values

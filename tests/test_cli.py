@@ -136,6 +136,35 @@ class TestConfigErrors:
         assert out == ""
 
 
+class TestRefusedUpFront:
+    """Bad --eps and --out values exit 2 with an error line."""
+
+    @pytest.mark.parametrize("argv", [
+        ("--fn", "motzkin", "--eps", "nan"),
+        ("--fn", "motzkin", "--eps", "inf"),
+        ("--fn", "motzkin", "--eps", "0"),
+        ("--poly", "x1", "--domain", UNIT, "--eps", "1"),
+    ], ids=["nan", "inf", "zero", "poly"])
+    def test_bad_eps_before_the_bound(self, capsys, monkeypatch, argv):
+        def no_bound(*_):
+            raise AssertionError("compute_bound ran")
+
+        monkeypatch.setattr(cli, "compute_bound", no_bound)
+        code, out, err = run(capsys, "sample", "--r", "4", "--count", "50", *argv)
+        assert code == 2
+        assert "error:" in err and "--eps" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["sample", "bound"])
+    def test_unwritable_out(self, capsys, tmp_path, command):
+        path = tmp_path / "missing" / "x.csv"
+        argv = [command, "--fn", "motzkin", "--r", "4", "--out", str(path)]
+        code, _, err = run(capsys, *argv, *(["--count", "50"] if command == "sample" else []))
+        assert code == 2
+        assert err.startswith("error:") and "cannot write --out" in err
+        assert not path.parent.exists()
+
+
 class TestSample:
     def test_summary_and_determinism(self, capsys, tmp_path):
         p1 = tmp_path / "a.csv"

@@ -144,3 +144,8 @@ def dead_exports() -> list[str]:
 
 def test_no_dead_exports():
     assert dead_exports() == []
+
+
+def test_one_horner_kernel():
+    # the sampler evaluates every polynomial through sampling._horner
+    assert "polyval" not in (SRC / "sampling.py").read_text()

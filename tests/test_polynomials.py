@@ -24,7 +24,7 @@ class TestConstruction:
         assert q.degree == 0
         assert p - p == Polynomial.zero(2)
 
-    def test_duplicate_exponents_accumulate(self):
+    def test_string_coefficient_parses_exactly(self):
         # a string coefficient parses exactly
         p = Polynomial(1, {(2,): "1/3"})
         assert p.coefficient((2,)) == Fraction(1, 3)
@@ -270,6 +270,23 @@ class TestBatchEvaluation:
         cube = (X.astype(object) ** 3).astype(float)
         assert not np.array_equal(X**3, cube)
         assert np.array_equal(parse_polynomial("x1^3", 2).evaluate(grid), cube)
+
+    def test_powers_match_object_pow(self):
+        # bit for bit the powers of CPython floats, signed zeros, tiny and
+        # subnormal values and the non-finite ones included
+        rng = np.random.default_rng(40)
+        X = np.concatenate([
+            rng.uniform(-3.0, 3.0, 4000), rng.normal(0.0, 1e-200, 500),
+            [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan],
+        ])
+        for e in range(1, 41):
+            want = np.zeros(len(X)) + (X.astype(object) ** e).astype(float)
+            got = parse_polynomial(f"x1^{e}", 1).evaluate(X[:, None])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            parse_polynomial("x1^3 + x2", 2).evaluate(np.array([[1.0, 0.0], [1e300, 1.0]]))
 
 
 class TestCalculus:

@@ -291,6 +291,45 @@ class TestOptimalDensitySampling:
         assert abs(float(np.mean(batch.values)) - b.value) <= 4 * se
 
 
+class TestKernels:
+    """The batched kernels reproduce the numpy expressions they replace, bit for bit."""
+
+    @staticmethod
+    def _bits(a):
+        return np.asarray(a, dtype=float).view(np.uint64)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+    def test_horner_matches_polyval(self):
+        rng = np.random.default_rng(12)
+        x = np.concatenate([rng.uniform(-3.0, 3.0, 60), [0.0, -0.0, np.inf, -np.inf, np.nan]])
+        for deg in range(25):
+            cols = rng.normal(size=(deg + 1, len(x)))
+            cols[-1, ::2] = -0.0  # a signed-zero leading coefficient on every other column
+            want = np.polynomial.polynomial.polyval(x, cols, tensor=False)
+            assert np.array_equal(self._bits(sampling._horner(x, cols)), self._bits(want))
+            # one polynomial at a scalar, as CdfSlice evaluates it
+            for t in (0.7, -np.inf, np.nan):
+                got = sampling._horner(t, cols[:, 0])
+                assert self._bits(got) == self._bits(np.polynomial.polynomial.polyval(t, cols[:, 0]))
+
+    @pytest.mark.parametrize("dom,density", [
+        (BOX3, BOX3_DENSITY),
+        (Domain.simplex(4), "1 + x1^2*x4 + x2*x3 + x3^3 + x4^4"),
+        # one distinct prefix exponent, 2, in several terms, and in a single term
+        (Domain.box([(0, 2), (0, 1)]), "x1^2 + x1^2*x2"),
+        (Domain.box([(0, 2), (0, 1)]), "x1^2*x2"),
+    ], ids=["box3", "simplex4", "shared-square", "single-square"])
+    def test_power_table_matches_broadcast(self, dom, density):
+        chain = exact_chain(dom, density)
+        rng = np.random.default_rng(3)
+        for i in range(1, dom.n):
+            exps = np.array([e[:i] for e in chain.marginals[i].terms], dtype=float).reshape(-1, i)
+            prefix = rng.uniform(0.0, 2.0 / dom.n, (1000, i))
+            uniq, gather = chain.arrays[i][:2]
+            got = sampling._term_powers(prefix, uniq, gather)
+            assert np.array_equal(self._bits(got), self._bits(prefix[:, None, :] ** exps))
+
+
 class TestMarkov:
     def test_frequency_and_validation(self):
         f = parse_polynomial("x1", 1)
@@ -300,8 +339,9 @@ class TestMarkov:
         freq = markov_check(f, batch, bound=0.5, f_min=0.0, eps=1.0)
         # threshold 1.0: only the endpoint can exceed
         assert freq <= 0.01
-        with pytest.raises(ValueError):
-            markov_check(f, batch, bound=0.5, f_min=0.0, eps=0.0)
+        for eps in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps"):
+                markov_check(f, batch, bound=0.5, f_min=0.0, eps=eps)
         with pytest.raises(ValueError):
             markov_check(f, batch, bound=-1.0, f_min=0.0, eps=1.0)
 
