@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .moments import Domain
 from .polynomials import Polynomial, parse_polynomial
@@ -158,5 +159,11 @@ def get(name: str, n: int | None = None) -> TestCase:
     if name in _PARAMETRIC:
         if n is None:
             raise ValueError(f"{name!r} is parametric; pass n")
-        return _PARAMETRIC[name](n)
+        try:
+            k = index(n)
+        except TypeError:
+            k = None
+        if isinstance(n, bool) or k is None or k < 1:
+            raise ValueError(f"n must be an integer >= 1, not {n!r}")
+        return _PARAMETRIC[name](k)
     raise KeyError(f"unknown benchmark {name!r}; known: {', '.join(list_names())}")

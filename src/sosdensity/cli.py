@@ -38,11 +38,14 @@ class ConfigError(ValueError):
 
 def _parse_orders(text: str) -> tuple[int, int]:
     """'6' -> (6, 6); '1..12' -> (1, 12)."""
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    try:
+        if ".." in text:
+            lo_s, hi_s = text.split("..", 1)
+            lo, hi = int(lo_s), int(hi_s)
+        else:
+            lo = hi = int(text)
+    except ValueError:
+        raise ConfigError(f"invalid order range {text!r}") from None
     if lo < 1 or hi < lo:
         raise ConfigError(f"invalid order range {text!r}")
     return lo, hi
@@ -139,6 +142,8 @@ def cmd_sample(args) -> int:
     r = _single_order(args)
     if args.count < 1:
         raise ConfigError("--count must be >= 1")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, not {args.seed}")
     if args.eps is not None:
         if not (math.isfinite(args.eps) and args.eps > 0):
             raise ConfigError(f"--eps must be finite and > 0, not {args.eps}")
@@ -171,6 +176,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_certificate(args) -> int:
+    if args.f_min is not None and not math.isfinite(args.f_min):
+        raise ConfigError(f"--f-min must be finite, not {args.f_min}")
     f, dom, tc = _load_instance(args)
     r = _single_order(args)
     if args.a is None:

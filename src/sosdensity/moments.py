@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomials import Polynomial, _over_lcm
+from .polynomials import Polynomial, _mul_nums, _over_lcm
 
 __all__ = [
     "Domain",
@@ -298,27 +298,47 @@ def moment_table(dom: Domain, max_degree: int) -> MomentTable:
     return _cached_table(dom, max_degree)
 
 
-def integrate_poly_exact(dom: Domain, p: Polynomial) -> Fraction:
-    """Sum of coefficients times moments, exactly: the rational part (on the
-    ball the integral is this times pi^(n//2)).
+def integrate_poly_exact(dom: Domain, *factors: Polynomial) -> Fraction:
+    """Integral of the product of the factors (at least one), exactly: the
+    rational part (on the ball the integral is this times pi^(n//2)).
 
-    One integer sum over L * den, L the lcm of p's denominators and den the
-    common denominator of the factored moments up to p.degree; no table is
-    built, so a sparse polynomial in many variables stays cheap.
+    The factors before the last are multiplied as integer numerators; for
+    each term d of that product (numerator c_d) and each term e of the last
+    factor (numerator c), c_d * c * G[|d + e|] * prod_i W_i[d_i + e_i] goes
+    into one integer sum over (the product of the factors' lcms) * den, den
+    the common denominator of the factored moments up to the total degree.
+    No product Polynomial, no Fraction per term and no table is built: the
+    result is the Fraction of integrating the product, and a sparse
+    polynomial in many variables stays cheap.
     """
-    if p.n_vars != dom.n:
-        raise ValueError(f"polynomial has {p.n_vars} variables, domain has {dom.n}")
-    L, coefs = _over_lcm(p.terms.values())
-    den, G, W = _scaled_factors(dom, p.degree)
+    if not factors:
+        raise TypeError("integrate_poly_exact needs at least one polynomial")
+    for p in factors:
+        if p.n_vars != dom.n:
+            raise ValueError(f"polynomial has {p.n_vars} variables, domain has {dom.n}")
+    *head, last = factors
+    L, coefs = _over_lcm(last.terms.values())
+    prod = {(0,) * dom.n: 1}
+    for p in head:
+        Lp, nums = _over_lcm(p.terms.values())
+        L *= Lp
+        prod = _mul_nums(prod, dict(zip(p.terms, nums)))
+    den, G, W = _scaled_factors(dom, sum(p.degree for p in factors))
     total = 0
-    for exp, c in zip(p.terms, coefs):
-        c *= G[sum(exp)]
-        for Wi, k in zip(W, exp):
-            c *= Wi[k]
-        total += c
+    for d, cd in prod.items():
+        # the moment of d + e read from tables shifted by d
+        Gd = G[sum(d) :]
+        Wd = [Wi[k:] for Wi, k in zip(W, d)]
+        part = 0
+        for exp, c in zip(last.terms, coefs):
+            c *= Gd[sum(exp)]
+            for Wi, k in zip(Wd, exp):
+                c *= Wi[k]
+            part += c
+        total += cd * part
     return Fraction(total, L * den)
 
 
-def integrate_poly(dom: Domain, p: Polynomial) -> float:
-    """Integral of p over the domain, as a float."""
-    return float(integrate_poly_exact(dom, p)) * _pi_scale(dom)
+def integrate_poly(dom: Domain, *factors: Polynomial) -> float:
+    """Integral of the product of the factors over the domain, as a float."""
+    return float(integrate_poly_exact(dom, *factors)) * _pi_scale(dom)

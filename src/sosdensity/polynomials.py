@@ -10,9 +10,10 @@ substitute_affine go through it too).  The Fractions, and the bits of every
 float rounded from them, are those of per-term Fraction sums, without a gcd
 per product.  Floating point enters only in evaluate(), which takes one
 point or an (N, n) array and gives every row the same float operations,
-hence the same bits, as a point-by-point loop (evaluate_exact() is the
-rational path).  Canonical term order is graded lexicographic (total
-degree first, then lex on the exponent tuple).
+hence the same bits, as a point-by-point loop: its powers come from
+np.float_power, whose float64 loop is C pow, as for float ** int
+(evaluate_exact() is the rational path).  Canonical term order is graded
+lexicographic (total degree first, then lex on the exponent tuple).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from itertools import repeat
 from operator import add, index
 from typing import Mapping, Sequence
 
@@ -204,29 +204,34 @@ class Polynomial:
         """f at one point (length n; a float) or at each row of an (N, n) array.
 
         Both shapes take one path, and every row gets the operations of a
-        per-point loop: x_i ** e by C pow (math.pow, which float ** int
-        calls too), element by element (numpy's array ** rounds differently),
-        once per distinct (i, e); then for each term, in term order,
-        float(coef) times its powers in variable order, added to a running
-        total that starts at 0.0.
+        per-point loop: x_i ** e once per distinct (i, e), by np.float_power,
+        whose float64 loop calls C pow as float ** int does (np.power
+        rounds differently: it may use SIMD approximations); then for each
+        term, in term order, float(coef) times its powers in variable order,
+        added to a running total that starts at 0.0.  As with Python floats,
+        a power that overflows raises OverflowError, and inf or nan entries
+        propagate without a warning.
         """
         pts = np.asarray(x, dtype=float)
         if pts.ndim not in (1, 2) or pts.shape[-1] != self.n_vars:
             raise ValueError(f"points have shape {pts.shape}, expected length {self.n_vars}")
         rows = pts.reshape(-1, self.n_vars)
         powers: dict[tuple[int, int], np.ndarray] = {}
-        for i in range(self.n_vars):
-            # iterating a memoryview makes each CPython float as pow takes it
-            col = memoryview(np.ascontiguousarray(rows[:, i]))
-            for e in {exp[i] for exp in self.terms} - {0}:
-                powers[i, e] = np.fromiter(map(math.pow, col, repeat(float(e))), float, len(rows))
-        total = np.zeros(len(rows))
-        for exp, coef in self.terms.items():
-            m = float(coef)
-            for i, e in enumerate(exp):
-                if e:
-                    m = m * powers[i, e]
-            total += m
+        with np.errstate(all="ignore"):
+            for i in range(self.n_vars):
+                for e in {exp[i] for exp in self.terms} - {0}:
+                    try:
+                        with np.errstate(over="raise"):
+                            powers[i, e] = np.float_power(rows[:, i], float(e))
+                    except FloatingPointError:
+                        raise OverflowError(f"x{i + 1}^{e} overflows a float") from None
+            total = np.zeros(len(rows))
+            for exp, coef in self.terms.items():
+                m = float(coef)
+                for i, e in enumerate(exp):
+                    if e:
+                        m = m * powers[i, e]
+                total += m
         return float(total[0]) if pts.ndim == 1 else total
 
     def evaluate_exact(self, x: Sequence) -> Fraction:

@@ -319,6 +319,8 @@ def sample(chain: ConditionalChain, count: int, seed: int, f: Polynomial | None 
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, not {seed}")
     points = np.empty((count, chain.domain.n))
     for start in range(0, count, BLOCK_SIZE):
         stop = min(start + BLOCK_SIZE, count)

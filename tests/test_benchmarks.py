@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sosdensity.benchmarks import get, list_names
@@ -21,6 +22,15 @@ class TestCatalog:
             get("styblinski-tang")
         with pytest.raises(ValueError):
             get("rosenbrock", 1)
+
+    @pytest.mark.parametrize("n", [0, -1, True, 2.0, 1.5, "3"])
+    def test_parametric_rejects_bad_n(self, n):
+        for name in ("styblinski-tang", "rosenbrock"):
+            with pytest.raises(ValueError, match="n must be"):
+                get(name, n)
+
+    def test_parametric_reads_integer_like_n(self):
+        assert get("styblinski-tang", np.int64(3)).n == 3
 
     def test_fixed_rejects_other_n(self):
         with pytest.raises(ValueError):

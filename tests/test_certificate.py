@@ -290,6 +290,12 @@ class TestCertificate:
         rep = certificate(tc.f, tc.domain, tc.minimizers[0], r, tc.f_min)
         assert hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("f_min", [math.nan, math.inf, -math.inf])
+    def test_non_finite_f_min_refused(self, f_min):
+        tc = benchmarks.get("motzkin")
+        with pytest.raises(ValueError, match="f_min"):
+            certificate(tc.f, tc.domain, (0.0, 0.0), 30, f_min)
+
     def test_validation(self):
         f = parse_polynomial("x1", 1)
         with pytest.raises(ValueError):

@@ -155,6 +155,41 @@ class TestRefusedUpFront:
         assert "error:" in err and "--eps" in err
         assert out == ""
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_f_min(self, capsys, monkeypatch, value):
+        def no_certificate(*_):
+            raise AssertionError("certificate ran")
+
+        monkeypatch.setattr(cli, "certificate", no_certificate)
+        code, out, err = run(capsys, "certificate", "--fn", "motzkin", "--r", "12", "--a", "0,0", f"--f-min={value}")
+        assert code == 2
+        assert "error:" in err and "--f-min" in err
+        assert out == ""
+
+    def test_negative_seed_before_the_bound(self, capsys, monkeypatch):
+        def no_bound(*_):
+            raise AssertionError("compute_bound ran")
+
+        monkeypatch.setattr(cli, "compute_bound", no_bound)
+        code, out, err = run(capsys, "sample", "--fn", "motzkin", "--r", "12", "--count", "5", "--seed", "-1")
+        assert code == 2
+        assert "error:" in err and "--seed" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("orders", ["1..", "..3", "abc", "1..x", ""])
+    def test_malformed_orders(self, capsys, orders):
+        code, out, err = run(capsys, "bound", "--fn", "booth", "--r", orders)
+        assert code == 2
+        assert f"invalid order range {orders!r}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_bad_family_dimension(self, capsys, n):
+        code, out, err = run(capsys, "bound", "--fn", "styblinski-tang", "--n", n, "--r", "1")
+        assert code == 2
+        assert err.startswith("error:") and "n must be" in err
+        assert out == ""
+
     @pytest.mark.parametrize("command", ["sample", "bound"])
     def test_unwritable_out(self, capsys, tmp_path, command):
         path = tmp_path / "missing" / "x.csv"

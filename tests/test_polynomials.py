@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -287,6 +288,29 @@ class TestBatchEvaluation:
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
             parse_polynomial("x1^3 + x2", 2).evaluate(np.array([[1.0, 0.0], [1e300, 1.0]]))
+
+
+    def test_overflow_in_a_later_column_raises(self):
+        p = parse_polynomial("x1^2 + x2^5 + x3", 3)
+        with pytest.raises(OverflowError):
+            p.evaluate(np.array([[1.0, 2.0, 0.0], [3.0, 1e100, 1.0]]))
+        with pytest.raises(OverflowError):
+            p.evaluate([0.5, -1e70, 2.0])
+
+    def test_non_finite_inputs_warn_nothing(self):
+        # inf - inf, 0 * inf and nan arithmetic run quietly, as on Python floats
+        p = parse_polynomial("x1^2 - x1 + x1*x2^3 - 2*x2", 2)
+        X = np.array([
+            [np.inf, 1.0], [-np.inf, 2.0], [np.nan, 0.5], [1.0, np.inf],
+            [np.inf, -np.inf], [5e-324, np.inf], [0.0, np.nan], [-0.0, -np.inf],
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = p.evaluate(X)
+            single = [p.evaluate(row) for row in X]
+        want = _pointwise(p, X)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(single, want, equal_nan=True)
 
 
 class TestCalculus:

@@ -209,6 +209,17 @@ class TestSample:
         batch = sample(chain, 100, seed=0, f=f)
         assert batch.values == pytest.approx(batch.points[:, 0])
 
+    def test_negative_seed_refused_before_any_generator(self, monkeypatch):
+        chain = build_chain(uniform_density(Domain.cube(2)), Domain.cube(2))
+
+        def no_generator(*_, **__):
+            raise AssertionError("a generator was created")
+
+        monkeypatch.setattr(np.random, "SeedSequence", no_generator)
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(ValueError, match="seed"):
+            sample(chain, 5, -1)
+
     def test_count_validation(self):
         dom = Domain.cube(1)
         chain = build_chain(uniform_density(dom), dom)
