@@ -13,10 +13,9 @@ H and the integrals of H and f * H over K stay exact: sums of Python-int
 numerators over one common denominator.  H is phi_{2r} composed with
 ||x-a||^2 / (2*sigma^2) by Polynomial.substitute_var, one Fraction per
 output term; for motzkin's certificate it takes ~16, ~40 and ~85 ms at
-r = 6, 8 and 10 (2-vCPU x86-64 host), against 0.15, 0.43 and 0.84 s for
-per-term Fraction sums.  f * H is never formed: integrate_poly(dom, f, H)
-pairs the terms of f and H against the factored moments (~2 ms at motzkin
-r = 6, against ~10 ms for the product and its integral).
+r = 6, 8 and 10 (2-vCPU x86-64 host).  f * H is never formed:
+integrate_poly(dom, f, H) pairs the terms of f and H against the factored
+moments (~2 ms at motzkin r = 6).
 """
 
 from __future__ import annotations

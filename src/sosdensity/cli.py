@@ -202,7 +202,7 @@ def cmd_certificate(args) -> int:
 
 def _bench_block(name, n, r_max, cells, tol, relative, rows):
     """Rows for the golden cells r <= r_max of one function; True if any failed."""
-    tc = benchmarks.get(name) if n is None else benchmarks.get(name, n)
+    tc = benchmarks.get(name, n)
     results = bound_sweep(tc.f, tc.domain, r_max)
     failed = False
     got = {b.r: b for b in results}
@@ -251,13 +251,12 @@ def cmd_bench(args) -> int:
 # ---- entry point ------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, orders_default: str | None = None):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--fn", help="catalog function name")
     p.add_argument("--poly", help="inline polynomial expression in x1, x2, ...")
     p.add_argument("--domain", help='domain JSON, e.g. \'{"kind":"box","bounds":[["0","1"]]}\'')
     p.add_argument("--n", type=int, help="dimension for parametric catalog families")
-    p.add_argument("--r", required=orders_default is None, default=orders_default,
-                   help="order, or range like 1..12")
+    p.add_argument("--r", required=True, help="order, or range like 1..12")
     p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     p.add_argument("--out", help="write output to this path instead of stdout")
 

@@ -79,8 +79,15 @@ class Domain:
     def __post_init__(self):
         if self.kind not in ("box", "simplex", "ball"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.n < 1:
+        try:
+            n = index(self.n)
+        except TypeError:
+            n = None
+        if n is None or isinstance(self.n, bool):
+            raise ValueError(f"non-integer dimension {self.n!r}")
+        if n < 1:
             raise ValueError("dimension must be >= 1")
+        object.__setattr__(self, "n", n)
         if self.kind == "box":
             if self.bounds is None or len(self.bounds) != self.n:
                 raise ValueError("box needs one (lo, hi) pair per coordinate")
@@ -139,10 +146,7 @@ def domain_from_json(obj) -> Domain:
         return Domain.box([(Fraction(str(lo)), Fraction(str(hi))) for lo, hi in obj["bounds"]])
     if kind not in ("simplex", "ball"):
         raise ValueError(f"unknown domain kind {kind!r}")
-    try:
-        return Domain(kind, index(obj["n"]))
-    except TypeError:
-        raise ValueError(f"non-integer dimension {obj['n']!r}") from None
+    return Domain(kind, obj["n"])
 
 
 # ---- moment oracles ---------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -33,9 +35,26 @@ class TestCatalog:
         assert get("styblinski-tang", np.int64(3)).n == 3
 
     def test_fixed_rejects_other_n(self):
-        with pytest.raises(ValueError):
-            get("booth", 3)
+        for n in (3, 2.0, True):
+            with pytest.raises(ValueError):
+                get("booth", n)
         assert get("booth", 2).name == "booth"
+
+    def test_same_corpus_bits(self):
+        # every entry's source, parsed terms in order, domain, minimum and
+        # minimizers, pinned by one digest
+        fixed = [name for name in list_names() if name not in ("styblinski-tang", "rosenbrock")]
+        cases = [get(name) for name in fixed]
+        cases += [get(name, n) for name in ("styblinski-tang", "rosenbrock") for n in (2, 3, 10)]
+        dump = "\n".join(
+            repr((tc.name, tc.source, [(e, str(c)) for e, c in tc.f.terms.items()], tc.domain.to_json(),
+                  repr(tc.f_min), repr(tc.minimizers)))
+            for tc in cases
+        )
+        assert len(fixed) == 8
+        assert hashlib.sha256(dump.encode()).hexdigest() == (
+            "dce532c2d9db8159d64439d19a28e50f8edd9086bffb3e2346ae073c9f2bcfcd"
+        )
 
 
 class TestGroundTruth:

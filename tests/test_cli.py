@@ -127,6 +127,7 @@ class TestConfigErrors:
             '{"kind":"simplex","n":null}',
             '{"kind":"simplex","n":1e400}',
             '{"kind":"ball","n":1.5}',
+            '{"kind":"simplex","n":true}',
         ],
     )
     def test_malformed_domain(self, capsys, domain):

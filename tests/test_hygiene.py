@@ -1,8 +1,8 @@
 """Static checks on the package source, using only the standard library:
 no module imports a name it never uses, every name in an ``__all__`` is
 defined in its module, every package name the benchmark harness in
-``perfbench/`` reaches still exists, and every name the package exports has
-a reader.
+``perfbench/`` reaches still exists, every name the package exports has
+a reader, and every parameter with a default is passed by some call.
 """
 
 import ast
@@ -144,6 +144,61 @@ def dead_exports() -> list[str]:
 
 def test_no_dead_exports():
     assert dead_exports() == []
+
+
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in src/, tests/ and perfbench/, by the called name."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in sorted(p for top in ("src", "tests", "perfbench") for p in (ROOT / top).rglob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether call names the parameter, reaches its position, or unpacks."""
+    if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """(name, call position or None for keyword-only) of each parameter with a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if method else 0
+    out = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= len(positional) - len(args.defaults)]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def dead_parameters() -> list[str]:
+    """Defaulted parameters of package functions that no call passes.
+
+    Calls are matched by function name, and ``__init__`` by its class name."""
+    calls = _calls()
+    dead = []
+    for path in MODULES:
+        tree = _parse(path)
+        owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(id(fn))
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            called = cls.name if cls is not None and fn.name == "__init__" else fn.name
+            for name, position in _defaulted(fn, method=cls is not None and not static):
+                if not any(_passes(call, name, position) for call in calls.get(called, [])):
+                    dead.append(f"{path.stem}.{fn.name}.{name}")
+    return dead
+
+
+def test_no_dead_parameters():
+    assert dead_parameters() == []
 
 
 def test_one_horner_kernel():

@@ -36,6 +36,16 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain("pyramid", 2)
 
+    @pytest.mark.parametrize("n", [True, 2.5, "3"])
+    def test_non_integer_dimension(self, n):
+        for kind in ("simplex", "ball"):
+            with pytest.raises(ValueError, match="non-integer dimension"):
+                Domain(kind, n)
+
+    def test_integer_like_dimension(self):
+        dom = Domain.simplex(np.int64(3))
+        assert dom.n == 3 and type(dom.n) is int
+
     def test_contains(self):
         box = Domain.box([(0, 1), (-1, 1)])
         assert box.contains([0.5, 0.0])
