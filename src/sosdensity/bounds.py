@@ -136,13 +136,16 @@ def assemble_AB(f: Polynomial, dom: Domain, r: int, table: MomentTable | None = 
     within = np.flatnonzero(table.degrees <= 2 * r)
     sums = table.codes[within]
     idx = np.searchsorted(sums, cb[:, None] + cb[None, :])
-    mB = table.nums[within] / table.den
     F, fnums = _over_lcm(f.terms.values())
     dcodes = table.encode(list(f.terms))
     acc = np.zeros(len(sums), dtype=object)
     for dc, fn in zip(dcodes, fnums):
         acc += fn * table.nums[np.searchsorted(table.codes, sums + dc)]
-    mA = acc / (table.den * F)
+    try:  # int / int raises where the rounded quotient would pass the largest float
+        mB = table.nums[within] / table.den
+        mA = acc / (table.den * F)
+    except OverflowError:
+        raise ConditioningError(np.inf, "a moment overflows a float") from None
     return (mA.astype(float) * table.scale)[idx], (mB.astype(float) * table.scale)[idx], basis
 
 

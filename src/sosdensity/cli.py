@@ -257,7 +257,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--domain", help='domain JSON, e.g. \'{"kind":"box","bounds":[["0","1"]]}\'')
     p.add_argument("--n", type=int, help="dimension for parametric catalog families")
     p.add_argument("--r", required=True, help="order, or range like 1..12")
-    p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     p.add_argument("--out", help="write output to this path instead of stdout")
 
 
@@ -268,10 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="compute the order-r bound (or a sweep)")
     _add_common(p)
+    p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("sample", help="draw feasible points from the optimal density")
     _add_common(p)
+    p.add_argument("--json", action="store_true", help="print the summary as JSON instead of CSV")
     p.add_argument("--count", type=int, default=1000, help="number of points")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--eps", type=float, help="also report the Markov tail frequency at this eps")
@@ -298,7 +299,7 @@ def main(argv=None) -> int:
     except ConditioningError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_CONDITIONING
-    except ValueError as exc:  # ConfigError and ParseError among them
+    except (ValueError, OverflowError) as exc:  # ConfigError and ParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return EX_CONFIG
 

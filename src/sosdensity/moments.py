@@ -13,7 +13,7 @@ ball in dimension n:
               g(s) = 1/((n+s)/2)! for even n, 2^((n+s+1)/2)/(n+s)!! for odd n.
 
 Each kind's (w, g) is stated once (_axis_weight, _degree_factor); the scalar
-oracle and the memoized table both read from it.  Exact values are the
+oracle and the table both read from it.  Exact values are the
 rational part of a moment: on the ball every moment carries the common
 factor pi^(n//2), which is left out of the formula above and enters once,
 as the float _pi_scale(K), wherever a moment becomes a float.
@@ -23,7 +23,8 @@ numerator over one common denominator, den = lcm(g denominators) *
 prod_i lcm(w_i denominators), so that exact sums of moments are integer
 sums; it is keyed by the code c(alpha) = sum_i alpha_i (D+1)^i, which adds
 like the multi-indices (c(a+b) = c(a) + c(b) while no coordinate exceeds D).
-On the ball the pi power is the table's single float `scale`.
+On the ball the pi power is the table's single float `scale`.  Each request
+builds its own table; a bound sweep shares one (bounds.sweep_table).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import index
 from typing import Sequence
 
@@ -153,7 +153,10 @@ def domain_from_json(obj) -> Domain:
 
 
 def _check_alpha(dom: Domain, alpha: Sequence[int]) -> tuple[int, ...]:
-    alpha = tuple(int(a) for a in alpha)
+    try:
+        alpha = tuple(map(index, alpha))
+    except TypeError:
+        raise ValueError(f"non-integer multi-index {alpha!r}") from None
     if len(alpha) != dom.n:
         raise ValueError(f"multi-index length {len(alpha)} != dimension {dom.n}")
     if any(a < 0 for a in alpha):
@@ -263,8 +266,10 @@ def _scaled_factors(dom: Domain, D: int) -> tuple[int, list[int], list[list[int]
     return den, G, W
 
 
-@lru_cache(maxsize=64)
-def _cached_table(dom: Domain, max_degree: int) -> MomentTable:
+def moment_table(dom: Domain, max_degree: int) -> MomentTable:
+    """Every moment with |alpha| <= max_degree, in a table built per call; ValueError past MAX_TABLE_ENTRIES."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
     n, D = dom.n, max_degree
     count = math.comb(n + D, n)
     if count > MAX_TABLE_ENTRIES:
@@ -287,19 +292,7 @@ def _cached_table(dom: Domain, max_degree: int) -> MomentTable:
         degrees = np.repeat(degrees, counts) + k
         nums = np.repeat(nums, counts) * np.array(W[i], dtype=object)[k]
     nums = nums * np.array(G, dtype=object)[degrees]
-    for a in (codes, degrees, nums):
-        a.flags.writeable = False  # the memo hands the same arrays to every caller
     return MomentTable(dom, D, codes, degrees, nums, den, _pi_scale(dom))
-
-
-def moment_table(dom: Domain, max_degree: int) -> MomentTable:
-    """All moments with |alpha| <= max_degree; memoized per (domain, degree).
-
-    Raises ValueError for a table of more than MAX_TABLE_ENTRIES entries.
-    """
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    return _cached_table(dom, max_degree)
 
 
 def integrate_poly_exact(dom: Domain, *factors: Polynomial) -> Fraction:

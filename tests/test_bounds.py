@@ -273,6 +273,14 @@ class TestSweep:
         with pytest.raises(ValueError):
             bound_sweep(parse_polynomial("x1", 1), Domain.cube(1), 0)
 
+    def test_overflowing_moment_is_a_conditioning_error(self):
+        # from r = 39 the pencil needs m_78 ~ 2.5e314 on [-10^4, 10^4], past the largest float
+        f = parse_polynomial("x1", 1)
+        dom = Domain.box([(-10000, 10000)])
+        with pytest.raises(ConditioningError, match="a moment overflows a float"):
+            compute_bound(f, dom, 39)
+        assert len(bound_sweep(f, dom, 40)) == 22
+
     def test_stops_on_conditioning(self):
         # wide 1-D box at high order overruns double precision even after
         # equilibration; the sweep truncates instead of returning noise

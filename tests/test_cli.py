@@ -8,6 +8,7 @@ from sosdensity import cli
 
 UNIT = '{"kind":"box","bounds":[["0","1"]]}'
 WIDE = '{"kind":"box","bounds":[["0","1000"]]}'
+WIDEST = '{"kind":"box","bounds":[["-10000","10000"]]}'
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -56,6 +57,12 @@ class TestBound:
             cli.main(["bound", "--fn", "booth", "--r", "4", "--rescale"])
         assert exc.value.code == 2
 
+    def test_certificate_has_no_json_option(self, capsys):
+        # certificate always prints JSON
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["certificate", "--fn", "motzkin", "--r", "1", "--json"])
+        assert exc.value.code == 2
+
     def test_oversized_table_refused_up_front(self, capsys):
         # n = 20, r = 3 needs the C(30, 10) ~ 3e7 moments of degree <= 10,
         # with a pencil of m = C(23, 3) = 1771 the pencil guard admits
@@ -92,6 +99,29 @@ class TestBound:
         )
         assert code == 0  # some rows succeeded
         assert "conditioning-error" in out
+
+
+class TestOverflow:
+    def test_overflowing_moments_are_conditioning_rows(self, capsys):
+        # from r = 39 a moment of [-10^4, 10^4] passes the largest float
+        code, out, err = run(capsys, "bound", "--poly", "x1", "--domain", WIDEST, "--r", "1..40")
+        assert (code, err) == (0, "")
+        statuses = [line.split(",")[-1] for line in out.strip().splitlines()[1:]]
+        assert statuses[:22] == ["ok"] * 22
+        assert statuses[22:] == ["conditioning-error"] * 18
+        code, out, err = run(capsys, "bound", "--poly", "x1", "--domain", WIDEST, "--r", "40")
+        assert (code, err) == (3, "")
+        assert out.strip().endswith("conditioning-error")
+
+    @pytest.mark.parametrize("command, expected", [("certificate", 2), ("bound", 3), ("sample", 3)])
+    def test_huge_coefficient(self, capsys, command, expected):
+        argv = [command, "--poly", "10^400*x1", "--domain", UNIT, "--r", "1"]
+        if command == "certificate":
+            argv += ["--a", "0.5", "--f-min", "0"]
+        code, _, err = run(capsys, *argv)
+        assert code == expected
+        if command != "bound":  # bound reports the failure in its row
+            assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestConfigErrors:

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import json
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +136,13 @@ class TestMomentTable:
             assert sum(alpha) == deg <= 6
             assert val == moment_rational(dom, alpha)
 
+    def test_caller_owns_the_table(self):
+        table = moment_table(Domain.cube(2), 6)
+        ref = weakref.ref(table)
+        del table
+        gc.collect()
+        assert ref() is None
+
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             moment_table(Domain.cube(1), -1)
@@ -233,7 +242,7 @@ class TestIntegratePoly:
         def no_table(*_):
             raise AssertionError("integrate_poly_exact built a moment table")
 
-        monkeypatch.setattr(moments, "_cached_table", no_table)
+        monkeypatch.setattr(moments, "moment_table", no_table)
         dom = Domain.box([(Fraction(-1, 2), Fraction(3, 2))] * 10)
         p = Polynomial(10, {(28,) + (0,) * 9: Fraction(1, 3), (2,) * 10: 0.25, (0,) * 9 + (7,): -1, (0,) * 10: 5})
         assert p.degree == 28
@@ -309,7 +318,7 @@ class TestIntegrateProduct:
         def no_table(*_):
             raise AssertionError("integrate_poly_exact built a moment table")
 
-        monkeypatch.setattr(moments, "_cached_table", no_table)
+        monkeypatch.setattr(moments, "moment_table", no_table)
         dom = Domain.box([(Fraction(-1, 2), Fraction(3, 2))] * 10)
         p = Polynomial(10, {(14,) + (0,) * 9: Fraction(1, 3), (1,) * 10: 0.25, (0,) * 10: 5})
         q = Polynomial(10, {(14,) + (0,) * 9: -2, (0,) * 9 + (7,): Fraction(2, 9), (0,) * 10: 1})
@@ -323,3 +332,6 @@ class TestAlphaValidation:
             moment_rational(Domain.cube(2), (1,))
         with pytest.raises(ValueError):
             moment_rational(Domain.cube(2), (-1, 0))
+        for alpha in [(1.5, 0), ("2", 0)]:
+            with pytest.raises(ValueError, match="non-integer multi-index"):
+                moment_rational(Domain.cube(2), alpha)
