@@ -142,6 +142,8 @@ def cmd_sample(args) -> int:
     r = _single_order(args)
     if args.count < 1:
         raise ConfigError("--count must be >= 1")
+    if args.count > 2**32:  # one 32-bit stream index per point
+        raise ConfigError(f"--count must be <= 2**32, not {args.count}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, not {args.seed}")
     if args.eps is not None:

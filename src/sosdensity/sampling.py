@@ -4,29 +4,37 @@ Coordinates are generated one at a time via the method of conditional
 distributions; each univariate conditional CDF is a polynomial, inverted by
 bracketed bisection with a safeguarded Newton polish.
 
+Point j of a batch with seed s draws the uniforms that
+`default_rng(SeedSequence(s, spawn_key=(j,))).random()` gives.  `sample`
+computes the streams of a whole block of points as uint64 arrays
+(`_pcg64.streams`) and steps them together (`_pcg64.uniforms`), with no
+generator object per point.
+
 The draw is batched.  `sample` takes its points in blocks of BLOCK_SIZE and,
 coordinate by coordinate, builds and inverts the conditional CDFs of the
-whole block at once.  Each point keeps its own generator, draws its own
-uniforms and retries on its own, and it gets the bits it would get if it
-were drawn alone: every batched step is the elementwise operation one point
-does (one in-place Horner kernel over columns of coefficients, powers of the
-prefix by numpy's array-exponent pow, a per-row `bincount` that adds terms
-in term order, and 1 - (((0 + x_1) + x_2) + ...) for the simplex range),
-never a matmul or `einsum`, whose sums run in another order.
+whole block at once.  Each point draws from its own stream and retries on
+its own, and it gets the bits it would get if it were drawn alone: every
+batched step is the elementwise operation one point does (one in-place
+Horner kernel over columns of coefficients, powers of the prefix by numpy's
+array-exponent pow, each row's terms multiplied out and summed in term
+order, and 1 - (((0 + x_1) + x_2) + ...) for the simplex range), never a
+matmul or `einsum`, whose sums run in another order.
 `conditional_cdf` and `invert_cdf` run the same helpers on one column.
-Blocks bound the memory: a block's generators and its (points, terms,
-coordinates) gathered powers live only while that block is drawn.
+Blocks bound the memory: a block's streams, power table and coefficient
+columns live only while that block is drawn.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from . import _pcg64
 from .moments import Domain, integrate_poly_exact
 from .polynomials import Polynomial
 
@@ -46,13 +54,12 @@ __all__ = [
 MEMBERSHIP_SLACK = 1e-12
 DENOMINATOR_FLOOR = 1e-12
 MAX_PREFIX_RETRIES = 100
-# Points drawn together.  A block's generators and its (points, terms,
-# coordinates) gathered powers set the memory.  Drawing 4000 motzkin r = 12
-# points on a 2-vCPU x86-64 host: blocks of 256 take 0.26-0.30 s with
-# ~1.5 MB more peak memory than one point at a time; blocks of 128 take
-# 0.31-0.36 s (0.5 MB), 512 take 0.23-0.27 s (3.3 MB), and one block of all
-# 4000 takes 0.17-0.19 s but ~26 MB more.
-BLOCK_SIZE = 256
+# Points drawn together.  Drawing 4000 motzkin r = 12 points on a 2-vCPU
+# x86-64 host (medians of 5 draws, two rounds; memory is the growth of peak
+# RSS over the draw): blocks of 256 take 0.13-0.20 s (+0.25 MB), 512 take
+# 0.10-0.14 s (+0.5 MB), 1024 take 0.07-0.11 s (+1.0 MB), 2048 take
+# 0.07-0.10 s (+2.3 MB) and one block of 4000 takes 0.07-0.08 s (+4.3 MB).
+BLOCK_SIZE = 1024
 
 
 class DegeneratePrefixError(RuntimeError):
@@ -60,9 +67,9 @@ class DegeneratePrefixError(RuntimeError):
 
 
 def _marginal_arrays(marg: Polynomial, i: int):
-    """Array form of f_{1..i+1}: the distinct prefix exponents and each term's
-    gather index into a row's (coordinate, exponent) powers (_term_powers),
-    own exponents, float coefficients and degree.
+    """Array form of f_{1..i+1}: the distinct prefix exponents, one
+    (power-table rows, own exponent, float coefficient) triple per term in
+    term order (see _power_table and _univariate), and the degree.
     """
     exps = np.array([[e[j] for j in range(i)] for e in marg.terms], dtype=float).reshape(len(marg.terms), i)
     # numpy's float power squares (x * x, which pow rounds differently) when
@@ -72,9 +79,9 @@ def _marginal_arrays(marg: Polynomial, i: int):
     # puts exponent 0 in the table (pow(x, 0) is 1 either way).
     uniq = np.unique(np.append(exps, 0.0) if exps.size > 1 else exps)
     gather = np.arange(i) * uniq.size + np.searchsorted(uniq, exps)
-    own = np.array([e[i] for e in marg.terms])
-    coefs = np.array([float(c) for c in marg.terms.values()])
-    return uniq, gather, own, coefs, marg.degree
+    terms = tuple(zip(map(tuple, gather.tolist()), (e[i] for e in marg.terms),
+                      (float(c) for c in marg.terms.values())))
+    return uniq, terms, marg.degree
 
 
 @dataclass(frozen=True)
@@ -188,28 +195,34 @@ def _horner(x, cols: np.ndarray):
     return c0
 
 
-def _term_powers(prefix: np.ndarray, uniq: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """(N, terms, i) powers x_j ** e of (N, i) prefixes, bit for bit the
-    per-term array prefix[:, None, :] ** exps: each coordinate goes to each
-    distinct exponent once, by the same array-exponent power, and is
-    gathered per term.
+def _power_table(prefix: np.ndarray, uniq: np.ndarray) -> np.ndarray:
+    """Row j * len(uniq) + k holds x_j ** uniq[k] for each of the (N, i)
+    prefix rows, bit for bit the per-term array prefix[:, None, :] ** exps:
+    each coordinate goes to each distinct exponent once, by the same
+    array-exponent power, and the result is laid out one row per power.
     """
     table = (prefix[:, :, None] ** uniq).reshape(len(prefix), prefix.shape[1] * uniq.size)
-    # take, not table[:, gather], whose result runs down the rows: the products
-    # and weights must be C-ordered for w.ravel() in _univariate to be a view
-    return np.take(table, gather, axis=1)
+    return table.T.copy()
 
 
 def _univariate(chain: ConditionalChain, i: int, prefix: np.ndarray) -> np.ndarray:
     """Columns of coefficients (ascending) of f_{1..i+1}(prefix, x_{i+1}) as a
     polynomial in x_{i+1}, one column per (N, i) prefix row.
+
+    One loop over the terms, in term order, adds coef * (x_a ** e_a * x_b **
+    e_b * ...), its factors in coordinate order, into the row of the term's
+    own exponent: on vectors of row length, the products and sums of one point.
     """
-    uniq, gather, own, coefs, deg = chain.arrays[i]
-    rows = len(prefix)
-    w = coefs * np.prod(_term_powers(prefix, uniq, gather), axis=2)
-    # one bincount adds each row's terms into that row's bins, in term order
-    bins = (own * rows + np.arange(rows)[:, None]).ravel()
-    return np.bincount(bins, weights=w.ravel(), minlength=(deg + 1) * rows).reshape(deg + 1, rows)
+    uniq, terms, deg = chain.arrays[i]
+    powers = list(_power_table(prefix, uniq))
+    out = np.zeros((deg + 1, len(prefix)))
+    bins, w = list(out), np.empty(len(prefix))
+    for cols, own, coef in terms:
+        prod = powers[cols[0]] if cols else 1.0
+        for col in cols[1:]:
+            prod = prod * powers[col]
+        bins[own] += np.multiply(coef, prod, out=w)
+    return out
 
 
 def _cdf_coeffs(dens: np.ndarray, lo: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -286,22 +299,24 @@ def invert_cdf(F: CdfSlice, u: float) -> float:
     return float(_invert(np.array(F.coeffs)[:, None], np.array([F.lo]), np.array([F.hi]), np.array([u]))[0])
 
 
-def _draw_block(chain: ConditionalChain, rngs: list[np.random.Generator]) -> np.ndarray:
-    """One point per generator, each the point its generator gives when drawn alone.
+def _draw_block(chain: ConditionalChain, streams: np.ndarray) -> np.ndarray:
+    """One point per stream (a column of _pcg64.streams), each the point
+    that stream gives when drawn alone.
 
-    A row whose conditional mass falls below DENOMINATOR_FLOOR leaves the
-    attempt before it draws its next uniform and starts again in the next
-    round, from where its own generator stands.
+    Only the rows that draw step their streams.  A row whose conditional
+    mass falls below DENOMINATOR_FLOOR leaves the attempt before it draws its
+    next uniform and starts again in the next round, from where its own
+    stream stands.
     """
     n = chain.domain.n
-    points = np.empty((len(rngs), n))
-    todo = np.arange(len(rngs))
+    points = np.empty((streams.shape[1], n))
+    todo = np.arange(streams.shape[1])
     for _ in range(MAX_PREFIX_RETRIES):
         rows, x, denom = todo, np.empty((len(todo), n)), np.ones(len(todo))
         for i in range(n):
             keep = ~(denom < DENOMINATOR_FLOOR)  # NaN is not below the floor
             rows, x, denom = rows[keep], x[keep], denom[keep]
-            u = np.array([rngs[j].random() for j in rows])
+            u = _pcg64.uniforms(streams, rows)
             coeffs, lo, hi, dens = _conditional(chain, i, x[:, :i], denom)
             x[:, i] = _invert(coeffs, lo, hi, u)
             denom = _horner(x[:, i], dens)
@@ -313,20 +328,23 @@ def _draw_block(chain: ConditionalChain, rngs: list[np.random.Generator]) -> np.
 
 
 def sample(chain: ConditionalChain, count: int, seed: int, f: Polynomial | None = None) -> SampleBatch:
-    """Deterministic batch of `count` points; per-point RNG streams are derived
-    from (seed, point index), so the batch is independent of generation order
-    and of the blocks of BLOCK_SIZE points it is drawn in.
+    """Deterministic batch of `count` points.  Point j draws from the stream
+    of (seed, j) that numpy's default_rng(SeedSequence(seed, spawn_key=(j,)))
+    has, so the batch is independent of generation order and of the blocks
+    of BLOCK_SIZE points it is drawn in.  A spawn key of one 32-bit word
+    indexes at most 2**32 points.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > 2**32:
+        raise ValueError(f"count must be <= 2**32 (one 32-bit stream index per point), not {count}")
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, not {seed}")
     points = np.empty((count, chain.domain.n))
     for start in range(0, count, BLOCK_SIZE):
         stop = min(start + BLOCK_SIZE, count)
-        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
-                for j in range(start, stop)]
-        points[start:stop] = _draw_block(chain, rngs)
+        points[start:stop] = _draw_block(chain, _pcg64.streams(seed, np.arange(start, stop)))
     values = None if f is None else f.evaluate(points)
     return SampleBatch(points=points, seed=seed, values=values)
 

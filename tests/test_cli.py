@@ -207,6 +207,16 @@ class TestRefusedUpFront:
         assert "error:" in err and "--seed" in err
         assert out == ""
 
+    def test_count_beyond_stream_indices_before_the_bound(self, capsys, monkeypatch):
+        def no_bound(*_):
+            raise AssertionError("compute_bound ran")
+
+        monkeypatch.setattr(cli, "compute_bound", no_bound)
+        code, out, err = run(capsys, "sample", "--fn", "motzkin", "--r", "12", "--count", str(2**32 + 1))
+        assert code == 2
+        assert "error:" in err and "--count" in err and str(2**32 + 1) in err
+        assert out == ""
+
     @pytest.mark.parametrize("orders", ["1..", "..3", "abc", "1..x", ""])
     def test_malformed_orders(self, capsys, orders):
         code, out, err = run(capsys, "bound", "--fn", "booth", "--r", orders)

@@ -204,3 +204,9 @@ def test_no_dead_parameters():
 def test_one_horner_kernel():
     # the sampler evaluates every polynomial through sampling._horner
     assert "polyval" not in (SRC / "sampling.py").read_text()
+
+
+@pytest.mark.parametrize("name", ["sampling.py", "_pcg64.py"])
+def test_streams_without_numpy_random(name):
+    # the sampler computes numpy's streams itself (_pcg64)
+    assert "np.random" not in (SRC / name).read_text()

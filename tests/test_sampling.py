@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sosdensity import sampling
+from sosdensity import _pcg64, sampling
 from sosdensity.benchmarks import get
 from sosdensity.bounds import compute_bound
 from sosdensity.moments import Domain, integrate_poly_exact
@@ -213,10 +213,9 @@ class TestSample:
         chain = build_chain(uniform_density(Domain.cube(2)), Domain.cube(2))
 
         def no_generator(*_, **__):
-            raise AssertionError("a generator was created")
+            raise AssertionError("a stream was derived")
 
-        monkeypatch.setattr(np.random, "SeedSequence", no_generator)
-        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        monkeypatch.setattr(sampling._pcg64, "streams", no_generator)
         with pytest.raises(ValueError, match="seed"):
             sample(chain, 5, -1)
 
@@ -225,6 +224,24 @@ class TestSample:
         chain = build_chain(uniform_density(dom), dom)
         with pytest.raises(ValueError):
             sample(chain, 0, seed=1)
+
+    def test_count_beyond_stream_indices_refused_before_allocating(self, monkeypatch):
+        chain = build_chain(uniform_density(Domain.cube(2)), Domain.cube(2))
+
+        def no_allocation(*_, **__):
+            raise AssertionError("the points were allocated")
+
+        monkeypatch.setattr(sampling.np, "empty", no_allocation)
+        with pytest.raises(ValueError, match=str(2**32 + 1)):
+            sample(chain, 2**32 + 1, seed=0)
+
+    def test_numpy_integer_seed(self):
+        chain = exact_chain(BOX3, BOX3_DENSITY)
+        batch = sample(chain, 20, seed=np.uint64(7))
+        assert type(batch.seed) is int
+        assert batch == sample(chain, 20, seed=7)
+        with pytest.raises(TypeError):
+            sample(chain, 20, seed=7.0)
 
 
 class TestPinnedBits:
@@ -245,8 +262,8 @@ class TestPinnedBits:
             "04ebba2285f387f031e5032f5920af5e16940525ea92dcd771253f1dacbaa070",
         )),
     ], ids=["box3", "simplex3", "simplex4"])
-    def test_digests(self, dom, density, objective, digests):
-        assert 300 > BLOCK_SIZE
+    def test_digests(self, dom, density, objective, digests, monkeypatch):
+        monkeypatch.setattr(sampling, "BLOCK_SIZE", 128)
         batch = sample(exact_chain(dom, density), 300, seed=2024, f=parse_polynomial(objective, dom.n))
         assert hashlib.sha256(batch.points.tobytes()).hexdigest() == digests[0]
         assert hashlib.sha256(batch.values.tobytes()).hexdigest() == digests[1]
@@ -257,6 +274,34 @@ class TestPinnedBits:
         chain = exact_chain(dom, density)
         longer = sample(chain, BLOCK_SIZE + 7, seed=6)
         assert np.array_equal(sample(chain, 5, seed=6).points, longer.points[:5])
+
+    def test_same_points_for_any_block_size(self, monkeypatch):
+        chain = exact_chain(SIMPLEX3, SIMPLEX3_DENSITY)
+        want = sample(chain, 300, seed=2024).points
+        for size in (1, 128):
+            monkeypatch.setattr(sampling, "BLOCK_SIZE", size)
+            assert np.array_equal(sample(chain, 300, seed=2024).points, want)
+
+
+class TestStreams:
+    """The array streams are numpy's default_rng(SeedSequence(seed, spawn_key=(j,))), bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 11, 2**200 + 99])
+    def test_first_uniforms_match_numpy(self, seed):
+        js = np.array([0, 1, 255, 256, 2**31, 2**32 - 1])
+        state = _pcg64.streams(seed, js)
+        got = np.array([_pcg64.uniforms(state, np.arange(len(js))) for _ in range(5)]).T
+        for j, row in zip(js.tolist(), got):
+            want = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,))).random(5)
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), (seed, j)
+
+    def test_only_the_given_rows_step(self):
+        state = _pcg64.streams(3, np.arange(4))
+        before = state.copy()
+        first = _pcg64.uniforms(state, np.array([1, 3]))
+        assert np.array_equal(state[:, [0, 2]], before[:, [0, 2]])
+        again = _pcg64.uniforms(_pcg64.streams(3, np.arange(4)), np.arange(4))
+        assert np.array_equal(first, again[[1, 3]])
 
 
 @pytest.fixture(scope="module")
@@ -336,9 +381,31 @@ class TestKernels:
         for i in range(1, dom.n):
             exps = np.array([e[:i] for e in chain.marginals[i].terms], dtype=float).reshape(-1, i)
             prefix = rng.uniform(0.0, 2.0 / dom.n, (1000, i))
-            uniq, gather = chain.arrays[i][:2]
-            got = sampling._term_powers(prefix, uniq, gather)
+            uniq, terms = chain.arrays[i][:2]
+            gather = np.array([cols for cols, _, _ in terms]).reshape(-1, i)
+            got = sampling._power_table(prefix, uniq)[gather].transpose(2, 0, 1)
             assert np.array_equal(self._bits(got), self._bits(prefix[:, None, :] ** exps))
+
+    @pytest.mark.parametrize("dom,density", [
+        (BOX3, BOX3_DENSITY),
+        (Domain.simplex(4), "1 + x1^2*x4 + x2*x3 + x3^3 + x4^4 - 3*x1*x2*x3 + x1^3*x2^2*x3"),
+    ], ids=["box3", "simplex4"])
+    def test_term_order_sums_match_bincount(self, dom, density):
+        # the per-term broadcast, product over coordinates and per-row
+        # bincount in term order that the loop over terms replaced
+        chain = exact_chain(dom, density)
+        rng = np.random.default_rng(5)
+        for i in range(dom.n):
+            marg = chain.marginals[i]
+            exps = np.array([e[:i] for e in marg.terms], dtype=float).reshape(len(marg.terms), i)
+            own = np.array([e[i] for e in marg.terms])
+            coefs = np.array([float(c) for c in marg.terms.values()])
+            prefix = rng.uniform(0.0, 2.0 / dom.n, (257, i))
+            w = coefs * np.prod(prefix[:, None, :] ** exps, axis=2)
+            bins = (own * len(prefix) + np.arange(len(prefix))[:, None]).ravel()
+            want = np.bincount(bins, weights=w.ravel(), minlength=(marg.degree + 1) * len(prefix))
+            got = sampling._univariate(chain, i, prefix)
+            assert np.array_equal(self._bits(got), self._bits(want.reshape(marg.degree + 1, len(prefix))))
 
 
 class TestMarkov:
