@@ -365,14 +365,16 @@ def markov_check(f: Polynomial, batch: SampleBatch, bound: float, f_min: float, 
 
 def write_batch_csv(batch: SampleBatch, path: str, dom: Domain, bound: float | None = None):
     """CSV with header x1,...,xn,f plus a JSON sidecar describing the run."""
-    n = batch.points.shape[1]
+    points = np.asarray(batch.points, dtype=float)
+    n = points.shape[1]
     header = ",".join(f"x{i + 1}" for i in range(n)) + ",f"
-    lines = [header]
-    values = batch.values if batch.values is not None else [float("nan")] * len(batch.points)
-    for p, v in zip(batch.points, values):
-        lines.append(",".join(repr(float(c)) for c in p) + f",{float(v)!r}")
+    values = np.full(len(points), np.nan) if batch.values is None else np.asarray(batch.values, dtype=float)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        # repr of the Python floats of row.tolist() is repr(float(c)) without
+        # one numpy scalar per entry; each line is written as it is formatted,
+        # so no copy of the whole file is held
+        fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in np.column_stack([points, values]))
     sidecar = {
         "seed": batch.seed,
         "count": int(batch.points.shape[0]),

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import random
@@ -13,6 +14,7 @@ from sosdensity.bounds import compute_bound
 from sosdensity.certificate import (
     SUP_SAFETY,
     _domain_grid,
+    _sq_dist,
     certificate,
     gaussian_mass,
     geom_params,
@@ -24,6 +26,9 @@ from sosdensity.certificate import (
 )
 from sosdensity.moments import Domain
 from sosdensity.polynomials import Polynomial, parse_polynomial
+
+# the module, which the package's `certificate` function shadows as an attribute
+certificate_module = importlib.import_module("sosdensity.certificate")
 
 
 class TestPhi:
@@ -139,6 +144,13 @@ class TestTaylorDensity:
         with pytest.raises(ValueError):
             taylor_density([0.0], 1.0, 1, 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_or_center_refused(self, bad):
+        with pytest.raises(ValueError, match=f"sigma .*{bad}"):
+            taylor_density([0.0, 0.5], bad, 2, 2)
+        with pytest.raises(ValueError, match=rf"center \[0.0, {bad}\]"):
+            taylor_density([0.0, bad], 0.5, 2, 2)
+
 
 class TestGaussianMass:
     def test_wide_box_is_total(self):
@@ -163,6 +175,74 @@ class TestGaussianMass:
     def test_validation(self):
         with pytest.raises(ValueError):
             gaussian_mass(Domain.cube(1), [0.0], -1.0)
+
+    @pytest.mark.parametrize("dom", [Domain.cube(2), Domain.simplex(2), Domain.ball(2)], ids=["box", "simplex", "ball"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_or_center_refused_before_drawing(self, dom, bad, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("random draw before the argument check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match=f"sigma .*{bad}"):
+            gaussian_mass(dom, [0.2, 0.3], bad)
+        with pytest.raises(ValueError, match=rf"center \[{bad}, 0.3\]"):
+            gaussian_mass(dom, [bad, 0.3], 0.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9])
+    @pytest.mark.parametrize("kind", ["simplex", "ball"])
+    def test_matches_row_reduction_formula(self, kind, n, monkeypatch):
+        # the formula with one numpy reduction call per point (np.sum over
+        # rows, np.linalg.norm) that the column sums replaced, bit for bit
+        monkeypatch.setattr(certificate_module, "MC_POINTS", 10**4)
+        N = 10**4
+        dom = Domain.simplex(n) if kind == "simplex" else Domain.ball(n)
+        a = np.linspace(0.0, 0.5 / n, n) if kind == "simplex" else np.linspace(-0.4, 0.3, n) / math.sqrt(n)
+        sigma = 0.37
+        rng = np.random.default_rng(0)
+        if kind == "simplex":
+            pts = rng.dirichlet(np.ones(n + 1), size=N)[:, :n]
+            vol = 1.0 / math.factorial(n)
+        else:
+            z = rng.standard_normal((N, n))
+            z /= np.linalg.norm(z, axis=1, keepdims=True)
+            radii = rng.random(N) ** (1.0 / n)
+            pts = z * radii[:, None]
+            vol = math.pi ** (n / 2) / math.gamma(1 + n / 2)
+        d2 = np.sum((pts - a) ** 2, axis=1)
+        g = (2.0 * math.pi * sigma**2) ** (-n / 2.0) * np.exp(-d2 / (2.0 * sigma**2))
+        expected = (vol * float(np.mean(g)), vol * float(np.std(g) / math.sqrt(N)))
+        assert gaussian_mass(dom, list(a), sigma) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9])
+    def test_ball_grid_matches_norm_formula(self, n):
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((10**5, n))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        radii = rng.random(10**5) ** (1.0 / n)
+        expected = np.vstack([z * radii[:, None], z[:1000]])
+        assert _domain_grid(Domain.ball(n)).tobytes() == expected.tobytes()
+
+
+class TestSqDist:
+    @staticmethod
+    def _values(rng, shape):
+        # magnitudes 1e-8 .. 1e8 of both signs, with signed zeros mixed in
+        x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        zeros = rng.random(shape) < 0.05
+        x[zeros] = rng.choice([-0.0, 0.0], shape)[zeros]
+        return x
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_bits_of_row_sum(self, n):
+        rng = np.random.default_rng(n)
+        a = self._values(rng, n)
+        a[0] = -0.0
+        for x in (self._values(rng, (4000, n)), self._values(rng, (4000, n + 1))[:, :n]):
+            # x near a, so that the differences cancel, and x far from it
+            for y in (x, a + x * 1e-9):
+                got = _sq_dist(y, a)
+                want = np.sum((y - a) ** 2, axis=1)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestGeomParams:

@@ -439,3 +439,15 @@ class TestCsvOutput:
         assert v == pytest.approx(x1 + x2)
         sidecar = (tmp_path / "batch.csv.json").read_text()
         assert '"seed": 2' in sidecar and '"count": 5' in sidecar
+
+    @pytest.mark.parametrize("with_values", [True, False], ids=["values", "no-values"])
+    def test_rows_are_repr_of_each_float(self, tmp_path, with_values):
+        # the row format, one repr(float(c)) per numpy scalar, as the reference
+        dom = SIMPLEX3
+        f = parse_polynomial("x1^2 - x2*x3 + x3", 3) if with_values else None
+        batch = sample(exact_chain(dom, SIMPLEX3_DENSITY), 50, seed=7, f=f)
+        path = tmp_path / "batch.csv"
+        write_batch_csv(batch, str(path), dom)
+        values = batch.values if with_values else [float("nan")] * 50
+        rows = [",".join(repr(float(c)) for c in p) + f",{float(v)!r}" for p, v in zip(batch.points, values)]
+        assert path.read_text() == "\n".join(["x1,x2,x3,f", *rows]) + "\n"
