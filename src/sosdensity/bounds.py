@@ -16,11 +16,18 @@ on codes, and mA[gamma] = sum_d (f_d F) num_{gamma+d} / (den F), with F the
 lcm of f's denominators, is one exact integer sum and one int/int division.
 That division rounds the exact rational correctly, as float(Fraction) does,
 so A and B have the bits of summing Fraction moments and rounding once.
+A value past the largest float becomes +-inf there, and an order whose
+pencil holds one is a ConditioningError.
 The eigensolve reduces to a standard dense symmetric problem after
 factoring B.  The bound does not move when K and f are translated together,
 but monomials lose digits fast on an off-centre box, so compute_bound solves
-f(y + c) on K - c, c the box centre, exactly; sweep_table builds a sweep's
-table there.
+f(y + c) on K - c, c the box centre, exactly.
+
+The grlex basis of order r is a prefix of the basis of any higher order, and
+no entry depends on r, so the order-r pencil is the leading m_r x m_r block
+of the order-R pencil for every R >= r.  A sweep (bound_sweep, the CLI's
+bound --r a..b) assembles its pencil once at its top order and solves each
+order on that order's leading block.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ __all__ = [
     "smallest_generalized_eigenpair",
     "compute_bound",
     "bound_sweep",
-    "sweep_table",
 ]
 
 # Hard guard against returning garbage from a numerically indefinite B.
@@ -109,7 +115,8 @@ def assemble_AB(f: Polynomial, dom: Domain, r: int, table: MomentTable | None = 
     {a in table : |a| <= r} in grlex order, which is returned with A and B.
     Each distinct sum gets its exact rational value as one integer numerator
     over the table's denominator (times F, the lcm of f's denominators, for
-    A), divided once; on the ball the pi power is the table's float scale.
+    A), divided once, and +-inf if it passes the largest float; on the ball
+    the pi power is the table's float scale.
     """
     if f.n_vars != dom.n:
         raise ValueError(f"polynomial has {f.n_vars} variables, domain has {dom.n}")
@@ -121,7 +128,7 @@ def assemble_AB(f: Polynomial, dom: Domain, r: int, table: MomentTable | None = 
     if table.dom != dom:
         raise ValueError(
             f"the moment table is for the domain {table.dom.to_json()}, but the pencil is "
-            f"assembled on {dom.to_json()} (compute_bound centres a box); build it with sweep_table"
+            f"assembled on {dom.to_json()}"
         )
     if table.max_degree < 2 * r + f.degree:
         raise ValueError(f"the moment table covers degree {table.max_degree}, not {2 * r + f.degree}")
@@ -141,12 +148,25 @@ def assemble_AB(f: Polynomial, dom: Domain, r: int, table: MomentTable | None = 
     acc = np.zeros(len(sums), dtype=object)
     for dc, fn in zip(dcodes, fnums):
         acc += fn * table.nums[np.searchsorted(table.codes, sums + dc)]
+    mB = _quotients(table.nums[within], table.den)
+    mA = _quotients(acc, table.den * F)
+    return (mA * table.scale)[idx], (mB * table.scale)[idx], basis
+
+
+def _quotients(nums: np.ndarray, den: int) -> np.ndarray:
+    """The floats nums / den (Python ints, den > 0), each correctly rounded,
+    and +-inf where the quotient passes the largest float."""
     try:  # int / int raises where the rounded quotient would pass the largest float
-        mB = table.nums[within] / table.den
-        mA = acc / (table.den * F)
+        return (nums / den).astype(float)
     except OverflowError:
-        raise ConditioningError(np.inf, "a moment overflows a float") from None
-    return (mA.astype(float) * table.scale)[idx], (mB.astype(float) * table.scale)[idx], basis
+        return np.array([_quotient(k, den) for k in nums.tolist()], dtype=float)
+
+
+def _quotient(num: int, den: int) -> float:
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def smallest_generalized_eigenpair(A: np.ndarray, B: np.ndarray):
@@ -182,45 +202,64 @@ def smallest_generalized_eigenpair(A: np.ndarray, B: np.ndarray):
     return lam, v, cond_B
 
 
-def _centred(f: Polynomial, dom: Domain):
-    """(f(y + c), K - c, c) for a box K with centre c != 0, else (f, K, None)."""
+def _centre(dom: Domain) -> tuple[Fraction, ...] | None:
+    """The centre c of a box, None for c = 0 and on the simplex and the ball."""
     c = tuple((lo + hi) / 2 for lo, hi in dom.bounds) if dom.kind == "box" else ()
-    if not any(c):
-        return f, dom, None
-    box = Domain.box([(lo - ci, hi - ci) for (lo, hi), ci in zip(dom.bounds, c)])
-    return f.substitute_affine([1] * dom.n, c), box, c
+    return c if any(c) else None
 
 
-def sweep_table(f: Polynomial, dom: Domain, r_max: int) -> MomentTable:
-    """The table compute_bound(f, dom, r, table=...) takes for r <= r_max, on centred dom."""
-    _check_pencil_size(dom.n, r_max)
-    return moment_table(_centred(f, dom)[1], 2 * r_max + f.degree)
+def _sweep_pencil(f: Polynomial, dom: Domain, r_max: int):
+    """(A, B, basis, shift): the pencil of order r_max on the centred domain,
+    whose leading blocks compute_bound(f, dom, r, pencil=...) solves for r <= r_max."""
+    c = _centre(dom)
+    if c is not None:
+        f = f.substitute_affine([1] * dom.n, c)
+        dom = Domain.box([(lo - ci, hi - ci) for (lo, hi), ci in zip(dom.bounds, c)])
+    return (*assemble_AB(f, dom, r_max), c)
 
 
-def compute_bound(f: Polynomial, dom: Domain, r: int, table=None) -> BoundResult:
-    """Order-r upper bound, on a centred box; its optimal SOS density is .density."""
-    fc, domc, shift = _centred(f, dom)
-    A, B, basis = assemble_AB(fc, domc, r, table=table)
+def compute_bound(f: Polynomial, dom: Domain, r: int, pencil=None) -> BoundResult:
+    """Order-r upper bound, on a centred box; its optimal SOS density is .density.
+
+    Without a pencil, compute_bound assembles the order-r one itself.  With
+    one (from _sweep_pencil(f, dom, r_max), r <= r_max) it solves the leading
+    block of order r, whose entries are those of the order-r assembly bit for bit.
+    """
+    if r < 0:
+        raise ValueError("order r must be >= 0")
+    if pencil is None:
+        pencil = _sweep_pencil(f, dom, r)
+    A, B, basis, shift = pencil
+    if len(basis[0]) != dom.n or shift != _centre(dom):
+        raise ValueError(f"the pencil was assembled for another domain than {dom.to_json()}")
+    if r > sum(basis[-1]):  # the grlex basis ends with a monomial of the top order
+        raise ValueError(f"the pencil is assembled to order {sum(basis[-1])}, not {r}")
+    m = math.comb(dom.n + r, r)
+    A, B = np.ascontiguousarray(A[:m, :m]), np.ascontiguousarray(B[:m, :m])
+    # order r's block holds the values of exactly the sums |gamma| <= 2r that an
+    # order-r assembly rounds, so an infinite entry is an overflow of order r's own
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ConditioningError(np.inf, "a moment overflows a float")
     lam, v, cond_B = smallest_generalized_eigenpair(A, B)
     bv = B @ v
     residual = float(np.linalg.norm(A @ v - lam * bv) / np.linalg.norm(bv))
-    return BoundResult(r=r, value=lam, eigvec=v, cond_B=cond_B, residual=residual, basis=basis, shift=shift)
+    return BoundResult(r=r, value=lam, eigvec=v, cond_B=cond_B, residual=residual, basis=basis[:m], shift=shift)
 
 
 def bound_sweep(f: Polynomial, dom: Domain, r_max: int) -> list[BoundResult]:
-    """Bounds for r = 1..r_max, sharing one moment table.
+    """Bounds for r = 1..r_max, each solved on its leading block of one
+    pencil assembled at r_max.
 
     Stops at the first conditioning failure (the remaining orders would only
     be less trustworthy).
     """
     if r_max < 1:
         raise ValueError("empty order range")
-    table = sweep_table(f, dom, r_max)
+    pencil = _sweep_pencil(f, dom, r_max)
     results = []
     for r in range(1, r_max + 1):
         try:
-            results.append(compute_bound(f, dom, r, table=table))
+            results.append(compute_bound(f, dom, r, pencil=pencil))
         except ConditioningError:
             break
     return results
-

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import benchmarks, golden
-from .bounds import ConditioningError, bound_sweep, compute_bound, sweep_table
+from .bounds import ConditioningError, _sweep_pencil, bound_sweep, compute_bound
 from .certificate import certificate
 from .moments import Domain, domain_from_json
 from .polynomials import ParseError, Polynomial, parse_polynomial
@@ -120,12 +120,12 @@ def _emit(rows: list[dict], columns: list[str], as_json: bool, path: str | None)
 def cmd_bound(args) -> int:
     f, dom, _ = _load_instance(args)
     r_lo, r_hi = _parse_orders(args.r)
-    table = sweep_table(f, dom, r_hi)
+    pencil = _sweep_pencil(f, dom, r_hi)  # each row's time_sec is its solve only
     rows = []
     for r in range(r_lo, r_hi + 1):
         t0 = time.perf_counter()
         try:
-            b = compute_bound(f, dom, r, table=table)
+            b = compute_bound(f, dom, r, pencil=pencil)
             value, cond_B, status = b.value, b.cond_B, "ok"
         except ConditioningError as exc:
             value, cond_B, status = None, exc.cond_B, "conditioning-error"

@@ -24,7 +24,7 @@ prod_i lcm(w_i denominators), so that exact sums of moments are integer
 sums; it is keyed by the code c(alpha) = sum_i alpha_i (D+1)^i, which adds
 like the multi-indices (c(a+b) = c(a) + c(b) while no coordinate exceeds D).
 On the ball the pi power is the table's single float `scale`.  Each request
-builds its own table; a bound sweep shares one (bounds.sweep_table).
+builds its own table; a bound sweep builds one, for its top order.
 """
 
 from __future__ import annotations

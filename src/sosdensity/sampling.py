@@ -270,20 +270,26 @@ def conditional_cdf(chain: ConditionalChain, i: int, prefix: Sequence[float]) ->
 
 def _invert(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Column-wise min{y : F(y) >= u}: bisection to width 1e-12, then one guarded
-    Newton step.  coeffs holds one CDF per column, so each bisection step
-    gathers the columns still active.
+    Newton step.  coeffs holds one CDF per column.  The bisection steps
+    working copies of the columns still active, and compacts them only on a
+    step where some column reaches the width; each column does the operations
+    it would do alone, in the same order.
     """
     at_lo = u <= _horner(lo, coeffs)
     x = np.where(at_lo, lo, hi)
     inner = np.flatnonzero(~at_lo & ~(u >= _horner(hi, coeffs)))
     coeffs, a, b, u = coeffs[:, inner], lo[inner], hi[inner], u[inner]
-    active = np.flatnonzero(b - a > 1e-12)
-    while active.size:
-        mid = 0.5 * (a[active] + b[active])
-        up = _horner(mid, coeffs[:, active]) >= u[active]
-        b[active[up]] = mid[up]
-        a[active[~up]] = mid[~up]
-        active = active[b[active] - a[active] > 1e-12]
+    rows = np.flatnonzero(b - a > 1e-12)
+    wc, wa, wb, wu = coeffs[:, rows], a[rows], b[rows], u[rows]
+    while rows.size:
+        mid = 0.5 * (wa + wb)
+        up = _horner(mid, wc) >= wu
+        np.copyto(wb, mid, where=up)
+        np.copyto(wa, mid, where=~up)
+        live = wb - wa > 1e-12
+        if not live.all():
+            a[rows], b[rows] = wa, wb
+            rows, wc, wa, wb, wu = rows[live], wc[:, live], wa[live], wb[live], wu[live]
     mid = 0.5 * (a + b)
     d = _horner(mid, np.polynomial.polynomial.polyder(coeffs))
     # columns with d <= 0 (or NaN) keep the midpoint and never use their step

@@ -9,11 +9,11 @@ import pytest
 from sosdensity.bounds import (
     ConditioningError,
     _check_pencil_size,
+    _sweep_pencil,
     assemble_AB,
     bound_sweep,
     compute_bound,
     smallest_generalized_eigenpair,
-    sweep_table,
 )
 from sosdensity.benchmarks import get
 from sosdensity.moments import Domain, integrate_poly, moment_rational, moment_table
@@ -152,18 +152,20 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_AB(f, Domain.cube(2), 2, table=moment_table(Domain.simplex(2), 6))
 
-    def test_table_of_another_domain_is_named(self):
-        # an off-centre box is solved on its centred copy, so its own table is
-        # the wrong domain, however high its degree
+    def test_pencil_of_another_domain_is_named(self):
+        # a sweep's pencil is assembled on the centred box; one of another box
+        # or of too low an order is refused, not solved
         f = parse_polynomial("x1*x2", 2)
         dom = Domain.box([(0, 3), (-1, 2)])
-        with pytest.raises(ValueError, match=r"assembled on .*'bounds'.*sweep_table") as err:
-            compute_bound(f, dom, 2, table=moment_table(dom, 8))
-        assert "degree" not in str(err.value)
-        assert "['0', '3']" in str(err.value) and "['-3/2', '3/2']" in str(err.value)
-        with pytest.raises(ValueError, match="covers degree 4, not 6"):
-            compute_bound(f, dom, 2, table=sweep_table(f, dom, 1))
-        value = compute_bound(f, dom, 2, table=sweep_table(f, dom, 2)).value
+        for other in (Domain.box([(0, 3), (0, 2)]), Domain.cube(2, -1, 1), Domain.box([(0, 3)] * 3)):
+            g = parse_polynomial("x1*x2", other.n)
+            with pytest.raises(ValueError, match=r"another domain than .*\['0', '3'\], \['-1', '2'\]"):
+                compute_bound(f, dom, 2, pencil=_sweep_pencil(g, other, 2))
+        with pytest.raises(ValueError, match="assembled to order 1, not 2"):
+            compute_bound(f, dom, 2, pencil=_sweep_pencil(f, dom, 1))
+        with pytest.raises(ValueError, match="order r must be >= 0"):
+            compute_bound(f, dom, -1, pencil=_sweep_pencil(f, dom, 1))
+        value = compute_bound(f, dom, 2, pencil=_sweep_pencil(f, dom, 2)).value
         assert value == compute_bound(f, dom, 2).value
 
     def test_wide_codes(self):
@@ -259,13 +261,31 @@ class TestSweep:
     def test_pencil_limit_admits_largest_golden_row(self):
         _check_pencil_size(10, 5)  # m = C(15, 5) = 3003: n = 10, r = 5
 
-    def test_off_centre_sweep_matches_single_orders(self):
-        # the sweep's shared table is built on the centred box, as a single order's is
-        f = parse_polynomial("x1^2 - x1*x2 + x2", 2)
-        dom = Domain.box([(0, 3), (-1, 2)])
-        for b in bound_sweep(f, dom, 8):
-            one = compute_bound(f, dom, b.r)
-            fields = ("value", "cond_B", "residual", "basis", "shift")
+    @pytest.mark.parametrize("instance,r_max", [
+        (lambda: (parse_polynomial("x1^2 - x1*x2 + x2", 2), Domain.box([(0, 3), (-1, 2)])), 8),
+        (lambda: (get("matyas-modified-s").f, get("matyas-modified-s").domain), 10),
+        (lambda: (get("three-hump-camel-modified-b").f, get("three-hump-camel-modified-b").domain), 10),
+        (lambda: (get("styblinski-tang", 10).f, get("styblinski-tang", 10).domain), 3),
+        (lambda: (parse_polynomial("x1", 1), Domain.box([(-10000, 10000)])), 40),
+    ], ids=["off-centre-box", "simplex", "ball", "styblinski-tang-n10", "overflow-box"])
+    def test_sweep_matches_single_orders(self, instance, r_max):
+        # each order of the sweep is solved on its leading block of the top
+        # order's pencil, and must give the bits of assembling that order alone
+        f, dom = instance()
+        swept = bound_sweep(f, dom, r_max)
+        assert swept
+        pencil = _sweep_pencil(f, dom, r_max)
+        fields = ("r", "value", "cond_B", "residual", "basis", "shift")
+        for r in range(1, r_max + 1):
+            try:
+                one = compute_bound(f, dom, r)
+            except ConditioningError as exc:
+                with pytest.raises(ConditioningError) as err:
+                    compute_bound(f, dom, r, pencil=pencil)
+                assert str(err.value) == str(exc)
+                assert r > len(swept)
+                continue
+            b = swept[r - 1]
             assert [getattr(b, k) for k in fields] == [getattr(one, k) for k in fields]
             assert b.eigvec.tobytes() == one.eigvec.tobytes()
 
@@ -277,8 +297,9 @@ class TestSweep:
         # from r = 39 the pencil needs m_78 ~ 2.5e314 on [-10^4, 10^4], past the largest float
         f = parse_polynomial("x1", 1)
         dom = Domain.box([(-10000, 10000)])
-        with pytest.raises(ConditioningError, match="a moment overflows a float"):
-            compute_bound(f, dom, 39)
+        for r in (39, 40):
+            with pytest.raises(ConditioningError, match="a moment overflows a float"):
+                compute_bound(f, dom, r)
         assert len(bound_sweep(f, dom, 40)) == 22
 
     def test_stops_on_conditioning(self):

@@ -2,7 +2,8 @@
 no module imports a name it never uses, every name in an ``__all__`` is
 defined in its module, every package name the benchmark harness in
 ``perfbench/`` reaches still exists, every name the package exports has
-a reader, and every parameter with a default is passed by some call.
+a reader, and every parameter with a default is passed by some call; and,
+at run time, that a bound sweep assembles its pencil once.
 """
 
 import ast
@@ -210,3 +211,29 @@ def test_one_horner_kernel():
 def test_streams_without_numpy_random(name):
     # the sampler computes numpy's streams itself (_pcg64)
     assert "np.random" not in (SRC / name).read_text()
+
+
+
+def test_a_sweep_assembles_once(monkeypatch, capsys):
+    # a sweep assembles its top order and solves every order on a leading block
+    from sosdensity import bounds, cli, golden
+
+    orders = []
+    original = bounds.assemble_AB
+
+    def counted(f, dom, r, *args, **kwargs):
+        orders.append(r)
+        return original(f, dom, r, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "assemble_AB", counted)
+    tc = sosdensity.get("motzkin")
+    assert len(bounds.bound_sweep(tc.f, tc.domain, 8)) == 8
+    assert orders == [8]
+    orders.clear()
+    assert cli.main(["bound", "--fn", "motzkin", "--r", "1..6"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 7
+    assert orders == [6]
+    orders.clear()
+    assert cli.main(["bench"]) == 0
+    blocks = [golden.TABLE_BOX_ASSERT_MAX_R] * len(golden.TABLE_BOX) + [10] * len(golden.TABLE_SB)
+    assert orders == blocks + [golden.TABLE_N10_ASSERT_MAX_R] * len(golden.TABLE_N10)

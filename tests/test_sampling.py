@@ -145,6 +145,29 @@ class TestConditionalCdf:
             assert x == list(point)
 
 
+def gathering_invert(coeffs, lo, hi, u):
+    """The bisection that gathers the columns still active on every step,
+    which sampling._invert replaced; the reference for its bits."""
+    horner = sampling._horner
+    at_lo = u <= horner(lo, coeffs)
+    x = np.where(at_lo, lo, hi)
+    inner = np.flatnonzero(~at_lo & ~(u >= horner(hi, coeffs)))
+    coeffs, a, b, u = coeffs[:, inner], lo[inner], hi[inner], u[inner]
+    active = np.flatnonzero(b - a > 1e-12)
+    while active.size:
+        mid = 0.5 * (a[active] + b[active])
+        up = horner(mid, coeffs[:, active]) >= u[active]
+        b[active[up]] = mid[up]
+        a[active[~up]] = mid[~up]
+        active = active[b[active] - a[active] > 1e-12]
+    mid = 0.5 * (a + b)
+    d = horner(mid, np.polynomial.polynomial.polyder(coeffs))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = mid - (horner(mid, coeffs) - u) / d
+    x[inner] = np.where((d > 0) & (a <= y) & (y <= b), y, mid)
+    return x
+
+
 class TestInvertCdf:
     def test_cubic_inversion(self):
         dom = Domain.cube(1)
@@ -156,6 +179,25 @@ class TestInvertCdf:
         assert invert_cdf(F, 1.0) == pytest.approx(1.0, abs=1e-10)
         with pytest.raises(ValueError):
             invert_cdf(F, 1.5)
+
+    def test_block_matches_each_column_alone(self):
+        # the simplex's second coordinate runs over [0, 1 - x1], so the columns
+        # reach the bisection width on different steps and the working arrays
+        # are compacted mid-loop; the last column starts below the width
+        chain = exact_chain(SIMPLEX3, SIMPLEX3_DENSITY)
+        rng = np.random.default_rng(8)
+        prefixes = np.concatenate([[0.0, 0.5, 0.9, 0.99, 0.9999], rng.uniform(0.0, 0.99, 200)])
+        slices = [conditional_cdf(chain, 2, [x1]) for x1 in prefixes]
+        slices.append(sampling.CdfSlice(slices[1].coeffs, 0.25, 0.25 + 1e-13))
+        u = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, len(slices) - 2)])
+        widths = np.array([F.hi - F.lo for F in slices])
+        assert len(set(np.ceil(np.log2(widths[widths > 1e-12] / 1e-12)).tolist())) >= 8
+        coeffs, lo, hi = np.array([F.coeffs for F in slices]).T, [F.lo for F in slices], [F.hi for F in slices]
+        got = sampling._invert(coeffs, np.array(lo), np.array(hi), u)
+        want = gathering_invert(coeffs, np.array(lo), np.array(hi), u)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        alone = np.array([invert_cdf(F, ui) for F, ui in zip(slices, u.tolist())])
+        assert np.array_equal(got.view(np.uint64), alone.view(np.uint64))
 
 
 class TestSample:
