@@ -27,7 +27,8 @@ The grlex basis of order r is a prefix of the basis of any higher order, and
 no entry depends on r, so the order-r pencil is the leading m_r x m_r block
 of the order-R pencil for every R >= r.  A sweep (bound_sweep, the CLI's
 bound --r a..b) assembles its pencil once at its top order and solves each
-order on that order's leading block.
+order on that order's leading block.  The pencil carries the f and K it was
+assembled from, and compute_bound refuses one of another f or K.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import eigh
 
-from .moments import Domain, MomentTable, moment_table
+from .moments import Domain, moment_table
 from .polynomials import Polynomial, _over_lcm
 
 __all__ = [
@@ -108,30 +109,23 @@ def _check_pencil_size(n: int, r: int) -> None:
         )
 
 
-def assemble_AB(f: Polynomial, dom: Domain, r: int, table: MomentTable | None = None):
+def assemble_AB(f: Polynomial, dom: Domain, r: int):
     """Exact assembly of the moment matrices A (f-weighted) and B.
 
     A[a, b] = sum_d f_d m_{a+b+d}(K),  B[a, b] = m_{a+b}(K), for the basis
-    {a in table : |a| <= r} in grlex order, which is returned with A and B.
-    Each distinct sum gets its exact rational value as one integer numerator
-    over the table's denominator (times F, the lcm of f's denominators, for
-    A), divided once, and +-inf if it passes the largest float; on the ball
-    the pi power is the table's float scale.
+    {a : |a| <= r} in grlex order, which is returned with A and B.  The
+    moments are those of moment_table(dom, 2r + deg f).  Each distinct sum
+    gets its exact rational value as one integer numerator over the table's
+    denominator (times F, the lcm of f's denominators, for A), divided once,
+    and +-inf if it passes the largest float; on the ball the pi power is
+    the table's float scale.
     """
     if f.n_vars != dom.n:
         raise ValueError(f"polynomial has {f.n_vars} variables, domain has {dom.n}")
     if r < 0:
         raise ValueError("order r must be >= 0")
     _check_pencil_size(dom.n, r)
-    if table is None:
-        table = moment_table(dom, 2 * r + f.degree)
-    if table.dom != dom:
-        raise ValueError(
-            f"the moment table is for the domain {table.dom.to_json()}, but the pencil is "
-            f"assembled on {dom.to_json()}"
-        )
-    if table.max_degree < 2 * r + f.degree:
-        raise ValueError(f"the moment table covers degree {table.max_degree}, not {2 * r + f.degree}")
+    table = moment_table(dom, 2 * r + f.degree)
 
     sel = np.flatnonzero(table.degrees <= r)
     E = table.decode(table.codes[sel])
@@ -154,12 +148,9 @@ def assemble_AB(f: Polynomial, dom: Domain, r: int, table: MomentTable | None = 
 
 
 def _quotients(nums: np.ndarray, den: int) -> np.ndarray:
-    """The floats nums / den (Python ints, den > 0), each correctly rounded,
-    and +-inf where the quotient passes the largest float."""
-    try:  # int / int raises where the rounded quotient would pass the largest float
-        return (nums / den).astype(float)
-    except OverflowError:
-        return np.array([_quotient(k, den) for k in nums.tolist()], dtype=float)
+    """The floats nums / den (Python ints, den > 0), each correctly rounded
+    by _quotient, and +-inf where the quotient passes the largest float."""
+    return np.array([_quotient(k, den) for k in nums.tolist()], dtype=float)
 
 
 def _quotient(num: int, den: int) -> float:
@@ -209,13 +200,15 @@ def _centre(dom: Domain) -> tuple[Fraction, ...] | None:
 
 
 def _sweep_pencil(f: Polynomial, dom: Domain, r_max: int):
-    """(A, B, basis, shift): the pencil of order r_max on the centred domain,
-    whose leading blocks compute_bound(f, dom, r, pencil=...) solves for r <= r_max."""
+    """(f, dom, A, B, basis, shift): the pencil of order r_max on the centred
+    domain, named by the f and dom it was asked for, whose leading blocks
+    compute_bound(f, dom, r, pencil=...) solves for r <= r_max."""
     c = _centre(dom)
+    g, K = f, dom
     if c is not None:
-        f = f.substitute_affine([1] * dom.n, c)
-        dom = Domain.box([(lo - ci, hi - ci) for (lo, hi), ci in zip(dom.bounds, c)])
-    return (*assemble_AB(f, dom, r_max), c)
+        g = f.substitute_affine([1] * dom.n, c)
+        K = Domain.box([(lo - ci, hi - ci) for (lo, hi), ci in zip(dom.bounds, c)])
+    return (f, dom, *assemble_AB(g, K, r_max), c)
 
 
 def compute_bound(f: Polynomial, dom: Domain, r: int, pencil=None) -> BoundResult:
@@ -223,15 +216,18 @@ def compute_bound(f: Polynomial, dom: Domain, r: int, pencil=None) -> BoundResul
 
     Without a pencil, compute_bound assembles the order-r one itself.  With
     one (from _sweep_pencil(f, dom, r_max), r <= r_max) it solves the leading
-    block of order r, whose entries are those of the order-r assembly bit for bit.
+    block of order r, whose entries are those of the order-r assembly bit for
+    bit; a pencil assembled from another f or dom is refused.
     """
     if r < 0:
         raise ValueError("order r must be >= 0")
     if pencil is None:
         pencil = _sweep_pencil(f, dom, r)
-    A, B, basis, shift = pencil
-    if len(basis[0]) != dom.n or shift != _centre(dom):
+    pf, pdom, A, B, basis, shift = pencil
+    if pdom != dom:
         raise ValueError(f"the pencil was assembled for another domain than {dom.to_json()}")
+    if pf != f:
+        raise ValueError("the pencil was assembled for another polynomial")
     if r > sum(basis[-1]):  # the grlex basis ends with a monomial of the top order
         raise ValueError(f"the pencil is assembled to order {sum(basis[-1])}, not {r}")
     m = math.comb(dom.n + r, r)

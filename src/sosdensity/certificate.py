@@ -19,9 +19,7 @@ moments (~2 ms at motzkin r = 6).
 
 On the simplex and the ball the Gaussian mass is a 10^6-point Monte-Carlo
 mean.  Its squared distances add whole columns (_sq_dist) with the bits of
-np.sum((x - a) ** 2, axis=1); at n = 2 it takes ~70 ms on the simplex and
-~100 ms on the ball, against ~120 and ~160 ms with one numpy reduction call
-per point.
+np.sum((x - a) ** 2, axis=1).
 """
 
 from __future__ import annotations
@@ -206,10 +204,7 @@ def gaussian_mass(dom: Domain, a: Sequence[float], sigma: float) -> tuple[float,
 
     The Monte-Carlo values keep the bits of the per-row numpy reductions
     (np.sum over rows, np.linalg.norm): _sq_dist adds whole columns in
-    numpy's order, and the scaling and the exponential run in place.  At
-    n = 2 a call takes ~70 ms on the simplex and ~100 ms on the ball
-    (2-vCPU x86-64 host), most of it the Dirichlet (~35-45 ms) and normal
-    (~40-45 ms) draws.
+    numpy's order, and the scaling and the exponential run in place.
     """
     n = dom.n
     _check_gaussian(a, sigma, n)

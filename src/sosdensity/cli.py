@@ -242,7 +242,7 @@ def cmd_bench(args) -> int:
     for name, cells in golden.TABLE_BOX.items():
         failed |= _bench_block(name, None, golden.TABLE_BOX_ASSERT_MAX_R, cells, golden.ABS_TOL, False, rows)
     for name, cells in golden.TABLE_SB.items():
-        failed |= _bench_block(name, None, 10, cells, golden.ABS_TOL, False, rows)
+        failed |= _bench_block(name, None, max(cells), cells, golden.ABS_TOL, False, rows)
     for name, cells in golden.TABLE_N10.items():
         failed |= _bench_block(name, 10, golden.TABLE_N10_ASSERT_MAX_R, cells, golden.REL_TOL_N10, True, rows)
     columns = ["function", "r", "value", "golden", "abs_delta", "status", "reference_print"]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from sosdensity.bounds import (
     ConditioningError,
     _check_pencil_size,
+    _quotients,
     _sweep_pencil,
     assemble_AB,
     bound_sweep,
@@ -16,7 +18,7 @@ from sosdensity.bounds import (
     smallest_generalized_eigenpair,
 )
 from sosdensity.benchmarks import get
-from sosdensity.moments import Domain, integrate_poly, moment_rational, moment_table
+from sosdensity.moments import Domain, integrate_poly, moment_rational
 from sosdensity.polynomials import Polynomial, grlex_key, parse_polynomial
 
 
@@ -145,13 +147,6 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_AB(parse_polynomial("x1", 1), Domain.cube(2), 1)
 
-    def test_table_must_cover_the_order(self):
-        f = parse_polynomial("x1^2", 2)
-        with pytest.raises(ValueError):
-            assemble_AB(f, Domain.cube(2), 2, table=moment_table(Domain.cube(2), 5))
-        with pytest.raises(ValueError):
-            assemble_AB(f, Domain.cube(2), 2, table=moment_table(Domain.simplex(2), 6))
-
     def test_pencil_of_another_domain_is_named(self):
         # a sweep's pencil is assembled on the centred box; one of another box
         # or of too low an order is refused, not solved
@@ -167,6 +162,11 @@ class TestAssembly:
             compute_bound(f, dom, -1, pencil=_sweep_pencil(f, dom, 1))
         value = compute_bound(f, dom, 2, pencil=_sweep_pencil(f, dom, 2)).value
         assert value == compute_bound(f, dom, 2).value
+        # a pencil names its polynomial too: booth's is not solved as motzkin's
+        motzkin, booth = get("motzkin"), get("booth")
+        box = motzkin.domain
+        with pytest.raises(ValueError, match="another polynomial"):
+            compute_bound(motzkin.f, box, 4, pencil=_sweep_pencil(booth.f, box, 4))
 
     def test_wide_codes(self):
         # 2^64 codes: the table keeps Python-int codes, the gather is the same
@@ -176,6 +176,53 @@ class TestAssembly:
         assert basis == ((0,) * 64,)
         assert A.tolist() == [[float(moment_rational(dom, (1,) + (0,) * 63))]]
         assert B.tolist() == [[float(moment_rational(dom, (0,) * 64))]]
+
+
+class TestQuotients:
+    """_quotients rounds every sum through one int/int division."""
+
+    MID = 2**1024 - 2**970  # halfway between the largest float and 2^1024
+
+    @staticmethod
+    def _neighbours(x: float) -> list[Fraction]:
+        # the floats on both sides of x, with 2^1024 one step past the largest
+        out = []
+        for toward in (-math.inf, math.inf):
+            y = math.nextafter(x, toward)
+            out.append(Fraction(y) if math.isfinite(y) else Fraction(2**1024 if y > 0 else -(2**1024)))
+        return out
+
+    @pytest.mark.parametrize("den", [1, 3, 7**40])
+    def test_each_entry_is_the_nearest_float_or_inf(self, den):
+        top = int(sys.float_info.max)
+        quotients = [0, 1, Fraction(1, 3), Fraction(2, 7) * 10**300, top, self.MID - 1,
+                     self.MID - Fraction(1, 2), self.MID, self.MID + 1, 2**1024, 10**400]
+        nums = []
+        for q in quotients:
+            k = q * den
+            nums += [math.floor(k), -math.floor(k), math.ceil(k), -math.ceil(k)]
+        got = _quotients(np.array(nums, dtype=object), den)
+        assert got.dtype == np.float64 and got.shape == (len(nums),)
+        for num, x in zip(nums, got.tolist()):
+            q = Fraction(num, den)
+            if abs(q) >= self.MID:  # the nearest float, ties to even, is 2^1024
+                assert x == (math.inf if q > 0 else -math.inf), (num, den)
+                continue
+            assert math.isfinite(x), (num, den)
+            assert all(abs(Fraction(x) - q) <= abs(y - q) for y in self._neighbours(x)), (num, den)
+        assert got[nums.index(top * den)] == sys.float_info.max
+
+    def test_negative_overflow_is_minus_inf(self):
+        # at r = 39 on [-10^4, 10^4], -x1 weights m_78 ~ 2.5e314 by -1 in A's
+        # entries (38, 39) and (39, 38); B holds m_78 itself at (39, 39)
+        f = parse_polynomial("-x1", 1)
+        dom = Domain.box([(-10000, 10000)])
+        A, B, _ = assemble_AB(f, dom, 39)
+        assert np.argwhere(~np.isfinite(A)).tolist() == [[38, 39], [39, 38]]
+        assert A[38, 39] == A[39, 38] == -math.inf
+        assert np.argwhere(~np.isfinite(B)).tolist() == [[39, 39]] and B[39, 39] == math.inf
+        with pytest.raises(ConditioningError, match="a moment overflows a float"):
+            compute_bound(f, dom, 39)
 
 
 class TestEigenpair:

@@ -325,3 +325,22 @@ class TestBench:
         code, out, _ = run(capsys, "bench")
         assert code == 0
         assert out.count("ok") >= 4
+
+    def test_conditioning_error_row(self, capsys, monkeypatch):
+        # a sweep that stops early leaves its later golden cells as
+        # conditioning-error rows with no value and no delta
+        from sosdensity import golden
+
+        cells = {r: v for r, v in golden.TABLE_BOX["motzkin"].items() if r <= 4}
+        monkeypatch.setattr(golden, "TABLE_BOX", {"motzkin": cells})
+        monkeypatch.setattr(golden, "TABLE_SB", {})
+        monkeypatch.setattr(golden, "TABLE_N10", {})
+        sweep = cli.bound_sweep
+        monkeypatch.setattr(cli, "bound_sweep", lambda f, dom, r_max: sweep(f, dom, r_max)[:2])
+        code, out, _ = run(capsys, "bench")
+        assert code == 4
+        lines = out.strip().splitlines()
+        assert lines[0] == "function,r,value,golden,abs_delta,status,reference_print"
+        assert [line.split(",")[5] for line in lines[1:]] == ["ok", "ok", "conditioning-error", "conditioning-error"]
+        for r, line in zip((3, 4), lines[3:]):
+            assert line == f"motzkin,{r},,{cells[r]},,conditioning-error,"
