@@ -18,9 +18,16 @@ That division rounds the exact rational correctly, as float(Fraction) does,
 so A and B have the bits of summing Fraction moments and rounding once.
 A value past the largest float becomes +-inf there, and an order whose
 pencil holds one is a ConditioningError.
-The eigensolve reduces to a standard dense symmetric problem after
-factoring B.  The bound does not move when K and f are translated together,
-but monomials lose digits fast on an off-centre box, so compute_bound solves
+The eigensolve is LAPACK's dsygvd (a Cholesky factor of B reduces the
+pencil to a dense symmetric problem), from scipy's compiled LAPACK wrapper.
+That extension is loaded from its file, so neither scipy's nor scipy.linalg's
+Python package is imported (scipy.linalg's import takes longer than most
+bound sweeps).  The call is the one scipy.linalg.eigh(A, B) makes with its
+defaults, and it refuses what eigh refused: a non-finite entry (ValueError)
+and a nonzero LAPACK info (LinAlgError).
+
+The bound does not move when K and f are translated together, but
+monomials lose digits fast on an off-centre box, so compute_bound solves
 f(y + c) on K - c, c the box centre, exactly.
 
 The grlex basis of order r is a prefix of the basis of any higher order, and
@@ -33,12 +40,15 @@ assembled from, and compute_bound refuses one of another f or K.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .moments import Domain, moment_table
 from .polynomials import Polynomial, _over_lcm
@@ -65,6 +75,30 @@ COND_LIMIT = 1e16
 # ~0.75 GB and ~30 s.  The table limit does not bound m at small n: motzkin
 # (n = 2) at r = 243 has a 121,771-entry table but m = 29,890 (~7 GB a matrix).
 MAX_PENCIL_SIZE = 3500
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, loaded from its file: neither scipy's nor
+    scipy.linalg's __init__ runs.  The module is left out of sys.modules,
+    so a later import of scipy.linalg loads it as its own submodule; once
+    scipy.linalg has loaded it, that module is the one used."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")  # locates scipy without importing it
+    for where in spec.submodule_search_locations if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(where, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(module)
+                sys.modules.pop(name, None)  # a single-phase extension puts itself there
+                return module
+    raise ImportError("scipy's LAPACK extension scipy/linalg/_flapack was not found")
+
+
+_dsygvd = _load_flapack().dsygvd
 
 
 class ConditioningError(RuntimeError):
@@ -182,7 +216,7 @@ def smallest_generalized_eigenpair(A: np.ndarray, B: np.ndarray):
     if bw[0] <= 0 or cond_B > COND_LIMIT:
         raise ConditioningError(cond_B)
 
-    w, V = eigh(As, Bs)
+    w, V = _generalized_eigh(As, Bs)
     lam = float(w[0])
     v = D * V[:, 0]
     # normalize v^T B v = 1, first nonzero coordinate positive
@@ -191,6 +225,18 @@ def smallest_generalized_eigenpair(A: np.ndarray, B: np.ndarray):
     if nz.size and v[nz[0]] < 0:
         v = -v
     return lam, v, cond_B
+
+
+def _generalized_eigh(a: np.ndarray, b: np.ndarray):
+    """Eigenvalues (ascending) and b-orthonormal eigenvectors of a v = w b v,
+    a symmetric and b s.p.d., both read from their lower triangles: LAPACK
+    dsygvd on copies of a and b, as scipy.linalg.eigh(a, b) calls it."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    w, V, info = _dsygvd(a, b, itype=1, jobz="V", uplo="L")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dsygvd failed with info = {info}")
+    return w, V
 
 
 def _centre(dom: Domain) -> tuple[Fraction, ...] | None:

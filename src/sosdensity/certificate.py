@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from numpy.random import default_rng  # loads numpy.random at import, not in a first call
 
 from .moments import Domain, _double_factorial, integrate_poly
 from .polynomials import Polynomial
@@ -216,7 +217,7 @@ def gaussian_mass(dom: Domain, a: Sequence[float], sigma: float) -> tuple[float,
             l = (float(lo) - ai) / (sigma * root2)
             mass *= 0.5 * (math.erf(u) - math.erf(l))
         return mass, 0.0
-    rng = np.random.default_rng(0)
+    rng = default_rng(0)
     if dom.kind == "simplex":
         pts = rng.dirichlet(np.ones(n + 1), size=MC_POINTS)[:, :n]
         vol = 1.0 / math.factorial(n)
@@ -245,7 +246,7 @@ def _domain_grid(dom: Domain) -> np.ndarray:
         axes = [np.linspace(float(lo), float(hi), 101) for lo, hi in dom.bounds]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
-    rng = np.random.default_rng(0)
+    rng = default_rng(0)
     m = 10**5
     if dom.kind == "box":
         lo = np.array([float(l) for l, _ in dom.bounds])

@@ -77,7 +77,11 @@ def _marginal_arrays(marg: Polynomial, i: int):
     # per-term array prefix ** exps does so only when exps has one entry, a
     # table with one distinct exponent always would; so a larger exps also
     # puts exponent 0 in the table (pow(x, 0) is 1 either way).
-    uniq = np.unique(np.append(exps, 0.0) if exps.size > 1 else exps)
+    # (a sorted set, not np.unique, which imports numpy.ma on its first call)
+    distinct = set(exps.ravel().tolist())
+    if exps.size > 1:
+        distinct.add(0.0)
+    uniq = np.array(sorted(distinct), dtype=float)
     gather = np.arange(i) * uniq.size + np.searchsorted(uniq, exps)
     terms = tuple(zip(map(tuple, gather.tolist()), (e[i] for e in marg.terms),
                       (float(c) for c in marg.terms.values())))
@@ -268,6 +272,15 @@ def conditional_cdf(chain: ConditionalChain, i: int, prefix: Sequence[float]) ->
     return CdfSlice(coeffs=tuple(coeffs[:, 0].tolist()), lo=float(lo[0]), hi=float(hi[0]))
 
 
+def _derivative(cols: np.ndarray) -> np.ndarray:
+    """The derivatives of the columns' polynomials, with the bits of
+    numpy.polynomial's polyder (der[j-1] = j * c[j], and c[:1] * 0 for a
+    constant), which would import numpy.polynomial on its first call."""
+    if len(cols) == 1:
+        return cols * 0
+    return cols[1:] * np.arange(1, len(cols))[:, None]
+
+
 def _invert(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Column-wise min{y : F(y) >= u}: bisection to width 1e-12, then one guarded
     Newton step.  coeffs holds one CDF per column.  The bisection steps
@@ -291,7 +304,7 @@ def _invert(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -
             a[rows], b[rows] = wa, wb
             rows, wc, wa, wb, wu = rows[live], wc[:, live], wa[live], wb[live], wu[live]
     mid = 0.5 * (a + b)
-    d = _horner(mid, np.polynomial.polynomial.polyder(coeffs))
+    d = _horner(mid, _derivative(coeffs))
     # columns with d <= 0 (or NaN) keep the midpoint and never use their step
     with np.errstate(divide="ignore", invalid="ignore"):
         y = mid - (_horner(mid, coeffs) - u) / d

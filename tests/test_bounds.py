@@ -1,12 +1,15 @@
 import hashlib
+import importlib.util
 import itertools
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sosdensity import bounds, golden
 from sosdensity.bounds import (
     ConditioningError,
     _check_pencil_size,
@@ -239,6 +242,89 @@ class TestEigenpair:
         assert lam == pytest.approx(1.0)
         assert cond == pytest.approx(1.0)
         assert abs(v[1]) == pytest.approx(1.0)
+
+
+# the 8 golden sweeps: each box function to r = 12, each simplex and ball one to r = 10
+GOLDEN_SWEEPS = [(name, golden.TABLE_BOX_ASSERT_MAX_R) for name in golden.TABLE_BOX] + [
+    (name, max(cells)) for name, cells in golden.TABLE_SB.items()
+]
+
+
+class TestLapackCall:
+    """The eigensolve calls LAPACK dsygvd directly; it must give what
+    scipy.linalg.eigh(As, Bs) gave, bit for bit, and refuse what it refused."""
+
+    @pytest.mark.parametrize("name,r_max", GOLDEN_SWEEPS, ids=[name for name, _ in GOLDEN_SWEEPS])
+    def test_golden_blocks_match_scipy_eigh(self, name, r_max, monkeypatch):
+        from scipy.linalg import eigh
+
+        tc = get(name)
+        _, _, A, B, _, _ = _sweep_pencil(tc.f, tc.domain, r_max)
+        for r in range(r_max + 1):
+            m = math.comb(tc.domain.n + r, r)
+            Ar, Br = np.ascontiguousarray(A[:m, :m]), np.ascontiguousarray(B[:m, :m])
+            solved = []
+
+            def scipy_eigh(a, b):
+                solved.append((a, b))
+                return eigh(a, b)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(bounds, "_generalized_eigh", scipy_eigh)
+                want = smallest_generalized_eigenpair(Ar, Br)
+            (As, Bs), = solved
+            w, V = bounds._generalized_eigh(As, Bs)
+            w_ref, V_ref = eigh(As, Bs)
+            assert w.tobytes() == w_ref.tobytes() and V.tobytes() == V_ref.tobytes()
+            lam, v, cond_B = smallest_generalized_eigenpair(Ar, Br)
+            assert (lam, cond_B) == (want[0], want[2]) and v.tobytes() == want[1].tobytes()
+
+    @staticmethod
+    def _bad_pencils():
+        """Four pencils with a NaN or an infinity in A, then one with an
+        off-diagonal infinity in B."""
+        A = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]])
+        B = np.array([[1.0, 0.1, 0.0], [0.1, 1.0, 0.2], [0.0, 0.2, 1.0]])
+        for i, j, x in [(1, 1, np.nan), (0, 2, np.inf), (2, 0, -np.inf), (0, 1, np.nan)]:
+            a = A.copy()
+            a[i, j] = a[j, i] = x
+            yield a, B
+        b = B.copy()
+        b[0, 2] = b[2, 0] = np.inf
+        yield A, b
+
+    def test_non_finite_entries_are_refused_as_scipy_did(self):
+        from scipy.linalg import eigh
+
+        for a, b in self._bad_pencils():
+            with pytest.raises(ValueError) as want:
+                eigh(a, b)
+            with pytest.raises(ValueError) as got:
+                bounds._generalized_eigh(a, b)
+            assert str(got.value) == str(want.value) == "array must not contain infs or NaNs"
+
+    def test_non_finite_A_is_a_value_error(self):
+        for a, b in list(self._bad_pencils())[:-1]:
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                smallest_generalized_eigenpair(a, b)
+
+    @pytest.mark.parametrize("spec", [None, SimpleNamespace(submodule_search_locations=[])], ids=["no-scipy", "no-file"])
+    def test_missing_extension_is_an_import_error(self, spec, tmp_path, monkeypatch):
+        if spec is not None:
+            spec.submodule_search_locations.append(str(tmp_path))  # a scipy directory without linalg/_flapack
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        with pytest.raises(ImportError, match="_flapack was not found"):
+            bounds._load_flapack()
+
+    def test_indefinite_B_is_a_lapack_error(self):
+        from scipy.linalg import eigh
+
+        A, B = np.eye(2), np.diag([1.0, -1.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            eigh(A, B)
+        with pytest.raises(np.linalg.LinAlgError, match="dsygvd"):
+            bounds._generalized_eigh(A, B)
 
 
 class TestComputeBound:

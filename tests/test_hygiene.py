@@ -3,12 +3,17 @@ no module imports a name it never uses, every name in an ``__all__`` is
 defined in its module, every package name the benchmark harness in
 ``perfbench/`` reaches still exists, every name the package exports has
 a reader, and every parameter with a default is passed by some call; and,
-at run time, that a bound sweep assembles its pencil once.
+at run time, that a bound sweep assembles its pencil once and that the
+package loads every module it uses at import.
 """
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -237,3 +242,37 @@ def test_a_sweep_assembles_once(monkeypatch, capsys):
     assert cli.main(["bench"]) == 0
     blocks = [golden.TABLE_BOX_ASSERT_MAX_R] * len(golden.TABLE_BOX) + [10] * len(golden.TABLE_SB)
     assert orders == blocks + [golden.TABLE_N10_ASSERT_MAX_R] * len(golden.TABLE_N10)
+
+
+# Run in a fresh interpreter: prints the heavy modules that importing the CLI
+# loaded, the modules that a sweep, a draw and a simplex certificate added,
+# and whether scipy.linalg, imported after all that, has its _flapack.
+_FRESH = """
+import json, sys
+import sosdensity.cli
+import sosdensity as sd
+heavy = ["scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma", "numpy.polynomial"]
+at_import = [name for name in heavy if name in sys.modules]
+before = set(sys.modules)
+tc = sd.get("motzkin")
+results = sd.bound_sweep(tc.f, tc.domain, 4)
+sd.sample(sd.build_chain(results[-1].density, tc.domain), 10, seed=0)
+tc = sd.get("three-hump-camel-modified-s")
+sd.certificate(tc.f, tc.domain, tc.minimizers[0], 1, tc.f_min)
+added = sorted(set(sys.modules) - before)
+import scipy.linalg
+print(json.dumps([sd.__file__, at_import, added, hasattr(scipy.linalg, "_flapack")]))
+"""
+
+
+def test_imports_happen_at_start_up():
+    # scipy's LAPACK is loaded without scipy.linalg, whose import pulls in
+    # numpy's f2py, testing, ma and polynomial; no call imports a module
+    # late, so the first call of a process costs what later ones do
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _FRESH], env=env, capture_output=True, text=True, check=True).stdout
+    origin, at_import, added, scipy_whole = json.loads(out.splitlines()[-1])
+    assert Path(origin).resolve().is_relative_to(SRC)
+    assert at_import == []
+    assert added == []
+    assert scipy_whole

@@ -450,6 +450,33 @@ class TestKernels:
             assert np.array_equal(self._bits(got), self._bits(want.reshape(marg.degree + 1, len(prefix))))
 
 
+    def test_derivative_matches_polyder(self, monkeypatch, motzkin_chain):
+        # every CDF column that a block of motzkin r = 12 points inverts, and a constant
+        seen = []
+        original = sampling._invert
+
+        def recording(coeffs, lo, hi, u):
+            seen.append(coeffs.copy())
+            return original(coeffs, lo, hi, u)
+
+        monkeypatch.setattr(sampling, "_invert", recording)
+        sample(motzkin_chain, BLOCK_SIZE, seed=0)
+        assert len(seen) == motzkin_chain.domain.n and all(c.shape[1] == BLOCK_SIZE for c in seen)
+        for coeffs in seen + [np.array([[0.5, np.nan, -0.0]])]:
+            want = np.polynomial.polynomial.polyder(coeffs)
+            assert np.array_equal(self._bits(sampling._derivative(coeffs)), self._bits(want))
+
+    def test_distinct_exponents_match_unique(self, motzkin_chain):
+        simplex4 = exact_chain(Domain.simplex(4), "1 + x1^2*x4 + x2*x3 + x3^3 + x4^4")
+        for chain in (motzkin_chain, exact_chain(SIMPLEX3, SIMPLEX3_DENSITY), simplex4):
+            for i, marg in enumerate(chain.marginals):
+                exps = np.array([e[:i] for e in marg.terms], dtype=float).reshape(len(marg.terms), i)
+                want = np.unique(np.append(exps, 0.0) if exps.size > 1 else exps)
+                got = chain.arrays[i][0]
+                assert got.dtype == want.dtype == np.float64
+                assert np.array_equal(self._bits(got), self._bits(want))
+
+
 class TestMarkov:
     def test_frequency_and_validation(self):
         f = parse_polynomial("x1", 1)
