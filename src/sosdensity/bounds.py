@@ -199,10 +199,12 @@ def smallest_generalized_eigenpair(A: np.ndarray, B: np.ndarray):
 
     The pencil is diagonally equilibrated first (an exact congruence, so the
     eigenvalues are unchanged); this is what makes high orders on wide boxes
-    tractable in double precision.
+    tractable in double precision.  A non-finite entry anywhere in A or B is
+    refused first, with the eigensolve's ValueError.
     """
+    _check_finite(A, B)
     diag = np.diag(B)
-    if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
+    if np.any(diag <= 0):
         raise ConditioningError(np.inf, "nonpositive diagonal in B")
     D = 1.0 / np.sqrt(diag)
     Bs = B * D[:, None] * D[None, :]
@@ -227,12 +229,17 @@ def smallest_generalized_eigenpair(A: np.ndarray, B: np.ndarray):
     return lam, v, cond_B
 
 
+def _check_finite(a: np.ndarray, b: np.ndarray) -> None:
+    """Refuse a NaN or an infinity in a or b, as scipy's check_finite did."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+
+
 def _generalized_eigh(a: np.ndarray, b: np.ndarray):
     """Eigenvalues (ascending) and b-orthonormal eigenvectors of a v = w b v,
     a symmetric and b s.p.d., both read from their lower triangles: LAPACK
     dsygvd on copies of a and b, as scipy.linalg.eigh(a, b) calls it."""
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
+    _check_finite(a, b)
     w, V, info = _dsygvd(a, b, itype=1, jobz="V", uplo="L")
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dsygvd failed with info = {info}")

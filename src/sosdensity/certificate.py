@@ -12,14 +12,13 @@ zeta(K) and checks the rate inequality
 H and the integrals of H and f * H over K stay exact: sums of Python-int
 numerators over one common denominator.  H is phi_{2r} composed with
 ||x-a||^2 / (2*sigma^2) by Polynomial.substitute_var, one Fraction per
-output term; for motzkin's certificate it takes ~16, ~40 and ~85 ms at
-r = 6, 8 and 10 (2-vCPU x86-64 host).  f * H is never formed:
-integrate_poly(dom, f, H) pairs the terms of f and H against the factored
-moments (~2 ms at motzkin r = 6).
+output term.  f * H is never formed: integrate_poly(dom, f, H) pairs the
+terms of f and H against the factored moments.
 
-On the simplex and the ball the Gaussian mass is a 10^6-point Monte-Carlo
-mean.  Its squared distances add whole columns (_sq_dist) with the bits of
-np.sum((x - a) ** 2, axis=1).
+The Gaussian mass of K, whose inverse is the constant C_{K,a}, is an
+enclosure with no random quantity: an erf product on the box, and on the
+simplex and the ball the exact integrals of the partial sums of e^{-t},
+intersected with erf products over boxes inside and around K.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from typing import Sequence
 import numpy as np
 from numpy.random import default_rng  # loads numpy.random at import, not in a first call
 
-from .moments import Domain, _double_factorial, integrate_poly
-from .polynomials import Polynomial
+from .moments import Domain, _double_factorial, _moment_sum, _pi_scale, _scaled_factors, integrate_poly
+from .polynomials import Polynomial, _mul_nums, _over_lcm
 
 __all__ = [
     "GeomParams",
@@ -48,7 +47,12 @@ __all__ = [
 ]
 
 SUP_SAFETY = 1.1  # inflation of the grid estimate of sup |f|
-MC_POINTS = 10**6  # Monte-Carlo budget for non-box Gaussian masses
+# Largest ladder of powers of ||x - a||^2 that gaussian_mass climbs: its top
+# rung q^K holds C(n + 2K, n) terms.  The limit admits K = 29 at n = 2 (0.24 s
+# on a 2-vCPU x86-64 host), K = 10 at n = 3 and K = 1 at n = 10; from the
+# centroid of the 10-simplex at r = 1 the bracket would need K ~ 250.
+MAX_LADDER_TERMS = 2000
+_WIDEN = 2.0**-40  # outward rounding of a float enclosure, per dimension
 
 
 # ---- geometry constants ----------------------------------------------
@@ -196,43 +200,130 @@ def _sq_dist(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _erf_factors(bounds, a: Sequence[float], sigma: float) -> list[float]:
+    """The Gaussian mass of each side [lo, hi] of a box: 0.5 * (erf(u) - erf(l))."""
+    root2 = math.sqrt(2.0)
+    return [
+        0.5 * (math.erf((float(hi) - ai) / (sigma * root2)) - math.erf((float(lo) - ai) / (sigma * root2)))
+        for (lo, hi), ai in zip(bounds, a)
+    ]
+
+
+def _box_enclosure(dom: Domain, a: Sequence[float], sigma: float) -> tuple[float, float]:
+    """Masses of a cube inside K and of a box around it, rounded outwards.
+
+    The cube is centred at a with half-side dist(a, boundary of K) / sqrt(n),
+    so it lies in the ball of that radius around a; the box is [0, 1]^n for
+    the simplex and [-1, 1]^n for the ball.  Widening by n * 2^-40 (relative,
+    and absolute for the erf differences) covers the rounding of erf and of
+    the products.
+    """
+    n = dom.n
+    w = n * _WIDEN
+    exact = [Fraction(x) for x in a]
+    if dom.kind == "simplex":
+        # distances to the facets x_i = 0 and sum(x) = 1
+        dist = min(min(a), float(1 - sum(exact)) / math.sqrt(n))
+        outer = [(0, 1)] * n
+    else:
+        s = sum(x * x for x in exact)  # 1 - |a| = (1 - |a|^2) / (1 + |a|)
+        dist = float(1 - s) / (1.0 + math.sqrt(s))
+        outer = [(-1, 1)] * n
+    lo = 0.0
+    if dist > 0:
+        lo = math.erf(dist / math.sqrt(n) / (sigma * math.sqrt(2.0))) ** n * (1 - w)
+    hi = math.prod(_erf_factors(outer, a, sigma)) * (1 + w) + w
+    return lo, min(hi, 1.0)
+
+
+def _ladder_order(dom: Domain, a: Sequence[float], sigma: float) -> int | None:
+    """The odd order K at which the Taylor bracket has closed to 2^-20, or
+    None when its ladder would hold more than MAX_LADDER_TERMS terms.
+
+    With t_max the largest t = ||x - a||^2 / (2 sigma^2) on K (at the farthest
+    vertex of the simplex, at most (1 + |a|)^2 / (2 sigma^2) on the ball), the
+    bracket's width at order K is at most t_max^K e^{t_max} / K! of the mass;
+    K is the first odd order where that is <= 2^-21, which makes the width
+    <= 2^-20 of the lower end.
+    """
+    n = dom.n
+    if dom.kind == "simplex":
+        d2 = sum(x * x for x in a)
+        q_max = max([d2] + [d2 - 2.0 * x + 1.0 for x in a])
+    else:
+        q_max = (1.0 + math.sqrt(sum(x * x for x in a))) ** 2
+    t_max = q_max * (1 + _WIDEN) / (2.0 * sigma) / sigma
+    K = 1
+    while math.comb(n + 2 * K, n) <= MAX_LADDER_TERMS:
+        if K * math.log(t_max) - math.lgamma(K + 1) + t_max <= -21 * math.log(2.0):
+            return K
+        K += 2
+    return None
+
+
+def _taylor_enclosure(dom: Domain, a: Sequence[float], sigma: float, K: int) -> tuple[float, float]:
+    """Enclosure of the mass from the partial sums of e^{-t} = sum (-t)^k / k!.
+
+    For t >= 0 the odd partial sums lie below e^{-t} and the even ones above,
+    so their integrals bracket the mass.  T_k = integral over K of t^k is
+    exact: q = ||x - a||^2 is scaled to integer coefficients by L^2 (L the
+    lcm of the denominators of a), one ladder q^k climbs by _mul_nums, and
+    each rung is integrated against the integer factored moments
+    (_moment_sum, as in integrate_poly_exact); (2 sigma^2)^-k is applied to
+    the integral only.  Stops at the first odd k where the bracket is within
+    2^-20, at k = K at the latest.
+    """
+    n = dom.n
+    L, p = _over_lcm(Fraction(x) for x in a)
+    q = {(0,) * n: sum(x * x for x in p)}  # L^2 q: the terms of (L x_i - p_i)^2
+    for i, pi in enumerate(p):
+        q[(0,) * i + (1,) + (0,) * (n - i - 1)] = -2 * L * pi
+        q[(0,) * i + (2,) + (0,) * (n - i - 1)] = L * L
+    den, G, W = _scaled_factors(dom, 2 * K)
+    scale = Fraction(float(sigma)) ** 2 * 2 * L * L  # t^k = q_L^k / scale^k
+    rung = {(0,) * n: 1}
+    total = Fraction(0)
+    lo, hi = None, None
+    for k in range(K + 1):
+        if k:
+            rung = _mul_nums(rung, q)
+        moment = _moment_sum(rung, rung.values(), G, W)
+        total += Fraction((-1) ** k * moment) / (den * math.factorial(k) * scale**k)
+        if k % 2:
+            lo = total if lo is None else max(lo, total)
+            if (hi - lo) * 2**20 <= lo:
+                break
+        else:
+            hi = total if hi is None else min(hi, total)
+    prefactor = (2.0 * math.pi * sigma**2) ** (-n / 2.0) * _pi_scale(dom)
+    w = n * _WIDEN  # the rounding of the floats, of the prefactor and its power
+    return max(float(lo), 0.0) * prefactor * (1 - w), float(hi) * prefactor * (1 + w)
+
+
 def gaussian_mass(dom: Domain, a: Sequence[float], sigma: float) -> tuple[float, float]:
-    """Integral over K of the Gaussian G_a (this is 1/C_{K,a}).
+    """Enclosure (lo, hi) of the integral over K of the Gaussian G_a (this
+    is 1/C_{K,a}), 0 <= lo <= hi <= 1.
 
-    Returns (mass, standard_error).  Boxes are exact products of 1-D
-    cumulative differences (standard error 0); the simplex and ball use
-    Monte-Carlo with MC_POINTS uniform points, seeded with 0.
-
-    The Monte-Carlo values keep the bits of the per-row numpy reductions
-    (np.sum over rows, np.linalg.norm): _sq_dist adds whole columns in
-    numpy's order, and the scaling and the exponential run in place.
+    On a box it is the exact product of 1-D cumulative differences, lo = hi.
+    On the simplex and the ball it intersects the erf masses of a cube
+    inside K and of a box around it (tight for small sigma) with the exact
+    Taylor bracket (tight for larger sigma), whose order is bounded before
+    any work; past MAX_LADDER_TERMS the bracket is skipped.  No random
+    number is drawn.
     """
     n = dom.n
     _check_gaussian(a, sigma, n)
     if dom.kind == "box":
         mass = 1.0
-        root2 = math.sqrt(2.0)
-        for (lo, hi), ai in zip(dom.bounds, a):
-            u = (float(hi) - ai) / (sigma * root2)
-            l = (float(lo) - ai) / (sigma * root2)
-            mass *= 0.5 * (math.erf(u) - math.erf(l))
-        return mass, 0.0
-    rng = default_rng(0)
-    if dom.kind == "simplex":
-        pts = rng.dirichlet(np.ones(n + 1), size=MC_POINTS)[:, :n]
-        vol = 1.0 / math.factorial(n)
-    else:
-        pts = rng.standard_normal((MC_POINTS, n))
-        pts /= np.sqrt(_sq_dist(pts, np.zeros(n)))[:, None]
-        pts *= (rng.random(MC_POINTS) ** (1.0 / n))[:, None]
-        vol = math.pi ** (n / 2) / math.gamma(1 + n / 2)
-    g = _sq_dist(pts, np.asarray(a, dtype=float))
-    g /= -(2.0 * sigma**2)  # -d2 / c has the bits of d2 / -c
-    np.exp(g, out=g)
-    g *= (2.0 * math.pi * sigma**2) ** (-n / 2.0)
-    mass = vol * float(np.mean(g))
-    stderr = vol * float(np.std(g) / math.sqrt(MC_POINTS))
-    return mass, stderr
+        for m in _erf_factors(dom.bounds, a, sigma):
+            mass *= m
+        return mass, mass
+    lo, hi = _box_enclosure(dom, a, sigma)
+    K = _ladder_order(dom, a, sigma)
+    if K is not None and (hi - lo) * 2**20 > lo:
+        t_lo, t_hi = _taylor_enclosure(dom, a, sigma, K)
+        lo, hi = max(lo, t_lo), min(hi, t_hi)
+    return lo, hi
 
 
 # ---- Lipschitz bound --------------------------------------------------
@@ -287,7 +378,9 @@ class CertificateReport:
 
     holds is tri-state: "true" / "false" are the literal inequality when
     its preconditions (r >= r_K/2, scale eps within eps_K) are met;
-    "false-precondition" means the inequality was not applicable.
+    "false-precondition" means the inequality was not applicable.  mass is
+    gaussian_mass's enclosure (lo, hi) of the Gaussian mass of K, and
+    C_Ka = 1/lo an upper bound on C_{K,a}, None when lo = 0.
     """
 
     a: tuple[float, ...]
@@ -295,7 +388,7 @@ class CertificateReport:
     sigma: float
     eps: float
     eps_capped: bool
-    C_Ka: float
+    C_Ka: float | None
     c_rKa: float
     f_rKa: float
     f_min: float
@@ -304,7 +397,7 @@ class CertificateReport:
     rhs: float
     holds: str
     geom: GeomParams
-    mass_stderr: float
+    mass: tuple[float, float]
 
     def to_json(self) -> dict:
         return {**asdict(self), "a": list(self.a)}
@@ -354,8 +447,8 @@ def certificate(
     c_rKa = 1.0 / inv_cr
     f_rKa = c_rKa * integrate_poly(dom, f, H)
 
-    mass, mass_stderr = gaussian_mass(dom, a, sigma)
-    C_Ka = 1.0 / mass
+    mass = gaussian_mass(dom, a, sigma)
+    C_Ka = 1.0 / mass[0] if mass[0] > 0 else None
 
     M_f = lipschitz_bound(f, dom)
     zeta = zeta_constant(gp, n)
@@ -381,5 +474,5 @@ def certificate(
         rhs=rhs,
         holds=holds,
         geom=gp,
-        mass_stderr=mass_stderr,
+        mass=mass,
     )

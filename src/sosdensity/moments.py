@@ -324,16 +324,21 @@ def integrate_poly_exact(dom: Domain, *factors: Polynomial) -> Fraction:
     total = 0
     for d, cd in prod.items():
         # the moment of d + e read from tables shifted by d
-        Gd = G[sum(d) :]
-        Wd = [Wi[k:] for Wi, k in zip(W, d)]
-        part = 0
-        for exp, c in zip(last.terms, coefs):
-            c *= Gd[sum(exp)]
-            for Wi, k in zip(Wd, exp):
-                c *= Wi[k]
-            part += c
-        total += cd * part
+        total += cd * _moment_sum(last.terms, coefs, G[sum(d) :], [Wi[k:] for Wi, k in zip(W, d)])
     return Fraction(total, L * den)
+
+
+def _moment_sum(exps, coefs, G: list[int], W: list[list[int]]) -> int:
+    """sum over the terms of c * G[|e|] * prod_i W_i[e_i]: den times the
+    integral of the polynomial with exponents exps and integer coefficients
+    coefs, for (den, G, W) from _scaled_factors."""
+    total = 0
+    for exp, c in zip(exps, coefs):
+        c *= G[sum(exp)]
+        for Wi, k in zip(W, exp):
+            c *= Wi[k]
+        total += c
+    return total
 
 
 def integrate_poly(dom: Domain, *factors: Polynomial) -> float:

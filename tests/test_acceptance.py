@@ -309,7 +309,8 @@ class TestCriterion7Certificate:
             tc = get(name)
             for r in range(1, 7):
                 rep = certificate(tc.f, tc.domain, tc.minimizers[0], r, tc.f_min)
-                assert rep.c_rKa <= rep.C_Ka + 3 * rep.mass_stderr * rep.C_Ka**2 + 1e-9
+                assert rep.c_rKa <= rep.C_Ka + 1e-9
+                assert rep.mass[1] - rep.mass[0] <= 2**-20 * rep.mass[0]
                 lower = box_sweeps[name][2 * r - 1].value  # order-2r hierarchy bound
                 assert rep.f_rKa >= lower - 1e-7, f"{name} r={r}"
                 checked += 1
@@ -318,7 +319,8 @@ class TestCriterion7Certificate:
             tc = get(name)
             for r in range(1, 7):
                 rep = certificate(tc.f, tc.domain, tc.minimizers[0], r, tc.f_min)
-                assert rep.c_rKa <= rep.C_Ka + 3 * rep.mass_stderr * rep.C_Ka**2 + 1e-9
+                assert rep.c_rKa <= rep.C_Ka + 1e-9
+                assert rep.mass[1] - rep.mass[0] <= 2**-20 * rep.mass[0]
                 if 2 * r <= 10:
                     lower = sb_sweeps[name][2 * r - 1].value
                     assert rep.f_rKa >= lower - 1e-7, f"{name} r={r}"

@@ -243,6 +243,22 @@ class TestEigenpair:
         assert cond == pytest.approx(1.0)
         assert abs(v[1]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["A", "B"])
+    def test_non_finite_entry_is_a_value_error_wherever_it_sits(self, where, bad, m):
+        # off the diagonal next to it, two places off it, and on it; B's
+        # eigenvalues used to be taken first, so an inf at B[0, 1] was a
+        # ConditioningError and one at B[0, 2] an uncaught LinAlgError
+        for i, j in [(0, 1), (0, 2), (0, 0), (m - 1, m - 1)]:
+            if j >= m:
+                continue
+            A, B = np.diag(np.arange(1.0, m + 1)), np.eye(m)
+            M = A if where == "A" else B
+            M[i, j] = M[j, i] = bad
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                smallest_generalized_eigenpair(A, B)
+
 
 # the 8 golden sweeps: each box function to r = 12, each simplex and ball one to r = 10
 GOLDEN_SWEEPS = [(name, golden.TABLE_BOX_ASSERT_MAX_R) for name in golden.TABLE_BOX] + [

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammainc
 
 from sosdensity import benchmarks
 from sosdensity.bounds import compute_bound
@@ -152,25 +153,56 @@ class TestTaylorDensity:
             taylor_density([0.0, bad], 0.5, 2, 2)
 
 
+def _check_enclosure(lo, hi, reference):
+    assert 0.0 <= lo <= reference <= hi <= 1.0
+
+
 class TestGaussianMass:
     def test_wide_box_is_total(self):
-        mass, se = gaussian_mass(Domain.box([(-10, 10)]), [0.0], 1.0)
-        assert se == 0.0
-        assert mass == pytest.approx(1.0, abs=1e-12)
+        lo, hi = gaussian_mass(Domain.box([(-10, 10)]), [0.0], 1.0)
+        assert lo == hi
+        assert lo == pytest.approx(1.0, abs=1e-12)
 
     def test_corner_orthant(self):
-        mass, _ = gaussian_mass(Domain.box([(0, 10), (0, 10)]), [0.0, 0.0], 1.0)
-        assert mass == pytest.approx(0.25, abs=1e-12)
+        lo, hi = gaussian_mass(Domain.box([(0, 10), (0, 10)]), [0.0, 0.0], 1.0)
+        assert lo == hi
+        assert lo == pytest.approx(0.25, abs=1e-12)
 
     def test_ball_against_closed_form(self):
         # standard 2-D Gaussian mass of the unit disk is 1 - exp(-1/2)
-        mass, se = gaussian_mass(Domain.ball(2), [0.0, 0.0], 1.0)
-        assert abs(mass - (1 - math.exp(-0.5))) <= 4 * se
+        lo, hi = gaussian_mass(Domain.ball(2), [0.0, 0.0], 1.0)
+        _check_enclosure(lo, hi, 1 - math.exp(-0.5))
+        assert hi - lo <= 2**-20 * lo
 
     def test_simplex_against_box_decomposition(self):
-        # small sigma well inside the simplex: mass approaches 1
-        mass, se = gaussian_mass(Domain.simplex(2), [0.3, 0.3], 0.01)
-        assert mass == pytest.approx(1.0, abs=0.02)
+        # small sigma well inside the simplex: mass approaches 1; the Taylor
+        # bracket alone is ~1e124 wide here, the cube inside K closes it
+        lo, hi = gaussian_mass(Domain.simplex(2), [0.3, 0.3], 0.01)
+        assert 0.98 <= lo <= hi <= 1.02
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0])
+    def test_ball_at_origin_against_chi_square(self, sigma, n):
+        # |x|^2 / sigma^2 is chi-square with n degrees of freedom
+        lo, hi = gaussian_mass(Domain.ball(n), [0.0] * n, sigma)
+        _check_enclosure(lo, hi, gammainc(n / 2, 1 / (2 * sigma**2)))
+
+    @pytest.mark.parametrize("kind,lower", [("simplex", 0.0), ("ball", -1.0)])
+    def test_interval_against_erf(self, kind, lower):
+        dom = Domain(kind, 1)
+        for a in (lower, lower / 2 + 0.25, 0.5, 0.9, 1.0):
+            for sigma in (0.02, 0.3, 1.0, 3.0):
+                lo, hi = gaussian_mass(dom, [a], sigma)
+                root = sigma * math.sqrt(2)
+                reference = 0.5 * (math.erf((1 - a) / root) - math.erf((lower - a) / root))
+                _check_enclosure(lo, hi, reference)
+
+    def test_catalog_camels_closed(self):
+        # the two non-box certificates of the benchmark, at their first minimizer
+        for name, sigma in [("three-hump-camel-modified-s", 1 / (2 + math.sqrt(2))), ("three-hump-camel-modified-b", 1.0)]:
+            tc = benchmarks.get(name)
+            lo, hi = gaussian_mass(tc.domain, tc.minimizers[0], sigma)
+            assert 0 < hi - lo <= 2**-20 * lo
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -188,30 +220,38 @@ class TestGaussianMass:
         with pytest.raises(ValueError, match=rf"center \[{bad}, 0.3\]"):
             gaussian_mass(dom, [bad, 0.3], 0.5)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9])
-    @pytest.mark.parametrize("kind", ["simplex", "ball"])
-    def test_matches_row_reduction_formula(self, kind, n, monkeypatch):
-        # the formula with one numpy reduction call per point (np.sum over
-        # rows, np.linalg.norm) that the column sums replaced, bit for bit
-        monkeypatch.setattr(certificate_module, "MC_POINTS", 10**4)
-        N = 10**4
-        dom = Domain.simplex(n) if kind == "simplex" else Domain.ball(n)
-        a = np.linspace(0.0, 0.5 / n, n) if kind == "simplex" else np.linspace(-0.4, 0.3, n) / math.sqrt(n)
-        sigma = 0.37
-        rng = np.random.default_rng(0)
-        if kind == "simplex":
-            pts = rng.dirichlet(np.ones(n + 1), size=N)[:, :n]
-            vol = 1.0 / math.factorial(n)
-        else:
-            z = rng.standard_normal((N, n))
-            z /= np.linalg.norm(z, axis=1, keepdims=True)
-            radii = rng.random(N) ** (1.0 / n)
-            pts = z * radii[:, None]
-            vol = math.pi ** (n / 2) / math.gamma(1 + n / 2)
-        d2 = np.sum((pts - a) ** 2, axis=1)
-        g = (2.0 * math.pi * sigma**2) ** (-n / 2.0) * np.exp(-d2 / (2.0 * sigma**2))
-        expected = (vol * float(np.mean(g)), vol * float(np.std(g) / math.sqrt(N)))
-        assert gaussian_mass(dom, list(a), sigma) == expected
+    def test_draws_no_random_number(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("random draw for the Gaussian mass")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(certificate_module, "default_rng", no_draws)
+        for n in (1, 2, 3):
+            for dom in (Domain.simplex(n), Domain.ball(n)):
+                for sigma in (0.01, 0.3, 2.0):
+                    lo, hi = gaussian_mass(dom, [0.2] * n, sigma)
+                    assert 0 <= lo <= hi <= 1
+        # a certificate's one random quantity is the Lipschitz grid
+        monkeypatch.setattr(certificate_module, "_domain_grid", lambda dom: np.zeros((1, dom.n)))
+        tc = benchmarks.get("three-hump-camel-modified-b")
+        assert certificate(tc.f, tc.domain, tc.minimizers[0], 1, tc.f_min).C_Ka is not None
+
+    def test_gives_up_past_the_ladder_limit(self, monkeypatch):
+        # the 10-simplex at r = 1 (sigma ~ 0.076): t_max ~ 78 from the centroid
+        # and ~ 87 from the vertex 0, a bracket of order ~ 250
+        def no_ladder(*args):
+            raise AssertionError("the Taylor ladder was entered")
+
+        monkeypatch.setattr(certificate_module, "_taylor_enclosure", no_ladder)
+        f, dom = parse_polynomial("x1", 10), Domain.simplex(10)
+        assert certificate_module._ladder_order(dom, [1 / 11] * 10, 0.076) is None
+        # the cube around the centroid still gives a (loose) positive lower end
+        rep = certificate(f, dom, [1 / 11] * 10, 1, 0.0)
+        assert 0 < rep.mass[0] < rep.mass[1] and rep.C_Ka == 1 / rep.mass[0]
+        # from a vertex no cube fits inside K: lo = 0 and C_Ka is null
+        rep = certificate(f, dom, [0.0] * 10, 1, 0.0)
+        assert rep.mass[0] == 0.0 < rep.mass[1]
+        assert rep.C_Ka is None and rep.to_json()["C_Ka"] is None
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9])
     def test_ball_grid_matches_norm_formula(self, n):
@@ -355,15 +395,16 @@ class TestCertificate:
         assert zeta_constant(gp, 1) > 0
 
     # sha256 of json.dumps(report.to_json(), sort_keys=True) at the first
-    # catalog minimizer, from the certificate that built the Taylor density,
-    # f * H and the exact integrals in per-term Fraction arithmetic
+    # catalog minimizer.  f_rKa, c_rKa, M_f, zeta, rhs and holds have the bits
+    # of the certificate that built the Taylor density, f * H and the exact
+    # integrals in per-term Fraction arithmetic; mass is the exact enclosure
     @pytest.mark.parametrize("name,n,r,digest", [
-        ("motzkin", None, 4, "f3cf813970124568dda66d4075cc40b919e1fbecb45db996c9bd53d21a76613c"),
-        ("motzkin", None, 8, "9237a0eedeac2d7cd01399e79216968d4495e1d230d4e49c0552eb0fecacf07a"),
-        ("booth", None, 2, "f6ca69873b5b5f0565548ca1f800a7a04b4cff58bed0e1fed22247b30adebdae"),
-        ("three-hump-camel-modified-s", None, 1, "c50e95b8676d5f10aa8e4b8616292b9673b5b7099289c9bf11a4ec385f97d712"),
-        ("three-hump-camel-modified-b", None, 1, "26e0a462a539c52cfb81fd4d48dc731bd9aa6fdf0d1f72d02609e31be53c3e5a"),
-        ("styblinski-tang", 4, 2, "6780e0909d72a7f8c33a0c8be7ae2692cef3f12bcd077f93b922731f62f8bb50"),
+        ("motzkin", None, 4, "fadd05b72e4e76b50bde163a0a6ab428da23f590ec917854bfd712d3ee281fe6"),
+        ("motzkin", None, 8, "d73d5538246d4f6a1bbf23710cbed021a1c944ff3c809f46d73b56d2a203065a"),
+        ("booth", None, 2, "0dfed47eaeade175397ae9a06323a94847a9ca28f0b400cab437a27c263d19a5"),
+        ("three-hump-camel-modified-s", None, 1, "0fc0566ce43e8c571cdf0079e4b982010a5c236bbb8fb2894e744435b9bc9e1a"),
+        ("three-hump-camel-modified-b", None, 1, "cfac74939a4ec67b68180b35d39818ea6c21d10170ffc65ee36c9abb307119ed"),
+        ("styblinski-tang", 4, 2, "7134b9d6c75cfab07076797b593f4bcaf9032701f065c18735c3557d3c9a96fa"),
     ], ids=lambda v: str(v)[:12] if isinstance(v, str) else str(v))
     def test_report_digests(self, name, n, r, digest):
         tc = benchmarks.get(name, n)

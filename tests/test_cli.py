@@ -302,6 +302,18 @@ class TestCertificate:
         assert code == 0
         assert json.loads(out)["holds"] == "true"
 
+    def test_null_C_Ka_when_no_mass_bound(self, capsys):
+        # from the vertex 0 of the 10-simplex no cube fits inside K and the
+        # Taylor bracket would need order ~ 250: the mass has lower end 0
+        code, out, _ = run(
+            capsys, "certificate", "--poly", "x1", "--domain", '{"kind":"simplex","n":10}',
+            "--r", "1", "--a", ",".join(["0"] * 10), "--f-min", "0",
+        )
+        assert code == 0
+        assert '"C_Ka": null' in out
+        rep = json.loads(out)
+        assert rep["C_Ka"] is None and rep["mass"][0] == 0.0 < rep["mass"][1]
+
 
 class TestBench:
     def test_golden_mismatch_exit_code(self, capsys, monkeypatch):
