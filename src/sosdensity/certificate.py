@@ -283,18 +283,18 @@ def _taylor_enclosure(dom: Domain, a: Sequence[float], sigma: float, K: int) -> 
     scale = Fraction(float(sigma)) ** 2 * 2 * L * L  # t^k = q_L^k / scale^k
     rung = {(0,) * n: 1}
     total = Fraction(0)
-    lo, hi = None, None
+    lo, hi = -math.inf, math.inf
     for k in range(K + 1):
         if k:
             rung = _mul_nums(rung, q)
         moment = _moment_sum(rung, rung.values(), G, W)
         total += Fraction((-1) ** k * moment) / (den * math.factorial(k) * scale**k)
         if k % 2:
-            lo = total if lo is None else max(lo, total)
+            lo = max(lo, total)
             if (hi - lo) * 2**20 <= lo:
                 break
         else:
-            hi = total if hi is None else min(hi, total)
+            hi = min(hi, total)
     prefactor = (2.0 * math.pi * sigma**2) ** (-n / 2.0) * _pi_scale(dom)
     w = n * _WIDEN  # the rounding of the floats, of the prefactor and its power
     return max(float(lo), 0.0) * prefactor * (1 - w), float(hi) * prefactor * (1 + w)
@@ -314,9 +314,7 @@ def gaussian_mass(dom: Domain, a: Sequence[float], sigma: float) -> tuple[float,
     n = dom.n
     _check_gaussian(a, sigma, n)
     if dom.kind == "box":
-        mass = 1.0
-        for m in _erf_factors(dom.bounds, a, sigma):
-            mass *= m
+        mass = math.prod(_erf_factors(dom.bounds, a, sigma))
         return mass, mass
     lo, hi = _box_enclosure(dom, a, sigma)
     K = _ladder_order(dom, a, sigma)
