@@ -19,6 +19,9 @@ The Gaussian mass of K, whose inverse is the constant C_{K,a}, is an
 enclosure with no random quantity: an erf product on the box, and on the
 simplex and the ball the exact integrals of the partial sums of e^{-t},
 intersected with erf products over boxes inside and around K.
+
+The Lipschitz constant M_f is bounded from the coefficients of the gradient
+of f on the bounding box of K, exactly, with no grid and no random number.
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
-from numpy.random import default_rng  # loads numpy.random at import, not in a first call
 
 from .moments import Domain, _double_factorial, _moment_sum, _pi_scale, _scaled_factors, integrate_poly
 from .polynomials import Polynomial, _mul_nums, _over_lcm
@@ -46,7 +46,6 @@ __all__ = [
     "certificate",
 ]
 
-SUP_SAFETY = 1.1  # inflation of the grid estimate of sup |f|
 # Largest ladder of powers of ||x - a||^2 that gaussian_mass climbs: its top
 # rung q^K holds C(n + 2K, n) terms.  The limit admits K = 29 at n = 2 (0.24 s
 # on a 2-vCPU x86-64 host), K = 10 at n = 3 and K = 1 at n = 10; from the
@@ -62,14 +61,13 @@ _WIDEN = 2.0**-40  # outward rounding of a float enclosure, per dimension
 class GeomParams:
     """Geometric constants of the domain entering the rate bound.
 
-    D: squared diameter; w_min: minimal width; eta/eps_K: the ball-density
-    constants (every ball of radius <= eps_K around a point of K captures
-    at least an eta fraction of its volume); r_K: order threshold for the
-    rate inequality; gamma_n: volume of the n-dimensional unit ball.
+    D: squared diameter; eta/eps_K: the ball-density constants (every ball
+    of radius <= eps_K around a point of K captures at least an eta
+    fraction of its volume); r_K: order threshold for the rate inequality;
+    gamma_n: volume of the n-dimensional unit ball.
     """
 
     D: float
-    w_min: float
     eta: float
     eps_K: float
     r_K: float
@@ -96,26 +94,19 @@ def geom_params(dom: Domain) -> GeomParams:
     condition with angle theta = 2*arcsin(rho / (2*sqrt(D))), giving
     eta = (sin(theta)/(1+sin(theta)))^n and eps_K = rho.  The unit ball
     satisfies it directly with theta = pi/3.
-
-    w_min for the simplex is 1/sqrt(n): the minimal width of a simplex is
-    attained between a facet hyperplane and the supporting hyperplane at
-    the opposite vertex; here the facet sum(x) = 1 paired with the origin
-    gives 1/sqrt(n), while every coordinate facet pair gives width 1.
-    (Validated numerically over random directions in the test suite.)
     """
     n = dom.n
     if dom.kind == "ball":
-        D, w_min, rho, theta = 4.0, 2.0, 1.0, math.pi / 3.0
+        D, rho, theta = 4.0, 1.0, math.pi / 3.0
     else:
         if dom.kind == "box":
             sides = [float(hi - lo) for lo, hi in dom.bounds]
-            D, w_min, rho = sum(s * s for s in sides), min(sides), min(sides) / 2.0
+            D, rho = sum(s * s for s in sides), min(sides) / 2.0
         else:  # the standard simplex
-            D, w_min, rho = 2.0, 1.0 / math.sqrt(n), 1.0 / (n + math.sqrt(n))
+            D, rho = 2.0, 1.0 / (n + math.sqrt(n))
         theta = 2.0 * math.asin(rho / (2.0 * math.sqrt(D)))
     return GeomParams(
         D=D,
-        w_min=w_min,
         eta=_cone_eta(n, theta),
         eps_K=rho,
         r_K=_threshold_order(D, rho, n),
@@ -178,28 +169,6 @@ def taylor_density(a: Sequence[float], sigma: float, r: int, n: int) -> Polynomi
     return Polynomial(n, phi).substitute_var(0, t)
 
 
-def _sq_dist(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The bits of np.sum((x - a) ** 2, axis=1), for an (N, n) array x.
-
-    numpy sums a row of fewer than 8 entries left to right from 0, with one
-    inner-loop call per row.  Adding the squared columns left to right in
-    one vector gives the same bits without those calls.  From 8 entries
-    numpy keeps 8 interleaved partial sums and amortizes its per-row cost,
-    so those rows go to np.sum itself.
-    """
-    if x.shape[1] >= 8:
-        d = x - a
-        d *= d  # the bits of d ** 2, without a second (N, n) array
-        return np.sum(d, axis=1)
-    out = np.zeros(x.shape[0])
-    d = np.empty(x.shape[0])
-    for j in range(x.shape[1]):
-        np.subtract(x[:, j], a[j], out=d)
-        d *= d
-        out += d
-    return out
-
-
 def _erf_factors(bounds, a: Sequence[float], sigma: float) -> list[float]:
     """The Gaussian mass of each side [lo, hi] of a box: 0.5 * (erf(u) - erf(l))."""
     root2 = math.sqrt(2.0)
@@ -209,14 +178,21 @@ def _erf_factors(bounds, a: Sequence[float], sigma: float) -> list[float]:
     ]
 
 
+def _bounding_box(dom: Domain) -> tuple[tuple, ...]:
+    """The smallest box around K: the box itself, [0, 1]^n around the
+    standard simplex and [-1, 1]^n around the unit ball."""
+    if dom.kind == "box":
+        return dom.bounds
+    return ((0, 1) if dom.kind == "simplex" else (-1, 1),) * dom.n
+
+
 def _box_enclosure(dom: Domain, a: Sequence[float], sigma: float) -> tuple[float, float]:
     """Masses of a cube inside K and of a box around it, rounded outwards.
 
     The cube is centred at a with half-side dist(a, boundary of K) / sqrt(n),
-    so it lies in the ball of that radius around a; the box is [0, 1]^n for
-    the simplex and [-1, 1]^n for the ball.  Widening by n * 2^-40 (relative,
-    and absolute for the erf differences) covers the rounding of erf and of
-    the products.
+    so it lies in the ball of that radius around a; the box is the bounding
+    box of K.  Widening by n * 2^-40 (relative, and absolute for the erf
+    differences) covers the rounding of erf and of the products.
     """
     n = dom.n
     w = n * _WIDEN
@@ -224,15 +200,13 @@ def _box_enclosure(dom: Domain, a: Sequence[float], sigma: float) -> tuple[float
     if dom.kind == "simplex":
         # distances to the facets x_i = 0 and sum(x) = 1
         dist = min(min(a), float(1 - sum(exact)) / math.sqrt(n))
-        outer = [(0, 1)] * n
     else:
         s = sum(x * x for x in exact)  # 1 - |a| = (1 - |a|^2) / (1 + |a|)
         dist = float(1 - s) / (1.0 + math.sqrt(s))
-        outer = [(-1, 1)] * n
     lo = 0.0
     if dist > 0:
         lo = math.erf(dist / math.sqrt(n) / (sigma * math.sqrt(2.0))) ** n * (1 - w)
-    hi = math.prod(_erf_factors(outer, a, sigma)) * (1 + w) + w
+    hi = math.prod(_erf_factors(_bounding_box(dom), a, sigma)) * (1 + w) + w
     return lo, min(hi, 1.0)
 
 
@@ -327,44 +301,25 @@ def gaussian_mass(dom: Domain, a: Sequence[float], sigma: float) -> tuple[float,
 # ---- Lipschitz bound --------------------------------------------------
 
 
-def _domain_grid(dom: Domain) -> np.ndarray:
-    """Evaluation points for estimating sup |f| over the domain (random ones
-    seeded with 0)."""
-    n = dom.n
-    if dom.kind == "box" and n <= 3:
-        axes = [np.linspace(float(lo), float(hi), 101) for lo, hi in dom.bounds]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-    rng = default_rng(0)
-    m = 10**5
-    if dom.kind == "box":
-        lo = np.array([float(l) for l, _ in dom.bounds])
-        hi = np.array([float(h) for _, h in dom.bounds])
-        # stratified per coordinate (Latin-hypercube style)
-        u = (rng.permuted(np.tile(np.arange(m), (n, 1)), axis=1).T + rng.random((m, n))) / m
-        return lo + u * (hi - lo)
-    if dom.kind == "simplex":
-        pts = rng.dirichlet(np.ones(n + 1), size=m)[:, :n]
-        vertices = np.vstack([np.zeros(n), np.eye(n)])
-        return np.vstack([pts, vertices])
-    z = rng.standard_normal((m, n))
-    z /= np.sqrt(_sq_dist(z, np.zeros(n)))[:, None]
-    radii = rng.random(m) ** (1.0 / n)
-    return np.vstack([z * radii[:, None], z[:1000]])
-
-
 def lipschitz_bound(f: Polynomial, dom: Domain) -> float:
-    """Upper estimate of the Lipschitz constant: 2 d^2 sup|f| / w_min.
+    """Upper bound on the Lipschitz constant of f on K, sqrt(sum_i s_i^2).
 
-    sup |f| is a grid/sample maximum inflated by SUP_SAFETY, so the result
-    is an estimate of a valid bound, not a certified quantity.
+    K is convex, so sup_K ||grad f|| is a Lipschitz constant, and it is at
+    most sqrt(sum_i s_i^2) for any s_i >= sup_K |d_i f|.  With c and R the
+    centre and half-sides of K's bounding box and g(y) = f(c + y), every
+    |y^beta| <= R^beta on the box, so s_i = sum |coef| R^beta over the terms
+    of d_i g.  The sum of squares is exact, and its square root is rounded
+    up to the smallest float whose square is not below it.
     """
-    d = f.degree
-    if d == 0:
-        return 0.0
-    pts = _domain_grid(dom)
-    sup = float(np.max(np.abs(f.evaluate(pts)))) * SUP_SAFETY
-    return 2.0 * d * d * sup / geom_params(dom).w_min
+    box = _bounding_box(dom)
+    R = [Fraction(hi - lo) / 2 for lo, hi in box]
+    g = f.substitute_affine([1] * dom.n, [Fraction(lo + hi) / 2 for lo, hi in box])
+    total = Fraction(0)
+    for i in range(dom.n):
+        s = sum(abs(coef) * math.prod(r**e for r, e in zip(R, exp)) for exp, coef in g.partial(i).terms.items())
+        total += s * s
+    root = math.sqrt(float(total))
+    return root if Fraction(root) ** 2 >= total else math.nextafter(root, math.inf)
 
 
 # ---- the certificate --------------------------------------------------
@@ -419,7 +374,9 @@ def certificate(
 
     a is a known (or estimated) minimizer; f_min the known minimum.  The
     scale eps is chosen as (D e / (2(2r+1)))^((2r+1)/(2(2r+1)+n)), capped
-    at eps_K, and sigma = eps.
+    at eps_K, and sigma = eps.  M_f is lipschitz_bound's exact bound and
+    C_Ka = 1/lo from gaussian_mass's enclosure, so no quantity in the report
+    is sampled.
     """
     if r < 1:
         raise ValueError("order r must be >= 1")

@@ -212,10 +212,12 @@ def test_one_horner_kernel():
     assert "polyval" not in (SRC / "sampling.py").read_text()
 
 
-@pytest.mark.parametrize("name", ["sampling.py", "_pcg64.py"])
-def test_streams_without_numpy_random(name):
-    # the sampler computes numpy's streams itself (_pcg64)
-    assert "np.random" not in (SRC / name).read_text()
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_streams_without_numpy_random(path):
+    # the sampler computes numpy's streams itself (_pcg64), and no other
+    # module draws a random number
+    text = path.read_text()
+    assert "np.random" not in text and "numpy.random" not in text
 
 
 
@@ -251,7 +253,7 @@ _FRESH = """
 import json, sys
 import sosdensity.cli
 import sosdensity as sd
-heavy = ["scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma", "numpy.polynomial"]
+heavy = ["scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma", "numpy.polynomial", "numpy.random"]
 at_import = [name for name in heavy if name in sys.modules]
 before = set(sys.modules)
 tc = sd.get("motzkin")
@@ -267,8 +269,9 @@ print(json.dumps([sd.__file__, at_import, added, hasattr(scipy.linalg, "_flapack
 
 def test_imports_happen_at_start_up():
     # scipy's LAPACK is loaded without scipy.linalg, whose import pulls in
-    # numpy's f2py, testing, ma and polynomial; no call imports a module
-    # late, so the first call of a process costs what later ones do
+    # numpy's f2py, testing, ma and polynomial; nothing loads numpy.random;
+    # no call imports a module late, so the first call of a process costs
+    # what later ones do
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", _FRESH], env=env, capture_output=True, text=True, check=True).stdout
     origin, at_import, added, scipy_whole = json.loads(out.splitlines()[-1])

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sosdensity import benchmarks
-from sosdensity.certificate import _domain_grid
 from sosdensity.moments import Domain
 from sosdensity.polynomials import ParseError, Polynomial, grlex_key, parse_polynomial
 
@@ -248,6 +247,22 @@ def _pointwise(f, pts):
     return np.array(out)
 
 
+def _grid(dom: Domain) -> np.ndarray:
+    """Points of a 2-D catalog domain: a 101 x 101 mesh of a box; seeded
+    Dirichlet draws and the vertices of the simplex; seeded points of the
+    disc and of its boundary."""
+    if dom.kind == "box":
+        axes = [np.linspace(float(lo), float(hi), 101) for lo, hi in dom.bounds]
+        return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    rng = np.random.default_rng(0)
+    if dom.kind == "simplex":
+        pts = rng.dirichlet(np.ones(dom.n + 1), size=10**5)[:, : dom.n]
+        return np.vstack([pts, np.zeros(dom.n), np.eye(dom.n)])
+    z = rng.standard_normal((10**5, dom.n))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return np.vstack([z * rng.random(10**5)[:, None] ** (1.0 / dom.n), z[:1000]])
+
+
 class TestBatchEvaluation:
     """A batch gives every row the bits of evaluating that row on its own."""
 
@@ -257,7 +272,7 @@ class TestBatchEvaluation:
             tc = benchmarks.get(name)
         except ValueError:  # a parametric family
             tc = benchmarks.get(name, 2)
-        grid = _domain_grid(tc.domain)
+        grid = _grid(tc.domain)
         values = tc.f.evaluate(grid)
         assert np.array_equal(values, _pointwise(tc.f, grid))
         # one-point calls on every 25th row (a full loop would take seconds per grid)
@@ -266,7 +281,7 @@ class TestBatchEvaluation:
     def test_powers_are_cpython_pow(self):
         # numpy's array ** rounds differently from CPython's float pow at some
         # simplex grid points, so switching evaluate to it must fail here
-        grid = _domain_grid(Domain.simplex(2))
+        grid = _grid(Domain.simplex(2))
         X = grid[:, 0]
         cube = (X.astype(object) ** 3).astype(float)
         assert not np.array_equal(X**3, cube)
