@@ -8,89 +8,22 @@ recovered from the eigenvector, feasible points can be sampled from it, and
 an explicit O(1/sqrt(r)) rate certificate can be evaluated.
 """
 
-from .benchmarks import TestCase, get, list_names
-from .bounds import (
-    BoundResult,
-    ConditioningError,
-    assemble_AB,
-    bound_sweep,
-    compute_bound,
-    smallest_generalized_eigenpair,
-)
-from .certificate import (
-    CertificateReport,
-    GeomParams,
-    certificate,
-    gaussian_mass,
-    geom_params,
-    lipschitz_bound,
-    p_constant,
-    phi_coeffs,
-    taylor_density,
-)
-from .moments import (
-    Domain,
-    MomentTable,
-    domain_from_json,
-    integrate_poly,
-    integrate_poly_exact,
-    moment_rational,
-    moment_table,
-)
-from .polynomials import ParseError, Polynomial, parse_polynomial
-from .sampling import (
-    CdfSlice,
-    ConditionalChain,
-    DegeneratePrefixError,
-    SampleBatch,
-    build_chain,
-    conditional_cdf,
-    invert_cdf,
-    markov_check,
-    sample,
-    write_batch_csv,
-)
+from . import benchmarks, bounds, moments, polynomials, rate, sampling
+from .benchmarks import *
+from .bounds import *
+from .moments import *
+from .polynomials import *
+from .rate import *
+from .sampling import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Polynomial",
-    "ParseError",
-    "parse_polynomial",
-    "Domain",
-    "domain_from_json",
-    "moment_rational",
-    "moment_table",
-    "MomentTable",
-    "integrate_poly",
-    "integrate_poly_exact",
-    "BoundResult",
-    "ConditioningError",
-    "assemble_AB",
-    "smallest_generalized_eigenpair",
-    "compute_bound",
-    "bound_sweep",
-    "ConditionalChain",
-    "CdfSlice",
-    "SampleBatch",
-    "DegeneratePrefixError",
-    "build_chain",
-    "conditional_cdf",
-    "invert_cdf",
-    "sample",
-    "markov_check",
-    "write_batch_csv",
-    "GeomParams",
-    "CertificateReport",
-    "geom_params",
-    "p_constant",
-    "phi_coeffs",
-    "taylor_density",
-    "gaussian_mass",
-    "lipschitz_bound",
-    "certificate",
-    "TestCase",
-    "get",
-    "list_names",
+    *benchmarks.__all__,
+    *bounds.__all__,
+    *moments.__all__,
+    *polynomials.__all__,
+    *rate.__all__,
+    *sampling.__all__,
     "__version__",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import benchmarks, golden
 from .bounds import ConditioningError, _sweep_pencil, bound_sweep, compute_bound
-from .certificate import certificate
+from .rate import certificate
 from .moments import Domain, domain_from_json
 from .polynomials import ParseError, Polynomial, parse_polynomial
 from .sampling import build_chain, markov_check, sample, write_batch_csv
@@ -103,9 +103,14 @@ def _writable(path: str):
 
 
 def _emit(rows: list[dict], columns: list[str], as_json: bool, path: str | None) -> None:
-    """Rows as CSV (default) or JSON, to the file at path or stdout."""
+    """Rows as CSV (default) or JSON, to the file at path or stdout.
+
+    JSON has no infinity or NaN: a non-finite float is written as null.
+    """
     if as_json:
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        rows = [{k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in row.items()}
+                for row in rows]
+        text = json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         lines = [",".join(columns)]
         for row in rows:
@@ -198,7 +203,7 @@ def cmd_certificate(args) -> int:
     else:
         raise ConfigError("pass --f-min for inline polynomials")
     report = certificate(f, dom, a, r, f_min)
-    _write(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", args.out)
+    _write(json.dumps(report.to_json(), indent=2, sort_keys=True, allow_nan=False) + "\n", args.out)
     return EX_OK
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 __all__ = [
     "Polynomial",
-    "grlex_key",
+    "ParseError",
     "parse_polynomial",
 ]
 
@@ -484,4 +484,8 @@ class _Parser:
 
 def parse_polynomial(text: str, n_vars: int) -> Polynomial:
     """Parse an ASCII polynomial expression; decimal literals become exact rationals."""
-    return _Parser(text, n_vars).parse()
+    parser = _Parser(text, n_vars)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("parentheses nested too deeply", parser.peek()[2]) from None

@@ -357,10 +357,20 @@ class CertificateReport:
 
 
 def zeta_constant(gp: GeomParams, n: int) -> float:
-    """zeta(K) = 6n * (mu1 * max(1, sqrt(D e / 2)) + mu2 / sqrt(2 pi))."""
-    mu1 = 1.0 + n * p_constant(n) * math.sqrt(math.e) / gp.eta
-    mu2 = n * math.sqrt(math.e) * gp.D ** ((n + 1) / 2.0) / gp.eta
-    return 6.0 * n * (mu1 * max(1.0, math.sqrt(gp.D * math.e / 2.0)) + mu2 / math.sqrt(2.0 * math.pi))
+    """zeta(K) = 6n * (mu1 * max(1, sqrt(D e / 2)) + mu2 / sqrt(2 pi)).
+
+    OverflowError when zeta(K) is not a finite float: in high dimension p(n)
+    and D^((n+1)/2) overflow and eta underflows to 0.
+    """
+    try:
+        mu1 = 1.0 + n * p_constant(n) * math.sqrt(math.e) / gp.eta
+        mu2 = n * math.sqrt(math.e) * gp.D ** ((n + 1) / 2.0) / gp.eta
+        zeta = 6.0 * n * (mu1 * max(1.0, math.sqrt(gp.D * math.e / 2.0)) + mu2 / math.sqrt(2.0 * math.pi))
+    except (OverflowError, ZeroDivisionError):
+        zeta = math.inf
+    if not math.isfinite(zeta):
+        raise OverflowError(f"zeta(K) does not fit a float at n = {n}")
+    return zeta
 
 
 def certificate(
@@ -388,6 +398,7 @@ def certificate(
         raise ValueError(f"center {list(a)} lies outside the domain")
     n = dom.n
     gp = geom_params(dom)
+    zeta = zeta_constant(gp, n)
 
     m = 2 * r + 1
     eps_raw = (gp.D * math.e / (2.0 * m)) ** (m / (2.0 * m + n))
@@ -406,7 +417,6 @@ def certificate(
     C_Ka = 1.0 / mass[0] if mass[0] > 0 else None
 
     M_f = lipschitz_bound(f, dom)
-    zeta = zeta_constant(gp, n)
     rhs = zeta * M_f / math.sqrt(m)
 
     if eps_capped or r < gp.r_K / 2.0:

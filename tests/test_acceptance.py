@@ -17,7 +17,7 @@ import pytest
 
 from sosdensity.benchmarks import get, list_names
 from sosdensity.bounds import bound_sweep, compute_bound
-from sosdensity.certificate import certificate, p_constant, phi_coeffs
+from sosdensity.rate import certificate, p_constant, phi_coeffs
 from sosdensity.moments import Domain, integrate_poly
 from sosdensity.polynomials import Polynomial, parse_polynomial
 from sosdensity.sampling import build_chain, markov_check, sample, write_batch_csv

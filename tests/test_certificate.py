@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import json
 import math
 import random
@@ -11,9 +10,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc
 
-from sosdensity import benchmarks
+from sosdensity import benchmarks, rate
 from sosdensity.bounds import compute_bound
-from sosdensity.certificate import (
+from sosdensity.moments import Domain
+from sosdensity.polynomials import Polynomial, parse_polynomial
+from sosdensity.rate import (
     certificate,
     gaussian_mass,
     geom_params,
@@ -23,11 +24,6 @@ from sosdensity.certificate import (
     taylor_density,
     zeta_constant,
 )
-from sosdensity.moments import Domain
-from sosdensity.polynomials import Polynomial, parse_polynomial
-
-# the module, which the package's `certificate` function shadows as an attribute
-certificate_module = importlib.import_module("sosdensity.certificate")
 
 
 class TestPhi:
@@ -244,9 +240,9 @@ class TestGaussianMass:
         def no_ladder(*args):
             raise AssertionError("the Taylor ladder was entered")
 
-        monkeypatch.setattr(certificate_module, "_taylor_enclosure", no_ladder)
+        monkeypatch.setattr(rate, "_taylor_enclosure", no_ladder)
         f, dom = parse_polynomial("x1", 10), Domain.simplex(10)
-        assert certificate_module._ladder_order(dom, [1 / 11] * 10, 0.076) is None
+        assert rate._ladder_order(dom, [1 / 11] * 10, 0.076) is None
         # the cube around the centroid still gives a (loose) positive lower end
         rep = certificate(f, dom, [1 / 11] * 10, 1, 0.0)
         assert 0 < rep.mass[0] < rep.mass[1] and rep.C_Ka == 1 / rep.mass[0]
@@ -327,7 +323,7 @@ class TestLipschitz:
     def _points(dom: Domain, k: int) -> np.ndarray:
         """k values per axis over K's bounding box, every corner among them,
         kept where they lie in K; on the disc, 720 points of its circle too."""
-        axes = [np.linspace(float(lo), float(hi), k) for lo, hi in certificate_module._bounding_box(dom)]
+        axes = [np.linspace(float(lo), float(hi), k) for lo, hi in rate._bounding_box(dom)]
         pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
         pts = pts[[dom.contains(p) for p in pts]]
         if dom.kind == "ball":
@@ -352,7 +348,7 @@ class TestLipschitz:
         # rosenbrock attains the bound at the corners, where float(2.048) lies
         # outside K; the largest one is checked exactly, moved into K's box
         assert norms.max() <= m * (1 + 1e-12)
-        box = certificate_module._bounding_box(tc.domain)
+        box = rate._bounding_box(tc.domain)
         top = [min(max(Fraction(x), lo), hi) for x, (lo, hi) in zip(pts[norms.argmax()], box)]
         assert sum(p.evaluate_exact(top) ** 2 for p in partials) <= Fraction(m) ** 2
 
@@ -386,6 +382,30 @@ class TestCertificate:
     def test_zeta_positive_and_scaling(self):
         gp = geom_params(Domain.cube(1))
         assert zeta_constant(gp, 1) > 0
+
+    @pytest.mark.parametrize("make, first", [
+        (lambda n: Domain.cube(n, -1, 1), 113),
+        (Domain.cube, 126),
+        (Domain.simplex, 102),
+        (Domain.ball, 233),
+    ], ids=["box[-1,1]", "box[0,1]", "simplex", "ball"])
+    def test_zeta_that_does_not_fit_a_float_is_refused(self, make, first):
+        # from `first` on, zeta(K) does not fit a float (p(n) or D^((n+1)/2)
+        # overflows, or eta underflows to 0): one OverflowError, never inf
+        # or a ZeroDivisionError
+        refused = []
+        for n in range(1, 401):
+            try:
+                gp = geom_params(make(n))
+            except OverflowError:  # math.gamma in gamma_n, from n = 342
+                assert n >= 342
+                continue
+            try:
+                assert math.isfinite(zeta_constant(gp, n))
+            except OverflowError as exc:
+                assert str(exc) == f"zeta(K) does not fit a float at n = {n}"
+                refused.append(n)
+        assert refused == list(range(first, 342))
 
     # sha256 of json.dumps(report.to_json(), sort_keys=True) at the first
     # catalog minimizer.  f_rKa, c_rKa, zeta and holds have the bits of the

@@ -124,6 +124,28 @@ class TestOverflow:
             assert err.startswith("error: ") and "Traceback" not in err
 
 
+    def test_json_is_strict(self, capsys):
+        # RFC 8259 has no Infinity: a cond_B past the largest float is null
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        code, out, _ = run(capsys, "bound", "--poly", "x1", "--domain", WIDEST, "--r", "39..40", "--json")
+        assert code == 3
+        assert [row["cond_B"] for row in json.loads(out, parse_constant=refuse)] == [None, None]
+        code, out, _ = run(capsys, "bound", "--poly", "x1", "--domain", WIDEST, "--r", "39..40")
+        assert [line.split(",")[2] for line in out.strip().splitlines()[1:]] == ["inf", "inf"]
+
+    def test_zeta_past_the_largest_float(self, capsys):
+        # on [-1, 1]^113 zeta(K) is past the largest float: refused, not printed as Infinity
+        box = json.dumps({"kind": "box", "bounds": [["-1", "1"]] * 113})
+        code, out, err = run(
+            capsys, "certificate", "--poly", "x1", "--domain", box, "--a", ",".join(["0"] * 113),
+            "--f-min", "-1", "--r", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: zeta(K) does not fit a float at n = 113\n"
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -141,12 +163,13 @@ class TestConfigErrors:
             ("sample", "--fn", "booth", "--r", "2", "--count", "0"),
             ("certificate", "--fn", "booth", "--r", "2", "--a", "20,20"),
             ("certificate", "--poly", "x1", "--domain", '{"kind":"box","bounds":[["0","1"]]}', "--r", "2"),
+            ("bound", "--poly", "(" * 400 + "x1" + ")" * 400, "--domain", UNIT, "--r", "1"),  # nested too deeply
         ],
     )
     def test_exit_code_2(self, capsys, argv):
-        code, _, err = run(capsys, *argv)
-        assert code == 2
-        assert "error:" in err
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "domain",

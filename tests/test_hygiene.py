@@ -3,8 +3,9 @@ no module imports a name it never uses, every name in an ``__all__`` is
 defined in its module, every package name the benchmark harness in
 ``perfbench/`` reaches still exists, every name the package exports has
 a reader, and every parameter with a default is passed by some call; and,
-at run time, that a bound sweep assembles its pencil once and that the
-package loads every module it uses at import.
+at run time, that no package attribute hides a module, that a bound sweep
+assembles its pencil once and that the package loads every module it uses
+at import.
 """
 
 import ast
@@ -30,9 +31,24 @@ def _parse(path: Path) -> ast.Module:
 
 
 def _all_names(tree: ast.Module) -> list[str]:
+    """The names listed in a module's ``__all__``; an entry ``*m.__all__``
+    expands to the literal ``__all__`` of the package module ``m``."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return list(ast.literal_eval(node.value))
+            names = []
+            for elt in node.value.elts:
+                if isinstance(elt, ast.Starred) and isinstance(elt.value, ast.Attribute) and elt.value.attr == "__all__":
+                    names += _all_names(_parse(SRC / f"{elt.value.value.id}.py"))
+                else:
+                    names.append(ast.literal_eval(elt))
+            return names
+    return []
+
+
+def _star_imported(node) -> list[str]:
+    """Names ``from .m import *`` binds: the ``__all__`` of the package module ``m``."""
+    if isinstance(node, ast.ImportFrom) and node.level == 1 and [a.name for a in node.names] == ["*"]:
+        return _all_names(_parse(SRC / f"{node.module}.py"))
     return []
 
 
@@ -60,7 +76,7 @@ def undefined_exports(path: Path) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined |= {t.id for t in targets if isinstance(t, ast.Name)}
-        defined |= set(_imported(node))
+        defined |= set(_imported(node)) | set(_star_imported(node))
     return [name for name in _all_names(tree) if name not in defined]
 
 
@@ -76,6 +92,18 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_all_names_defined(path):
     assert undefined_exports(path) == []
+
+
+def test_no_attribute_hides_a_module():
+    # once sosdensity.<stem> is imported, the package attribute <stem> is that
+    # module: no exported name takes a module's name
+    modules = {path.stem: importlib.import_module(f"sosdensity.{path.stem}") for path in MODULES if path.stem != "__init__"}
+    assert [stem for stem, module in modules.items() if getattr(sosdensity, stem) is not module] == []
+
+
+def test_no_name_exported_twice():
+    # two modules' __all__ never declare the same name
+    assert len(set(sosdensity.__all__)) == len(sosdensity.__all__)
 
 
 def perfbench_names() -> tuple[set[str], set[str]]:

@@ -391,6 +391,13 @@ class TestParser:
             parse_polynomial("x1 + x9", 2)
         assert "position" in str(exc.value)
 
+    def test_deep_nesting_is_a_parse_error(self):
+        # the recursive descent gives up at ~250 levels: a ParseError, not a RecursionError
+        assert parse_polynomial("(" * 100 + "x1" + ")" * 100, 1) == Polynomial.variable(1, 0)
+        for depth in (400, 5000):
+            with pytest.raises(ParseError, match="nested too deeply"):
+                parse_polynomial("(" * depth + "x1" + ")" * depth, 1)
+
 
 class TestSerialization:
     def test_str_grlex_order(self):
