@@ -154,8 +154,7 @@ def assemble_AB(f: Polynomial, dom: Domain, r: int):
     and +-inf if it passes the largest float; on the ball the pi power is
     the table's float scale.
     """
-    if f.n_vars != dom.n:
-        raise ValueError(f"polynomial has {f.n_vars} variables, domain has {dom.n}")
+    dom.check_vars(f)
     if r < 0:
         raise ValueError("order r must be >= 0")
     _check_pencil_size(dom.n, r)
@@ -256,6 +255,7 @@ def _sweep_pencil(f: Polynomial, dom: Domain, r_max: int):
     """(f, dom, A, B, basis, shift): the pencil of order r_max on the centred
     domain, named by the f and dom it was asked for, whose leading blocks
     compute_bound(f, dom, r, pencil=...) solves for r <= r_max."""
+    dom.check_vars(f)  # before the centring, which would refuse a mismatch in its own words
     c = _centre(dom)
     g, K = f, dom
     if c is not None:

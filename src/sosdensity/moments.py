@@ -128,6 +128,12 @@ class Domain:
             return all(xi >= -slack for xi in x) and sum(x) <= 1 + slack
         return sum(xi * xi for xi in x) <= 1 + slack
 
+    def check_vars(self, *polys: Polynomial) -> None:
+        """Refuse a polynomial in another number of variables than K's dimension."""
+        for p in polys:
+            if p.n_vars != self.n:
+                raise ValueError(f"polynomial has {p.n_vars} variables, domain has {self.n}")
+
     def volume(self) -> float:
         return float(moment_rational(self, (0,) * self.n)) * _pi_scale(self)
 
@@ -141,12 +147,9 @@ def domain_from_json(obj) -> Domain:
     """Read the {"kind": ...} wire form (dict or JSON string)."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    kind = obj["kind"]
-    if kind == "box":
+    if obj["kind"] == "box":
         return Domain.box([(Fraction(str(lo)), Fraction(str(hi))) for lo, hi in obj["bounds"]])
-    if kind not in ("simplex", "ball"):
-        raise ValueError(f"unknown domain kind {kind!r}")
-    return Domain(kind, obj["n"])
+    return Domain(obj["kind"], obj.get("n"))
 
 
 # ---- moment oracles ---------------------------------------------------
@@ -310,9 +313,7 @@ def integrate_poly_exact(dom: Domain, *factors: Polynomial) -> Fraction:
     """
     if not factors:
         raise TypeError("integrate_poly_exact needs at least one polynomial")
-    for p in factors:
-        if p.n_vars != dom.n:
-            raise ValueError(f"polynomial has {p.n_vars} variables, domain has {dom.n}")
+    dom.check_vars(*factors)
     *head, last = factors
     L, coefs = _over_lcm(last.terms.values())
     prod = {(0,) * dom.n: 1}

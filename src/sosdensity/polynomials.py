@@ -382,110 +382,85 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    """Recursive-descent parser for the ASCII polynomial grammar:
+def parse_polynomial(text: str, n_vars: int) -> Polynomial:
+    """Parse an ASCII polynomial expression by recursive descent; decimal
+    literals become exact rationals, and a divisor must be a nonzero constant.
 
-    expr   := ['-'] term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
-    factor := base ('^' uint)?
-    base   := number | 'x'uint | '(' expr ')'
-
-    Division is only defined when the divisor is a nonzero constant.
+        expr   := ['-'] term (('+'|'-') term)*
+        term   := factor (('*'|'/') factor)*
+        factor := base ('^' uint)?
+        base   := number | 'x'uint | '(' expr ')'
     """
+    tokens = _tokenize(text) + [(None, None, len(text))]  # the last marks the end of text
+    i = 0  # the cursor: tokens[i] is the next token; it stops at the end mark
 
-    def __init__(self, text: str, n_vars: int):
-        self.tokens = _tokenize(text)
-        self.n_vars = n_vars
-        self.i = 0
-        self.text_len = len(text)
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.text_len)
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
+    def take(ops: str | None = None):
+        """The next token, taken; with ops, only an operator in ops, else None."""
+        nonlocal i
+        tok = tokens[i]
+        if ops is not None and not (tok[0] == "op" and tok[1] in ops):
+            return None
+        i = min(i + 1, len(tokens) - 1)
         return tok
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-
-    def parse(self) -> Polynomial:
-        p = self.expr()
-        kind, val, pos = self.peek()
-        if kind is not None:
-            raise ParseError(f"unexpected token {val!r}", pos)
-        return p
-
-    def expr(self) -> Polynomial:
-        kind, val, _ = self.peek()
-        negate = False
-        if kind == "op" and val == "-":
-            self.next()
-            negate = True
-        p = self.term()
+    def expr() -> Polynomial:
+        negate = take("-")
+        p = term()
         if negate:
             p = -p
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                q = self.term()
-                p = p + q if val == "+" else p - q
-            else:
+            op = take("+-")
+            if op is None:
                 return p
+            q = term()
+            p = p + q if op[1] == "+" else p - q
 
-    def term(self) -> Polynomial:
-        p = self.factor()
+    def term() -> Polynomial:
+        p = factor()
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                _, _, pos = self.peek()
-                q = self.factor()
-                if val == "*":
-                    p = p * q
-                else:
-                    c = q.constant_term()
-                    if q.degree > 0 or c == 0:
-                        raise ParseError("divisor must be a nonzero constant", pos)
-                    p = p * (1 / c)
-            else:
+            op = take("*/")
+            if op is None:
                 return p
+            pos = tokens[i][2]
+            q = factor()
+            if op[1] == "*":
+                p = p * q
+            else:
+                c = q.constant_term()
+                if q.degree > 0 or c == 0:
+                    raise ParseError("divisor must be a nonzero constant", pos)
+                p = p * (1 / c)
 
-    def factor(self) -> Polynomial:
-        p = self.base()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            kind, val, pos = self.next()
+    def factor() -> Polynomial:
+        p = base()
+        if take("^"):
+            kind, val, pos = take()
             if kind != "number" or "." in val:
                 raise ParseError("exponent must be a nonnegative integer literal", pos)
             p = p ** int(val)
         return p
 
-    def base(self) -> Polynomial:
-        kind, val, pos = self.next()
+    def base() -> Polynomial:
+        kind, val, pos = take()
         if kind == "number":
-            return Polynomial.constant(self.n_vars, Fraction(val))
+            return Polynomial.constant(n_vars, Fraction(val))
         if kind == "var":
             idx = int(val[1:])
-            if not 1 <= idx <= self.n_vars:
-                raise ParseError(f"variable index {idx} out of range (n_vars={self.n_vars})", pos)
-            return Polynomial.variable(self.n_vars, idx - 1)
+            if not 1 <= idx <= n_vars:
+                raise ParseError(f"variable index {idx} out of range (n_vars={n_vars})", pos)
+            return Polynomial.variable(n_vars, idx - 1)
         if kind == "op" and val == "(":
-            p = self.expr()
-            self.expect_op(")")
+            p = expr()
+            if take(")") is None:
+                raise ParseError("expected ')'", tokens[i][2])
             return p
         raise ParseError(f"unexpected token {val!r}", pos)
 
-
-def parse_polynomial(text: str, n_vars: int) -> Polynomial:
-    """Parse an ASCII polynomial expression; decimal literals become exact rationals."""
-    parser = _Parser(text, n_vars)
     try:
-        return parser.parse()
+        p = expr()
     except RecursionError:
-        raise ParseError("parentheses nested too deeply", parser.peek()[2]) from None
+        raise ParseError("parentheses nested too deeply", tokens[i][2]) from None
+    kind, val, pos = tokens[i]
+    if kind is not None:
+        raise ParseError(f"unexpected token {val!r}", pos)
+    return p

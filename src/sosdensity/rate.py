@@ -96,6 +96,10 @@ def geom_params(dom: Domain) -> GeomParams:
     satisfies it directly with theta = pi/3.
     """
     n = dom.n
+    try:
+        gamma_n = math.pi ** (n / 2) / math.gamma(1 + n / 2)
+    except OverflowError:  # Gamma(1 + n/2) passes the largest float from n = 342
+        gamma_n = math.exp(n / 2 * math.log(math.pi) - math.lgamma(1 + n / 2))
     if dom.kind == "ball":
         D, rho, theta = 4.0, 1.0, math.pi / 3.0
     else:
@@ -110,7 +114,7 @@ def geom_params(dom: Domain) -> GeomParams:
         eta=_cone_eta(n, theta),
         eps_K=rho,
         r_K=_threshold_order(D, rho, n),
-        gamma_n=math.pi ** (n / 2) / math.gamma(1 + n / 2),
+        gamma_n=gamma_n,
     )
 
 
@@ -311,6 +315,7 @@ def lipschitz_bound(f: Polynomial, dom: Domain) -> float:
     of d_i g.  The sum of squares is exact, and its square root is rounded
     up to the smallest float whose square is not below it.
     """
+    dom.check_vars(f)
     box = _bounding_box(dom)
     R = [Fraction(hi - lo) / 2 for lo, hi in box]
     g = f.substitute_affine([1] * dom.n, [Fraction(lo + hi) / 2 for lo, hi in box])
@@ -392,8 +397,9 @@ def certificate(
         raise ValueError("order r must be >= 1")
     if not math.isfinite(f_min):
         raise ValueError(f"f_min must be finite, not {f_min}")
-    if f.n_vars != dom.n:
-        raise ValueError(f"polynomial has {f.n_vars} variables, domain has {dom.n}")
+    dom.check_vars(f)
+    if len(a) != dom.n:
+        raise ValueError(f"center has length {len(a)}, expected {dom.n}")
     if not dom.contains(a, slack=1e-9):
         raise ValueError(f"center {list(a)} lies outside the domain")
     n = dom.n

@@ -151,8 +151,7 @@ def build_chain(hstar: Polynomial, dom: Domain) -> ConditionalChain:
     """Exact nested marginals of hstar; hstar must integrate to 1 within 1e-6."""
     if dom.kind not in ("box", "simplex"):
         raise ValueError(f"sampling is supported on boxes and the simplex, not {dom.kind!r}")
-    if hstar.n_vars != dom.n:
-        raise ValueError(f"density has {hstar.n_vars} variables, domain has {dom.n}")
+    dom.check_vars(hstar)
     mass = integrate_poly_exact(dom, hstar)
     if abs(float(mass) - 1.0) > 1e-6:
         raise ValueError(f"density integrates to {float(mass)}, not 1")

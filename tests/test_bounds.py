@@ -1,9 +1,13 @@
 import hashlib
 import importlib.util
 import itertools
+import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -266,6 +270,23 @@ GOLDEN_SWEEPS = [(name, golden.TABLE_BOX_ASSERT_MAX_R) for name in golden.TABLE_
 ]
 
 
+# Run in a fresh interpreter, after the import given as argv[1] (or none):
+# whether bounds took dsygvd from an imported scipy.linalg, whether
+# scipy.linalg is loaded, and the motzkin r = 12 value and eigenvector bits.
+_MOTZKIN_R12 = """
+import importlib, json, sys
+if sys.argv[1:]:
+    importlib.import_module(sys.argv[1])
+import sosdensity
+from sosdensity import bounds
+tc = sosdensity.get("motzkin")
+b = bounds.compute_bound(tc.f, tc.domain, 12)
+flapack = sys.modules.get("scipy.linalg._flapack")
+print(json.dumps([flapack is not None and bounds._dsygvd is flapack.dsygvd, "scipy.linalg" in sys.modules,
+                  b.value.hex(), b.eigvec.tobytes().hex()]))
+"""
+
+
 class TestLapackCall:
     """The eigensolve calls LAPACK dsygvd directly; it must give what
     scipy.linalg.eigh(As, Bs) gave, bit for bit, and refuse what it refused."""
@@ -332,6 +353,24 @@ class TestLapackCall:
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
         with pytest.raises(ImportError, match="_flapack was not found"):
             bounds._load_flapack()
+
+    def test_reuses_an_imported_scipy_linalg(self):
+        # with scipy.linalg imported first, bounds takes its _flapack rather
+        # than loading the file again, and solves with the same bits
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def fresh(*first):
+            out = subprocess.run([sys.executable, "-c", _MOTZKIN_R12, *first], env=env, capture_output=True,
+                                 text=True, check=True).stdout
+            return json.loads(out.splitlines()[-1])
+
+        reused, loaded, *bits = fresh("scipy.linalg")
+        assert reused and loaded
+        reused, loaded, *alone = fresh()
+        assert not reused and not loaded
+        assert bits == alone
+        assert float.fromhex(bits[0]) == 0.40607565619235314
 
     def test_indefinite_B_is_a_lapack_error(self):
         from scipy.linalg import eigh

@@ -261,6 +261,17 @@ class TestGeomParams:
         assert gp.r_K == pytest.approx(8 * math.e)
         assert gp.gamma_n == pytest.approx(math.pi)
 
+    def test_unit_ball_volume_past_gamma_overflow(self):
+        # math.gamma(1 + n/2) overflows from n = 342; below, gamma_n keeps the
+        # bits of pi^(n/2) / Gamma(1 + n/2), and from there it follows the
+        # recurrence V_n = V_(n-2) * 2 pi / n
+        volumes = {n: geom_params(Domain.ball(n)).gamma_n for n in range(1, 401)}
+        for n in range(1, 342):
+            assert volumes[n] == math.pi ** (n / 2) / math.gamma(1 + n / 2)
+        for n in range(342, 401):
+            assert 0 < volumes[n] == pytest.approx(volumes[n - 2] * 2 * math.pi / n, rel=1e-12)
+        assert volumes[342] == pytest.approx(8.2956e-225, rel=1e-4)
+
     def test_simplex(self):
         gp = geom_params(Domain.simplex(2))
         m = 2 + math.sqrt(2)
@@ -395,17 +406,13 @@ class TestCertificate:
         # or a ZeroDivisionError
         refused = []
         for n in range(1, 401):
-            try:
-                gp = geom_params(make(n))
-            except OverflowError:  # math.gamma in gamma_n, from n = 342
-                assert n >= 342
-                continue
+            gp = geom_params(make(n))
             try:
                 assert math.isfinite(zeta_constant(gp, n))
             except OverflowError as exc:
                 assert str(exc) == f"zeta(K) does not fit a float at n = {n}"
                 refused.append(n)
-        assert refused == list(range(first, 342))
+        assert refused == list(range(first, 401))
 
     # sha256 of json.dumps(report.to_json(), sort_keys=True) at the first
     # catalog minimizer.  f_rKa, c_rKa, zeta and holds have the bits of the
@@ -430,6 +437,13 @@ class TestCertificate:
         tc = benchmarks.get("motzkin")
         with pytest.raises(ValueError, match="f_min"):
             certificate(tc.f, tc.domain, (0.0, 0.0), 30, f_min)
+
+    def test_center_of_the_wrong_length(self):
+        # a centre of another length is named as such, not as lying outside K
+        f = parse_polynomial("x1", 1)
+        with pytest.raises(ValueError) as exc:
+            certificate(f, Domain.cube(1), [0.5, 0.5], 1, 0.0)
+        assert str(exc.value) == "center has length 2, expected 1"
 
     def test_validation(self):
         f = parse_polynomial("x1", 1)

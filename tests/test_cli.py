@@ -145,6 +145,19 @@ class TestOverflow:
         assert (code, out) == (2, "")
         assert err == "error: zeta(K) does not fit a float at n = 113\n"
 
+    @pytest.mark.parametrize("kind", ["ball", "box"])
+    def test_zeta_where_gamma_overflows(self, capsys, kind):
+        # from n = 342 Gamma(1 + n/2) passes the largest float; zeta(K) is
+        # still the quantity that is refused, by name
+        n = 342
+        dom = {"kind": "ball", "n": n} if kind == "ball" else {"kind": "box", "bounds": [["-1", "1"]] * n}
+        code, out, err = run(
+            capsys, "certificate", "--poly", "x1", "--domain", json.dumps(dom), "--a", ",".join(["0"] * n),
+            "--f-min", "-1", "--r", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: zeta(K) does not fit a float at n = {n}\n"
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize(
@@ -170,6 +183,18 @@ class TestConfigErrors:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("bound", "--r", "1"), "pass --fn NAME or --poly EXPR --domain JSON"),
+        (("certificate", "--fn", "booth", "--r", "2", "--a", "x,y"), "bad --a: could not convert string to float: 'x'"),
+        (("certificate", "--poly", "x1", "--domain", UNIT, "--r", "1", "--a", "0.5"), "pass --f-min for inline polynomials"),
+        (("certificate", "--poly", "x1", "--domain", UNIT, "--r", "1", "--a", "0.5,0.5", "--f-min", "0"),
+         "center has length 2, expected 1"),
+    ], ids=["no-instance", "bad-a", "no-f-min", "a-length"])
+    def test_names_the_input(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "domain",
@@ -262,6 +287,39 @@ class TestRefusedUpFront:
         assert code == 2
         assert err.startswith("error:") and "cannot write --out" in err
         assert not path.parent.exists()
+
+
+class TestOutFile:
+    """--out writes to the file what stdout shows without it."""
+
+    def test_bound(self, capsys, tmp_path):
+        path = tmp_path / "bound.csv"
+        code, shown, _ = run(capsys, "bound", "--fn", "motzkin", "--r", "1..4")
+        assert run(capsys, "bound", "--fn", "motzkin", "--r", "1..4", "--out", str(path)) == (code, "", "")
+
+        def untimed(text):  # time_sec is the fourth column
+            return [line.split(",")[:3] + line.split(",")[4:] for line in text.splitlines()]
+
+        assert code == 0 and len(shown.splitlines()) == 5
+        assert untimed(path.read_text()) == untimed(shown)
+
+    def test_certificate(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        code, shown, _ = run(capsys, "certificate", "--fn", "booth", "--r", "2")
+        assert run(capsys, "certificate", "--fn", "booth", "--r", "2", "--out", str(path)) == (code, "", "")
+        assert code == 0 and path.read_text() == shown
+
+    def test_bench_json(self, capsys, tmp_path, monkeypatch):
+        from sosdensity import golden
+
+        monkeypatch.setattr(golden, "TABLE_BOX", {"motzkin": {r: v for r, v in golden.TABLE_BOX["motzkin"].items() if r <= 4}})
+        monkeypatch.setattr(golden, "TABLE_SB", {})
+        monkeypatch.setattr(golden, "TABLE_N10", {})
+        path = tmp_path / "bench.json"
+        code, shown, _ = run(capsys, "bench", "--json")
+        assert run(capsys, "bench", "--json", "--out", str(path)) == (code, "", "")
+        assert code == 0 and len(json.loads(shown)) == 4
+        assert path.read_text() == shown
 
 
 class TestSample:

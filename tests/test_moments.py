@@ -69,6 +69,43 @@ class TestDomain:
         for dom in [Domain.box([(Fraction(-21, 10), 2)]), Domain.simplex(3), Domain.ball(4)]:
             assert domain_from_json(json.dumps(dom.to_json())) == dom
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"kind":"simplex"}', "non-integer dimension None"),
+        ('{"kind":"ball","n":0}', "dimension must be >= 1"),
+        ('{"kind":"cone","n":2}', "unknown domain kind 'cone'"),
+    ])
+    def test_json_leaves_checks_to_domain(self, text, message):
+        # the wire form leaves the kind and n checks to Domain itself
+        with pytest.raises(ValueError) as exc:
+            domain_from_json(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("dom", [Domain.cube(2), Domain.simplex(2), Domain.ball(2)], ids=["box", "simplex", "ball"])
+    def test_one_variables_rule_for_every_caller(self, dom):
+        # f in one variable on a two-dimensional K: every entry point refuses it
+        # in Domain.check_vars's words, before any centring or integration
+        from sosdensity.bounds import assemble_AB, bound_sweep, compute_bound
+        from sosdensity.rate import certificate, lipschitz_bound
+        from sosdensity.sampling import build_chain
+
+        f = parse_polynomial("x1", 1)
+        calls = [
+            lambda: compute_bound(f, dom, 1),
+            lambda: bound_sweep(f, dom, 2),
+            lambda: assemble_AB(f, dom, 1),
+            lambda: lipschitz_bound(f, dom),
+            lambda: certificate(f, dom, [0.25, 0.25], 1, 0.0),
+            lambda: integrate_poly_exact(dom, parse_polynomial("x1 + x2", 2), f),
+            lambda: dom.check_vars(parse_polynomial("x2", 2), f),
+        ]
+        if dom.kind != "ball":  # the sampler refuses the ball first
+            calls.append(lambda: build_chain(f, dom))
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == "polynomial has 1 variables, domain has 2"
+        dom.check_vars(parse_polynomial("x2", 2), parse_polynomial("x1", 2))
+
 
 class TestBoxMoments:
     def test_closed_form(self):
