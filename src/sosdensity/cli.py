@@ -63,6 +63,10 @@ def _load_instance(args) -> tuple[Polynomial, Domain, benchmarks.TestCase | None
     """Resolve --fn or --poly/--domain into (f, domain, catalog entry or None)."""
     if args.fn and args.poly:
         raise ConfigError("pass either --fn or --poly, not both")
+    if args.fn and args.domain:
+        raise ConfigError("--domain goes with --poly; a catalog function has its own domain")
+    if args.poly and args.n is not None:
+        raise ConfigError("--n goes with --fn; --poly takes its dimension from --domain")
     if args.fn:
         try:
             tc = benchmarks.get(args.fn, args.n)

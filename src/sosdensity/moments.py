@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomials import Polynomial, _mul_nums, _over_lcm
+from .polynomials import Polynomial, _over_lcm
 
 __all__ = [
     "Domain",
@@ -298,35 +298,20 @@ def moment_table(dom: Domain, max_degree: int) -> MomentTable:
     return MomentTable(dom, D, codes, degrees, nums, den, _pi_scale(dom))
 
 
-def integrate_poly_exact(dom: Domain, *factors: Polynomial) -> Fraction:
-    """Integral of the product of the factors (at least one), exactly: the
-    rational part (on the ball the integral is this times pi^(n//2)).
+def integrate_poly_exact(dom: Domain, p: Polynomial) -> Fraction:
+    """Integral of p over the domain, exactly: the rational part (on the
+    ball the integral is this times pi^(n//2)).
 
-    The factors before the last are multiplied as integer numerators; for
-    each term d of that product (numerator c_d) and each term e of the last
-    factor (numerator c), c_d * c * G[|d + e|] * prod_i W_i[d_i + e_i] goes
-    into one integer sum over (the product of the factors' lcms) * den, den
-    the common denominator of the factored moments up to the total degree.
-    No product Polynomial, no Fraction per term and no table is built: the
-    result is the Fraction of integrating the product, and a sparse
-    polynomial in many variables stays cheap.
+    With p's coefficients as integer numerators c over their lcm L, the sum
+    of c * G[|e|] * prod_i W_i[e_i] over the terms e (_moment_sum, the
+    factored moments over their common denominator den, up to p's degree)
+    is divided once by L * den.  No Fraction per term and no table is built,
+    so a sparse polynomial in many variables stays cheap.
     """
-    if not factors:
-        raise TypeError("integrate_poly_exact needs at least one polynomial")
-    dom.check_vars(*factors)
-    *head, last = factors
-    L, coefs = _over_lcm(last.terms.values())
-    prod = {(0,) * dom.n: 1}
-    for p in head:
-        Lp, nums = _over_lcm(p.terms.values())
-        L *= Lp
-        prod = _mul_nums(prod, dict(zip(p.terms, nums)))
-    den, G, W = _scaled_factors(dom, sum(p.degree for p in factors))
-    total = 0
-    for d, cd in prod.items():
-        # the moment of d + e read from tables shifted by d
-        total += cd * _moment_sum(last.terms, coefs, G[sum(d) :], [Wi[k:] for Wi, k in zip(W, d)])
-    return Fraction(total, L * den)
+    dom.check_vars(p)
+    L, coefs = _over_lcm(p.terms.values())
+    den, G, W = _scaled_factors(dom, p.degree)
+    return Fraction(_moment_sum(p.terms, coefs, G, W), L * den)
 
 
 def _moment_sum(exps, coefs, G: list[int], W: list[list[int]]) -> int:
@@ -342,6 +327,6 @@ def _moment_sum(exps, coefs, G: list[int], W: list[list[int]]) -> int:
     return total
 
 
-def integrate_poly(dom: Domain, *factors: Polynomial) -> float:
-    """Integral of the product of the factors over the domain, as a float."""
-    return float(integrate_poly_exact(dom, *factors)) * _pi_scale(dom)
+def integrate_poly(dom: Domain, p: Polynomial) -> float:
+    """Integral of p over the domain, as a float."""
+    return float(integrate_poly_exact(dom, p)) * _pi_scale(dom)

@@ -454,7 +454,7 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
             if take(")") is None:
                 raise ParseError("expected ')'", tokens[i][2])
             return p
-        raise ParseError(f"unexpected token {val!r}", pos)
+        raise ParseError("unexpected end of text" if kind is None else f"unexpected token {val!r}", pos)
 
     try:
         p = expr()

@@ -9,11 +9,10 @@ zeta(K) and checks the rate inequality
 
     f^{(r)}_{K,a} - f_min  <=  zeta(K) * M_f / sqrt(2r + 1)    for r >= r_K / 2.
 
-H and the integrals of H and f * H over K stay exact: sums of Python-int
-numerators over one common denominator.  H is phi_{2r} composed with
-||x-a||^2 / (2*sigma^2) by Polynomial.substitute_var, one Fraction per
-output term.  f * H is never formed: integrate_poly(dom, f, H) pairs the
-terms of f and H against the factored moments.
+The integrals of H and f * H over K are exact, and neither is formed: one
+ladder of integer powers of ||x-a||^2 meets the factored moments, as they
+are and shifted by each term of f (_ladder), the same terms whose partial
+sums bracket the Gaussian mass.  taylor_density gives H as a Polynomial.
 
 The Gaussian mass of K, whose inverse is the constant C_{K,a}, is an
 enclosure with no random quantity: an erf product on the box, and on the
@@ -31,7 +30,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .moments import Domain, _double_factorial, _moment_sum, _pi_scale, _scaled_factors, integrate_poly
+from .moments import Domain, _double_factorial, _moment_sum, _pi_scale, _scaled_factors
 from .polynomials import Polynomial, _mul_nums, _over_lcm
 
 __all__ = [
@@ -239,17 +238,15 @@ def _ladder_order(dom: Domain, a: Sequence[float], sigma: float) -> int | None:
     return None
 
 
-def _taylor_enclosure(dom: Domain, a: Sequence[float], sigma: float, K: int) -> tuple[float, float]:
-    """Enclosure of the mass from the partial sums of e^{-t} = sum (-t)^k / k!.
+def _ladder(dom: Domain, a: Sequence[float], sigma: float, K: int, f: Polynomial):
+    """For k = 0..K, the exact rational parts of the integrals over K of
+    (-t)^k / k! and of f * (-t)^k / k!, t = ||x - a||^2 / (2 sigma^2).
 
-    For t >= 0 the odd partial sums lie below e^{-t} and the even ones above,
-    so their integrals bracket the mass.  T_k = integral over K of t^k is
-    exact: q = ||x - a||^2 is scaled to integer coefficients by L^2 (L the
-    lcm of the denominators of a), one ladder q^k climbs by _mul_nums, and
-    each rung is integrated against the integer factored moments
-    (_moment_sum, as in integrate_poly_exact); (2 sigma^2)^-k is applied to
-    the integral only.  Stops at the first odd k where the bracket is within
-    2^-20, at k = K at the latest.
+    q = ||x - a||^2 is scaled to integer coefficients by L^2 (L the lcm of
+    the denominators of a), one ladder q^k climbs by _mul_nums, and each rung
+    is integrated against the integer factored moments (_moment_sum), and
+    against them shifted by the exponent of each term of f; (2 sigma^2)^-k
+    is applied to the integrals only.  No Polynomial and no product is formed.
     """
     n = dom.n
     L, p = _over_lcm(Fraction(x) for x in a)
@@ -257,16 +254,33 @@ def _taylor_enclosure(dom: Domain, a: Sequence[float], sigma: float, K: int) -> 
     for i, pi in enumerate(p):
         q[(0,) * i + (1,) + (0,) * (n - i - 1)] = -2 * L * pi
         q[(0,) * i + (2,) + (0,) * (n - i - 1)] = L * L
-    den, G, W = _scaled_factors(dom, 2 * K)
+    Lf, coefs = _over_lcm(f.terms.values())
+    den, G, W = _scaled_factors(dom, 2 * K + f.degree)
+    # the moment of d + e read from tables shifted by each exponent d of f
+    shifted = [(c, G[sum(d) :], [Wi[k:] for Wi, k in zip(W, d)]) for d, c in zip(f.terms, coefs)]
     scale = Fraction(float(sigma)) ** 2 * 2 * L * L  # t^k = q_L^k / scale^k
     rung = {(0,) * n: 1}
-    total = Fraction(0)
-    lo, hi = -math.inf, math.inf
     for k in range(K + 1):
         if k:
             rung = _mul_nums(rung, q)
-        moment = _moment_sum(rung, rung.values(), G, W)
-        total += Fraction((-1) ** k * moment) / (den * math.factorial(k) * scale**k)
+        over = (-1) ** k * den * math.factorial(k) * scale**k
+        f_moment = sum(c * _moment_sum(rung, rung.values(), Gd, Wd) for c, Gd, Wd in shifted)
+        yield _moment_sum(rung, rung.values(), G, W) / over, f_moment / (Lf * over)
+
+
+def _taylor_enclosure(dom: Domain, a: Sequence[float], sigma: float, K: int) -> tuple[float, float]:
+    """Enclosure of the mass from the partial sums of e^{-t} = sum (-t)^k / k!.
+
+    For t >= 0 the odd partial sums lie below e^{-t} and the even ones above,
+    so their integrals bracket the mass; _ladder gives each term exactly.
+    Stops at the first odd k where the bracket is within 2^-20, at k = K at
+    the latest.
+    """
+    n = dom.n
+    total = Fraction(0)
+    lo, hi = -math.inf, math.inf
+    for k, (term, _) in enumerate(_ladder(dom, a, sigma, K, Polynomial.zero(n))):
+        total += term
         if k % 2:
             lo = max(lo, total)
             if (hi - lo) * 2**20 <= lo:
@@ -412,12 +426,13 @@ def certificate(
     eps = min(eps_raw, gp.eps_K)
     sigma = eps
 
-    H = taylor_density(a, sigma, r, n)
-    inv_cr = integrate_poly(dom, H)
+    # the integrals of H and f * H: the ladder's sums to 2r times H's exact prefactor
+    prefactor = Fraction((2.0 * math.pi * float(Fraction(float(sigma)) ** 2)) ** (-n / 2.0))
+    inv_cr, int_fH = (float(prefactor * sum(s)) * _pi_scale(dom) for s in zip(*_ladder(dom, a, sigma, 2 * r, f)))
     if inv_cr <= 0:
         raise ValueError("truncated Gaussian has nonpositive mass on the domain")
     c_rKa = 1.0 / inv_cr
-    f_rKa = c_rKa * integrate_poly(dom, f, H)
+    f_rKa = c_rKa * int_fH
 
     mass = gaussian_mass(dom, a, sigma)
     C_Ka = 1.0 / mass[0] if mass[0] > 0 else None

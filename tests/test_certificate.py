@@ -12,7 +12,7 @@ from scipy.special import gammainc
 
 from sosdensity import benchmarks, rate
 from sosdensity.bounds import compute_bound
-from sosdensity.moments import Domain
+from sosdensity.moments import Domain, integrate_poly, integrate_poly_exact
 from sosdensity.polynomials import Polynomial, parse_polynomial
 from sosdensity.rate import (
     certificate,
@@ -145,6 +145,59 @@ class TestTaylorDensity:
             taylor_density([0.0, 0.5], bad, 2, 2)
         with pytest.raises(ValueError, match=rf"center \[0.0, {bad}\]"):
             taylor_density([0.0, bad], 0.5, 2, 2)
+
+
+class TestGaussianLadder:
+    """rate._ladder integrates (-t)^k / k! and f * (-t)^k / k! without forming them."""
+
+    DOMAINS = {
+        "box": lambda n: Domain.box([(Fraction(-3, 4), Fraction(5, 3)), (Fraction(-2), Fraction(1, 7)), (0, 1)][:n]),
+        "simplex": Domain.simplex,
+        "ball": Domain.ball,
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(DOMAINS))
+    def test_equals_taylor_density_reference(self, kind, n):
+        # the sums to 2r times H's prefactor are the integrals of H and f * H,
+        # as Fractions, from centres such as 0.1 whose binary expansions are
+        # long; f = 0, the mass bracket's f, gives 0
+        dom = self.DOMAINS[kind](n)
+        rng = random.Random(7 * n + len(kind))
+        f = Polynomial(n, {
+            tuple(rng.randint(0, 3) for _ in range(n)): Fraction(rng.randint(-9, 9), rng.choice([1, 3, 7]))
+            for _ in range(4)
+        }) + Fraction(0.3)
+        a = [0.1, 1 / 3, 0.2][:n]
+        for r in range(4):
+            sigma = rng.uniform(0.2, 1.5)
+            prefactor = Fraction((2.0 * math.pi * float(Fraction(sigma) ** 2)) ** (-n / 2.0))
+            H = taylor_density(a, sigma, r, n)
+            for g in (f, Polynomial.zero(n)):
+                mass, gH = (prefactor * sum(s) for s in zip(*rate._ladder(dom, a, sigma, 2 * r, g)))
+                assert mass == integrate_poly_exact(dom, H)
+                assert gH == integrate_poly_exact(dom, g * H)
+
+    @pytest.mark.parametrize("kind", sorted(DOMAINS))
+    def test_each_rung(self, kind):
+        # term k against the integral of (-t)^k / k!, t built as a Polynomial
+        n, sigma, a = 2, 0.7, [0.1, -0.3]
+        dom = self.DOMAINS[kind](n)
+        f = parse_polynomial("x1^2*x2 - 0.5*x2 + 3", n)
+        t = sum(((Polynomial.variable(n, i) - a[i]) ** 2 for i in range(n)), Polynomial.zero(n))
+        t = t * (1 / (2 * Fraction(sigma) ** 2))
+        for k, (h, fh) in enumerate(rate._ladder(dom, a, sigma, 5, f)):
+            term = (-t) ** k * Fraction(1, math.factorial(k))
+            assert (h, fh) == (integrate_poly_exact(dom, term), integrate_poly_exact(dom, f * term))
+
+    @pytest.mark.parametrize("name", ["motzkin", "three-hump-camel-modified-s", "three-hump-camel-modified-b"])
+    def test_certificate_has_the_bits_of_integrating_H(self, name):
+        tc = benchmarks.get(name)
+        for r in (1, 3):
+            rep = certificate(tc.f, tc.domain, tc.minimizers[0], r, tc.f_min)
+            H = taylor_density(tc.minimizers[0], rep.sigma, r, 2)
+            c_rKa = 1.0 / integrate_poly(tc.domain, H)
+            assert (rep.c_rKa, rep.f_rKa) == (c_rKa, c_rKa * integrate_poly(tc.domain, tc.f * H))
 
 
 def _check_enclosure(lo, hi, reference):

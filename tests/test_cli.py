@@ -177,6 +177,8 @@ class TestConfigErrors:
             ("certificate", "--fn", "booth", "--r", "2", "--a", "20,20"),
             ("certificate", "--poly", "x1", "--domain", '{"kind":"box","bounds":[["0","1"]]}', "--r", "2"),
             ("bound", "--poly", "(" * 400 + "x1" + ")" * 400, "--domain", UNIT, "--r", "1"),  # nested too deeply
+            ("bound", "--fn", "motzkin", "--domain", '{"kind":"ball","n":2}', "--r", "1"),
+            ("bound", "--poly", "x1", "--domain", UNIT, "--n", "3", "--r", "1"),
         ],
     )
     def test_exit_code_2(self, capsys, argv):
@@ -190,7 +192,11 @@ class TestConfigErrors:
         (("certificate", "--poly", "x1", "--domain", UNIT, "--r", "1", "--a", "0.5"), "pass --f-min for inline polynomials"),
         (("certificate", "--poly", "x1", "--domain", UNIT, "--r", "1", "--a", "0.5,0.5", "--f-min", "0"),
          "center has length 2, expected 1"),
-    ], ids=["no-instance", "bad-a", "no-f-min", "a-length"])
+        (("bound", "--fn", "motzkin", "--domain", '{"kind":"ball","n":2}', "--r", "1"),
+         "--domain goes with --poly; a catalog function has its own domain"),
+        (("certificate", "--poly", "x1", "--domain", UNIT, "--n", "1", "--r", "1", "--a", "0.5", "--f-min", "0"),
+         "--n goes with --fn; --poly takes its dimension from --domain"),
+    ], ids=["no-instance", "bad-a", "no-f-min", "a-length", "fn-with-domain", "poly-with-n"])
     def test_names_the_input(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")

@@ -240,6 +240,20 @@ def test_one_horner_kernel():
     assert "polyval" not in (SRC / "sampling.py").read_text()
 
 
+def test_one_gaussian_ladder():
+    # rate climbs one ladder of powers of ||x - a||^2 (_ladder): the mass
+    # bracket and the certificate read its rungs, and the certificate forms no H
+    tree = _parse(SRC / "rate.py")
+
+    def names(node):
+        return [getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)]
+
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and names(n.func)[0] == "_mul_nums"]
+    assert len(calls) == 1
+    cert = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "certificate")
+    assert {"taylor_density", "integrate_poly", "integrate_poly_exact"}.isdisjoint(names(cert))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_streams_without_numpy_random(path):
     # the sampler computes numpy's streams itself (_pcg64), and no other

@@ -95,7 +95,7 @@ class TestDomain:
             lambda: assemble_AB(f, dom, 1),
             lambda: lipschitz_bound(f, dom),
             lambda: certificate(f, dom, [0.25, 0.25], 1, 0.0),
-            lambda: integrate_poly_exact(dom, parse_polynomial("x1 + x2", 2), f),
+            lambda: integrate_poly_exact(dom, f),
             lambda: dom.check_vars(parse_polynomial("x2", 2), f),
         ]
         if dom.kind != "ball":  # the sampler refuses the ball first
@@ -285,82 +285,6 @@ class TestIntegratePoly:
         assert p.degree == 28
         want = sum(c * moment_rational(dom, e) for e, c in p.terms.items())
         assert integrate_poly_exact(dom, p) == want
-
-
-def _random_poly(rng: random.Random, n: int, terms: int, max_exp: int) -> Polynomial:
-    return Polynomial(n, {
-        tuple(rng.randint(0, max_exp) for _ in range(n)): rng.choice(
-            [Fraction(rng.randint(-99, 99), rng.choice([1, 3, 7, 2**40])), Fraction(rng.uniform(-2, 2))]
-        )
-        for _ in range(terms)
-    })
-
-
-class TestIntegrateProduct:
-    """integrate_poly_exact(dom, p, q) integrates p * q without forming it."""
-
-    DOMAINS = {
-        "box": Domain.box([(Fraction(-3, 4), Fraction(5, 3)), (Fraction(-2), Fraction(1, 7))]),
-        "simplex": Domain.simplex(2),
-        "ball": Domain.ball(3),
-    }
-
-    @pytest.mark.parametrize("kind", sorted(DOMAINS))
-    def test_equals_integral_of_the_product(self, kind):
-        dom = self.DOMAINS[kind]
-        rng = random.Random(len(kind))
-        for _ in range(5):
-            p = _random_poly(rng, dom.n, 6, 4)
-            q = _random_poly(rng, dom.n, 12, 5)
-            assert integrate_poly_exact(dom, p, q) == integrate_poly_exact(dom, p * q)
-            assert integrate_poly(dom, p, q) == integrate_poly(dom, p * q)
-
-    @pytest.mark.parametrize("kind", sorted(DOMAINS))
-    def test_cancelling_and_zero_factors(self, kind):
-        dom = self.DOMAINS[kind]
-        n = dom.n
-        x1 = Polynomial.variable(n, 0)
-        # (x1 + 1)(x1 - 1) = x1^2 - 1: the x1 terms cancel in the product
-        assert integrate_poly_exact(dom, x1 + 1, x1 - 1) == integrate_poly_exact(dom, x1 * x1 - 1)
-        p = _random_poly(random.Random(3), n, 5, 3)
-        zero = Polynomial.zero(n)
-        assert integrate_poly_exact(dom, p, zero) == 0
-        assert integrate_poly_exact(dom, zero, p) == 0
-        assert integrate_poly_exact(dom, zero) == 0
-
-    @pytest.mark.parametrize("kind", sorted(DOMAINS))
-    def test_three_factors(self, kind):
-        dom = self.DOMAINS[kind]
-        rng = random.Random(7 + len(kind))
-        p, q, s = (_random_poly(rng, dom.n, 4, 3) for _ in range(3))
-        want = integrate_poly_exact(dom, p * q * s)
-        assert integrate_poly_exact(dom, p, q, s) == want
-        assert integrate_poly_exact(dom, s, p, q) == want
-
-    @pytest.mark.parametrize("position", [0, 1, 2])
-    def test_wrong_dimension_in_any_position(self, position):
-        factors = [parse_polynomial("x1 + x2", 2)] * 3
-        factors[position] = parse_polynomial("x1", 3)
-        with pytest.raises(ValueError):
-            integrate_poly_exact(Domain.cube(2), *factors)
-        with pytest.raises(ValueError):
-            integrate_poly(Domain.cube(2), *factors)
-
-    def test_needs_a_factor(self):
-        with pytest.raises(TypeError):
-            integrate_poly_exact(Domain.cube(2))
-
-    def test_two_factors_build_no_table(self, monkeypatch):
-        # degree 14 + 14 in 10 variables: a table would hold C(38, 10) > 4e8 entries
-        def no_table(*_):
-            raise AssertionError("integrate_poly_exact built a moment table")
-
-        monkeypatch.setattr(moments, "moment_table", no_table)
-        dom = Domain.box([(Fraction(-1, 2), Fraction(3, 2))] * 10)
-        p = Polynomial(10, {(14,) + (0,) * 9: Fraction(1, 3), (1,) * 10: 0.25, (0,) * 10: 5})
-        q = Polynomial(10, {(14,) + (0,) * 9: -2, (0,) * 9 + (7,): Fraction(2, 9), (0,) * 10: 1})
-        want = sum(c * moment_rational(dom, e) for e, c in (p * q).terms.items())
-        assert integrate_poly_exact(dom, p, q) == want
 
 
 class TestAlphaValidation:

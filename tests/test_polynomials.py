@@ -386,6 +386,13 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_polynomial(bad, 2)
 
+    @pytest.mark.parametrize("text, position", [("x1 +", 4), ("", 0), ("2*", 2), ("(x1 - ", 6)])
+    def test_text_that_ends_too_early(self, text, position):
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(text, 2)
+        assert str(exc.value) == f"unexpected end of text (at position {position})"
+        assert exc.value.position == position
+
     def test_error_position(self):
         with pytest.raises(ParseError) as exc:
             parse_polynomial("x1 + x9", 2)
