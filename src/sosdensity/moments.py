@@ -303,28 +303,21 @@ def integrate_poly_exact(dom: Domain, p: Polynomial) -> Fraction:
     ball the integral is this times pi^(n//2)).
 
     With p's coefficients as integer numerators c over their lcm L, the sum
-    of c * G[|e|] * prod_i W_i[e_i] over the terms e (_moment_sum, the
-    factored moments over their common denominator den, up to p's degree)
-    is divided once by L * den.  No Fraction per term and no table is built,
-    so a sparse polynomial in many variables stays cheap.
+    of c * G[|e|] * prod_i W_i[e_i] over the terms e (the factored moments
+    over their common denominator den, up to p's degree) is divided once by
+    L * den.  No Fraction per term and no table is built, so a sparse
+    polynomial in many variables stays cheap.
     """
     dom.check_vars(p)
     L, coefs = _over_lcm(p.terms.values())
     den, G, W = _scaled_factors(dom, p.degree)
-    return Fraction(_moment_sum(p.terms, coefs, G, W), L * den)
-
-
-def _moment_sum(exps, coefs, G: list[int], W: list[list[int]]) -> int:
-    """sum over the terms of c * G[|e|] * prod_i W_i[e_i]: den times the
-    integral of the polynomial with exponents exps and integer coefficients
-    coefs, for (den, G, W) from _scaled_factors."""
     total = 0
-    for exp, c in zip(exps, coefs):
+    for exp, c in zip(p.terms, coefs):
         c *= G[sum(exp)]
         for Wi, k in zip(W, exp):
             c *= Wi[k]
         total += c
-    return total
+    return Fraction(total, L * den)
 
 
 def integrate_poly(dom: Domain, p: Polynomial) -> float:

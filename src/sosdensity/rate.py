@@ -9,10 +9,12 @@ zeta(K) and checks the rate inequality
 
     f^{(r)}_{K,a} - f_min  <=  zeta(K) * M_f / sqrt(2r + 1)    for r >= r_K / 2.
 
-The integrals of H and f * H over K are exact, and neither is formed: one
-ladder of integer powers of ||x-a||^2 meets the factored moments, as they
-are and shifted by each term of f (_ladder), the same terms whose partial
-sums bracket the Gaussian mass.  taylor_density gives H as a Polynomial.
+The integrals of H and f * H over K are exact, and neither is formed: with
+the factored moments, the integral of each power of ||x-a||^2 is a binomial
+convolution of one short integer sequence per axis, the powers of
+(x_i - a_i)^2 against that axis's moments, shifted by each term of f
+(_ladder); the partial sums of the same terms bracket the Gaussian mass.
+taylor_density gives H as a Polynomial.
 
 The Gaussian mass of K, whose inverse is the constant C_{K,a}, is an
 enclosure with no random quantity: an erf product on the box, and on the
@@ -28,10 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
-from .moments import Domain, _double_factorial, _moment_sum, _pi_scale, _scaled_factors
-from .polynomials import Polynomial, _mul_nums, _over_lcm
+from .moments import Domain, _double_factorial, _pi_scale, _scaled_factors
+from .polynomials import Polynomial, _over_lcm
 
 __all__ = [
     "GeomParams",
@@ -45,11 +48,14 @@ __all__ = [
     "certificate",
 ]
 
-# Largest ladder of powers of ||x - a||^2 that gaussian_mass climbs: its top
-# rung q^K holds C(n + 2K, n) terms.  The limit admits K = 29 at n = 2 (0.24 s
-# on a 2-vCPU x86-64 host), K = 10 at n = 3 and K = 1 at n = 10; from the
-# centroid of the 10-simplex at r = 1 the bracket would need K ~ 250.
-MAX_LADDER_TERMS = 2000
+# Largest _ladder_size of the Gaussian-mass bracket: the integer products its
+# top rung sums plus the factored moments it reads.  The limit admits every
+# order the old limit of 2000 terms of (||x - a||^2)^K did (K = 999 at n = 1,
+# 29 at n = 2, 9 at n = 3), K = 205 at n = 9 from the origin (the 2^-20
+# bracket there needs K <= 29) and K = 41 at n = 2 off the axes; it refuses
+# n = 9, K = 29 off the axes (~130,000 products) and the 10-simplex at r = 1,
+# whose bracket needs K ~ 320 from a vertex and ~ 290 from the centroid.
+MAX_LADDER_TERMS = 6000
 _WIDEN = 2.0**-40  # outward rounding of a float enclosure, per dimension
 
 
@@ -213,9 +219,41 @@ def _box_enclosure(dom: Domain, a: Sequence[float], sigma: float) -> tuple[float
     return lo, min(hi, 1.0)
 
 
+def _ladder_size(dense: Sequence[bool], K: int) -> int:
+    """The integer products _ladder sums at rung K for the Gaussian mass
+    (f = 0) on the simplex or the ball, plus the 2K + 1 entries of each of
+    the n + 1 factored-moment tables it reads; dense[i] says a_i != 0.
+
+    Axis i's row (L x_i - p_i)^(2j) has 2j + 1 terms, one where p_i = 0, and
+    the sum carried over the first m axes has one entry per degree it
+    reaches: none past rung 0 for m = 0, 2k + 1 at rung k once a row is
+    dense, one while all are sparse.  Each axis before the last is convolved
+    into the carried sum, and the fold pairs the carried sum with the last
+    row against G, at most two new degrees per row and rung.  Every lower
+    rung sums fewer products.
+    """
+    n = len(dense)
+
+    def row(i, j):
+        return 2 * j + 1 if dense[i] else 1
+
+    def size(m, k):
+        if m == 0:
+            return int(k == 0)
+        return 2 * k + 1 if any(dense[:m]) else 1
+
+    products = sum(
+        sum(size(m, K - j) * row(m, j) for m in range(n - 1))
+        + size(n - 1, K - j)
+        + row(n - 1, j) * min(2, size(n - 1, K - j))
+        for j in range(K + 1)
+    )
+    return products + (n + 1) * (2 * K + 1)
+
+
 def _ladder_order(dom: Domain, a: Sequence[float], sigma: float) -> int | None:
     """The odd order K at which the Taylor bracket has closed to 2^-20, or
-    None when its ladder would hold more than MAX_LADDER_TERMS terms.
+    None when _ladder_size would pass MAX_LADDER_TERMS first.
 
     With t_max the largest t = ||x - a||^2 / (2 sigma^2) on K (at the farthest
     vertex of the simplex, at most (1 + |a|)^2 / (2 sigma^2) on the ball), the
@@ -223,49 +261,99 @@ def _ladder_order(dom: Domain, a: Sequence[float], sigma: float) -> int | None:
     K is the first odd order where that is <= 2^-21, which makes the width
     <= 2^-20 of the lower end.
     """
-    n = dom.n
     if dom.kind == "simplex":
         d2 = sum(x * x for x in a)
         q_max = max([d2] + [d2 - 2.0 * x + 1.0 for x in a])
     else:
         q_max = (1.0 + math.sqrt(sum(x * x for x in a))) ** 2
     t_max = q_max * (1 + _WIDEN) / (2.0 * sigma) / sigma
-    K = 1
-    while math.comb(n + 2 * K, n) <= MAX_LADDER_TERMS:
-        if K * math.log(t_max) - math.lgamma(K + 1) + t_max <= -21 * math.log(2.0):
-            return K
+    K = 1  # _ladder_size grows with K and counts the tables' (n + 1)(2K + 1) entries
+    while K * math.log(t_max) - math.lgamma(K + 1) + t_max > -21 * math.log(2.0):
+        if (dom.n + 1) * (2 * K + 1) > MAX_LADDER_TERMS:
+            return None
         K += 2
-    return None
+    return K if _ladder_size([x != 0 for x in a], K) <= MAX_LADDER_TERMS else None
 
 
 def _ladder(dom: Domain, a: Sequence[float], sigma: float, K: int, f: Polynomial):
     """For k = 0..K, the exact rational parts of the integrals over K of
     (-t)^k / k! and of f * (-t)^k / k!, t = ||x - a||^2 / (2 sigma^2).
 
-    q = ||x - a||^2 is scaled to integer coefficients by L^2 (L the lcm of
-    the denominators of a), one ladder q^k climbs by _mul_nums, and each rung
-    is integrated against the integer factored moments (_moment_sum), and
-    against them shifted by the exponent of each term of f; (2 sigma^2)^-k
-    is applied to the integrals only.  No Polynomial and no product is formed.
+    With L the lcm of the denominators of a and p = L a, L^2 ||x - a||^2 is
+    the sum of q_i = (L x_i - p_i)^2, so by the binomial theorem, axis by
+    axis, q^k sums C(k, j) (q_1 + ... + q_{m-1})^(k-j) q_m^j over j.  Each
+    axis gives one short sequence, the integer row of q_i^j met with its
+    factored moments W_i shifted by the exponent d_i of a term of f, and
+    rung k convolves them: on the box G is constant and every entry is one
+    integer; on the simplex and the ball an entry carries the degree s it
+    has reached, and the last axis is folded against G[|d| + s] first.  No
+    power of ||x - a||^2 is expanded; (2 sigma^2)^-k is applied to the sums.
     """
     n = dom.n
     L, p = _over_lcm(Fraction(x) for x in a)
-    q = {(0,) * n: sum(x * x for x in p)}  # L^2 q: the terms of (L x_i - p_i)^2
-    for i, pi in enumerate(p):
-        q[(0,) * i + (1,) + (0,) * (n - i - 1)] = -2 * L * pi
-        q[(0,) * i + (2,) + (0,) * (n - i - 1)] = L * L
     Lf, coefs = _over_lcm(f.terms.values())
     den, G, W = _scaled_factors(dom, 2 * K + f.degree)
-    # the moment of d + e read from tables shifted by each exponent d of f
-    shifted = [(c, G[sum(d) :], [Wi[k:] for Wi, k in zip(W, d)]) for d, c in zip(f.terms, coefs)]
-    scale = Fraction(float(sigma)) ** 2 * 2 * L * L  # t^k = q_L^k / scale^k
-    rung = {(0,) * n: 1}
+    scale = Fraction(float(sigma)) ** 2 * 2 * L * L  # t^k = (L^2 ||x - a||^2)^k / scale^k
+    box = dom.kind == "box"
+    last = n if box else n - 1  # axes convolved; off the box the last one is folded
+    terms = [((0,) * n, 1), *zip(f.terms, coefs)]
+    L_pow, p_pow = [1], [[1] for _ in p]
+    axes = {}  # (i, d_i, j) -> axis i's row j against W_i shifted by d_i
+    carried = {(): []}  # exponents of the first m axes -> their convolution, rung by rung
+    folded = {}  # (d_n, |d|, j, s) -> the last axis's row j against G shifted by |d| + s
+
+    def axis(i, e, j):
+        if (i, e, j) not in axes:
+            if p[i]:
+                row = [(s, math.comb(2 * j, s) * L_pow[s] * p_pow[i][2 * j - s]) for s in range(2 * j + 1)]
+            else:
+                row = [(2 * j, L_pow[2 * j])]
+            entries = [(s, c * W[i][e + s]) for s, c in row if W[i][e + s]]
+            axes[i, e, j] = sum(c for _, c in entries) if box else entries
+        return axes[i, e, j]
+
+    def fold(d, j, s):
+        key = (d[-1], sum(d), j, s)
+        if key not in folded:
+            folded[key] = sum(c * G[key[1] + s + s2] for s2, c in axis(n - 1, d[-1], j))
+        return folded[key]
+
     for k in range(K + 1):
-        if k:
-            rung = _mul_nums(rung, q)
+        for _ in range(2):
+            L_pow.append(L_pow[-1] * L)
+            for pw, pi in zip(p_pow, p):
+                pw.append(-pw[-1] * pi)
+        binom = [1, *map(add, binom, binom[1:]), 1] if k else [1]  # C(k, j), j = 0..k
+        carried[()].append(int(k == 0) if box else ({0: 1} if k == 0 else {}))
+        sums = []
+        for d, c in terms:
+            for m in range(1, last + 1):
+                seq = carried.setdefault(d[:m], [])
+                if len(seq) > k:
+                    continue
+                prev = carried[d[: m - 1]]
+                if box:
+                    seq.append(sum(b * prev[k - j] * axis(m - 1, d[m - 1], j) for j, b in enumerate(binom) if prev[k - j]))
+                    continue
+                acc = {}
+                for j, b in enumerate(binom):
+                    if prev[k - j]:
+                        for s2, e in axis(m - 1, d[m - 1], j):
+                            e *= b
+                            for s1, v in prev[k - j].items():
+                                acc[s1 + s2] = acc.get(s1 + s2, 0) + v * e
+                seq.append(acc)
+            if box:
+                total = G[0] * carried[d][k]
+            else:
+                prev = carried[d[:-1]]
+                total = sum(b * v * fold(d, j, s) for j, b in enumerate(binom) for s, v in prev[k - j].items())
+            sums.append(c * total)
+        if not last:  # one folded axis: no later rung reads this rung's rows
+            axes.clear()
+            folded.clear()
         over = (-1) ** k * den * math.factorial(k) * scale**k
-        f_moment = sum(c * _moment_sum(rung, rung.values(), Gd, Wd) for c, Gd, Wd in shifted)
-        yield _moment_sum(rung, rung.values(), G, W) / over, f_moment / (Lf * over)
+        yield sums[0] / over, sum(sums[1:]) / (Lf * over)
 
 
 def _taylor_enclosure(dom: Domain, a: Sequence[float], sigma: float, K: int) -> tuple[float, float]:

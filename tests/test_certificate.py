@@ -151,7 +151,9 @@ class TestGaussianLadder:
     """rate._ladder integrates (-t)^k / k! and f * (-t)^k / k! without forming them."""
 
     DOMAINS = {
-        "box": lambda n: Domain.box([(Fraction(-3, 4), Fraction(5, 3)), (Fraction(-2), Fraction(1, 7)), (0, 1)][:n]),
+        "box": lambda n: Domain.box(
+            [(Fraction(-3, 4), Fraction(5, 3)), (Fraction(-2), Fraction(1, 7)), (0, 1), (Fraction(-1, 2), 2)][:n]
+        ),
         "simplex": Domain.simplex,
         "ball": Domain.ball,
     }
@@ -180,15 +182,19 @@ class TestGaussianLadder:
 
     @pytest.mark.parametrize("kind", sorted(DOMAINS))
     def test_each_rung(self, kind):
-        # term k against the integral of (-t)^k / k!, t built as a Polynomial
-        n, sigma, a = 2, 0.7, [0.1, -0.3]
-        dom = self.DOMAINS[kind](n)
-        f = parse_polynomial("x1^2*x2 - 0.5*x2 + 3", n)
-        t = sum(((Polynomial.variable(n, i) - a[i]) ** 2 for i in range(n)), Polynomial.zero(n))
-        t = t * (1 / (2 * Fraction(sigma) ** 2))
-        for k, (h, fh) in enumerate(rate._ladder(dom, a, sigma, 5, f)):
-            term = (-t) ** k * Fraction(1, math.factorial(k))
-            assert (h, fh) == (integrate_poly_exact(dom, term), integrate_poly_exact(dom, f * term))
+        # term k against the integral of (-t)^k / k!, t built as a Polynomial,
+        # at n = 2..4 off the axes, with zero coordinates (one-term rows) and
+        # at the origin (only such rows)
+        sigma = 0.7
+        for n in (2, 3, 4):
+            dom = self.DOMAINS[kind](n)
+            f = parse_polynomial(f"x1^2*x2 - 0.5*x2 + 3 + 0.25*x{n}^3", n)
+            for a in ([0.1, -0.3, 0.2, 1 / 3][:n], [0.1, 0.0, -0.3, 0.0][:n], [0.0] * n):
+                t = sum(((Polynomial.variable(n, i) - a[i]) ** 2 for i in range(n)), Polynomial.zero(n))
+                t = t * (1 / (2 * Fraction(sigma) ** 2))
+                for k, (h, fh) in enumerate(rate._ladder(dom, a, sigma, 5, f)):
+                    term = (-t) ** k * Fraction(1, math.factorial(k))
+                    assert (h, fh) == (integrate_poly_exact(dom, term), integrate_poly_exact(dom, f * term)), (n, a, k)
 
     @pytest.mark.parametrize("name", ["motzkin", "three-hump-camel-modified-s", "three-hump-camel-modified-b"])
     def test_certificate_has_the_bits_of_integrating_H(self, name):
@@ -233,6 +239,7 @@ class TestGaussianMass:
         # |x|^2 / sigma^2 is chi-square with n degrees of freedom
         lo, hi = gaussian_mass(Domain.ball(n), [0.0] * n, sigma)
         _check_enclosure(lo, hi, gammainc(n / 2, 1 / (2 * sigma**2)))
+        assert hi - lo <= 2**-20 * lo
 
     @pytest.mark.parametrize("kind,lower", [("simplex", 0.0), ("ball", -1.0)])
     def test_interval_against_erf(self, kind, lower):
@@ -479,6 +486,8 @@ class TestCertificate:
         ("three-hump-camel-modified-s", None, 1, "7014e766e6dc4eaef3ce714f5c82555a61195646c34d7a37a6df41dfd46e772b"),
         ("three-hump-camel-modified-b", None, 1, "7d2b9d297cc6d907fc93b796e14abd86bfd33e2b5542e8c79778132f4f282549"),
         ("styblinski-tang", 4, 2, "bb44fc733db20e4a107084b8043d22187be78fc879756fe200069fed6aa03410"),
+        ("styblinski-tang", 10, 2, "945e09ecc1a0c72cc01c7d0b3454626e7a8a4975d503327b11f0dcdea99063d6"),
+        ("motzkin", None, 20, "8a46f4f84f08959d8236486b9d97e5b83db8473309742e382cca7020e5c01554"),
     ], ids=lambda v: str(v)[:12] if isinstance(v, str) else str(v))
     def test_report_digests(self, name, n, r, digest):
         tc = benchmarks.get(name, n)

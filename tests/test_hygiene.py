@@ -241,17 +241,21 @@ def test_one_horner_kernel():
 
 
 def test_one_gaussian_ladder():
-    # rate climbs one ladder of powers of ||x - a||^2 (_ladder): the mass
-    # bracket and the certificate read its rungs, and the certificate forms no H
+    # rate convolves per-axis rows (_ladder) and expands no power of
+    # ||x - a||^2: it imports neither the polynomial product nor a per-term
+    # moment sum; the mass bracket and the certificate read the one kernel,
+    # and the certificate forms no H
     tree = _parse(SRC / "rate.py")
 
     def names(node):
         return [getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)]
 
-    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and names(n.func)[0] == "_mul_nums"]
-    assert len(calls) == 1
-    cert = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "certificate")
-    assert {"taylor_density", "integrate_poly", "integrate_poly_exact"}.isdisjoint(names(cert))
+    imported = {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for alias in n.names}
+    assert {"_mul_nums", "_moment_sum"}.isdisjoint(imported)
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    callers = {name for name, fn in functions.items() if "_ladder" in names(fn) and name != "_ladder"}
+    assert callers == {"_taylor_enclosure", "certificate"}
+    assert {"taylor_density", "integrate_poly", "integrate_poly_exact"}.isdisjoint(names(functions["certificate"]))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
