@@ -27,15 +27,16 @@ defaults, and it refuses what eigh refused: a non-finite entry (ValueError)
 and a nonzero LAPACK info (LinAlgError).
 
 The bound does not move when K and f are translated together, but
-monomials lose digits fast on an off-centre box, so compute_bound solves
-f(y + c) on K - c, c the box centre, exactly.
+monomials lose digits fast on an off-centre box, so a Pencil is assembled
+for f(y + c) on K - c, c the box centre, exactly, and Pencil.solve returns
+the bound with that shift.
 
 The grlex basis of order r is a prefix of the basis of any higher order, and
 no entry depends on r, so the order-r pencil is the leading m_r x m_r block
-of the order-R pencil for every R >= r.  A sweep (bound_sweep, the CLI's
-bound --r a..b) assembles its pencil once at its top order and solves each
-order on that order's leading block.  The pencil carries the f and K it was
-assembled from, and compute_bound refuses one of another f or K.
+of the order-R pencil for every R >= r.  Pencil.solve(r) solves that block.
+compute_bound assembles the pencil of its own order; a sweep (bound_sweep,
+the CLI's bound --r a..b) assembles one at its top order and solves each
+order on it.
 """
 
 from __future__ import annotations
@@ -141,6 +142,33 @@ def _check_pencil_size(n: int, r: int) -> None:
             f"order r = {r} in n = {n} variables needs m x m moment matrices with "
             f"m = {m} (limit {MAX_PENCIL_SIZE}); reduce r"
         )
+
+
+@dataclass(frozen=True, eq=False)  # == is identity, as for BoundResult
+class Pencil:
+    """The moment pencil of a top order, whose leading blocks are the lower orders'."""
+
+    A: np.ndarray
+    B: np.ndarray
+    basis: tuple[tuple[int, ...], ...]
+    shift: tuple[Fraction, ...] | None  # the box centre c, as in BoundResult
+
+    def solve(self, r: int) -> BoundResult:
+        """The order-r bound from the leading block of order r, whose entries
+        are those of the order-r assembly bit for bit."""
+        top = sum(self.basis[-1])  # the grlex basis ends with a monomial of the top order
+        if not 0 <= r <= top:
+            raise ValueError(f"the pencil solves orders 0..{top}, not {r}")
+        m = math.comb(len(self.basis[0]) + r, r)
+        A, B = np.ascontiguousarray(self.A[:m, :m]), np.ascontiguousarray(self.B[:m, :m])
+        # order r's block holds the values of exactly the sums |gamma| <= 2r that an
+        # order-r assembly rounds, so an infinite entry is an overflow of order r's own
+        if not (np.isfinite(A).all() and np.isfinite(B).all()):
+            raise ConditioningError(np.inf, "a moment overflows a float")
+        lam, v, cond_B = smallest_generalized_eigenpair(A, B)
+        bv = B @ v
+        residual = float(np.linalg.norm(A @ v - lam * bv) / np.linalg.norm(bv))
+        return BoundResult(r=r, value=lam, eigvec=v, cond_B=cond_B, residual=residual, basis=self.basis[:m], shift=self.shift)
 
 
 def assemble_AB(f: Polynomial, dom: Domain, r: int):
@@ -251,48 +279,20 @@ def _centre(dom: Domain) -> tuple[Fraction, ...] | None:
     return c if any(c) else None
 
 
-def _sweep_pencil(f: Polynomial, dom: Domain, r_max: int):
-    """(f, dom, A, B, basis, shift): the pencil of order r_max on the centred
-    domain, named by the f and dom it was asked for, whose leading blocks
-    compute_bound(f, dom, r, pencil=...) solves for r <= r_max."""
+def _sweep_pencil(f: Polynomial, dom: Domain, r_max: int) -> Pencil:
+    """The pencil of order r_max on the centred domain."""
     dom.check_vars(f)  # before the centring, which would refuse a mismatch in its own words
     c = _centre(dom)
     g, K = f, dom
     if c is not None:
         g = f.substitute_affine([1] * dom.n, c)
         K = Domain.box([(lo - ci, hi - ci) for (lo, hi), ci in zip(dom.bounds, c)])
-    return (f, dom, *assemble_AB(g, K, r_max), c)
+    return Pencil(*assemble_AB(g, K, r_max), c)
 
 
-def compute_bound(f: Polynomial, dom: Domain, r: int, pencil=None) -> BoundResult:
-    """Order-r upper bound, on a centred box; its optimal SOS density is .density.
-
-    Without a pencil, compute_bound assembles the order-r one itself.  With
-    one (from _sweep_pencil(f, dom, r_max), r <= r_max) it solves the leading
-    block of order r, whose entries are those of the order-r assembly bit for
-    bit; a pencil assembled from another f or dom is refused.
-    """
-    if r < 0:
-        raise ValueError("order r must be >= 0")
-    if pencil is None:
-        pencil = _sweep_pencil(f, dom, r)
-    pf, pdom, A, B, basis, shift = pencil
-    if pdom != dom:
-        raise ValueError(f"the pencil was assembled for another domain than {dom.to_json()}")
-    if pf != f:
-        raise ValueError("the pencil was assembled for another polynomial")
-    if r > sum(basis[-1]):  # the grlex basis ends with a monomial of the top order
-        raise ValueError(f"the pencil is assembled to order {sum(basis[-1])}, not {r}")
-    m = math.comb(dom.n + r, r)
-    A, B = np.ascontiguousarray(A[:m, :m]), np.ascontiguousarray(B[:m, :m])
-    # order r's block holds the values of exactly the sums |gamma| <= 2r that an
-    # order-r assembly rounds, so an infinite entry is an overflow of order r's own
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise ConditioningError(np.inf, "a moment overflows a float")
-    lam, v, cond_B = smallest_generalized_eigenpair(A, B)
-    bv = B @ v
-    residual = float(np.linalg.norm(A @ v - lam * bv) / np.linalg.norm(bv))
-    return BoundResult(r=r, value=lam, eigvec=v, cond_B=cond_B, residual=residual, basis=basis[:m], shift=shift)
+def compute_bound(f: Polynomial, dom: Domain, r: int) -> BoundResult:
+    """Order-r upper bound, on a centred box; its optimal SOS density is .density."""
+    return _sweep_pencil(f, dom, r).solve(r)
 
 
 def bound_sweep(f: Polynomial, dom: Domain, r_max: int) -> list[BoundResult]:
@@ -308,7 +308,7 @@ def bound_sweep(f: Polynomial, dom: Domain, r_max: int) -> list[BoundResult]:
     results = []
     for r in range(1, r_max + 1):
         try:
-            results.append(compute_bound(f, dom, r, pencil=pencil))
+            results.append(pencil.solve(r))
         except ConditioningError:
             break
     return results

@@ -134,7 +134,7 @@ def cmd_bound(args) -> int:
     for r in range(r_lo, r_hi + 1):
         t0 = time.perf_counter()
         try:
-            b = compute_bound(f, dom, r, pencil=pencil)
+            b = pencil.solve(r)
             value, cond_B, status = b.value, b.cond_B, "ok"
         except ConditioningError as exc:
             value, cond_B, status = None, exc.cond_B, "conditioning-error"

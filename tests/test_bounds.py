@@ -154,26 +154,21 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_AB(parse_polynomial("x1", 1), Domain.cube(2), 1)
 
-    def test_pencil_of_another_domain_is_named(self):
-        # a sweep's pencil is assembled on the centred box; one of another box
-        # or of too low an order is refused, not solved
+    def test_pencil_solves_only_its_orders(self):
+        # a sweep's pencil solves the orders 0..top on their leading blocks,
+        # with the bits of assembling that order alone, and refuses any other
         f = parse_polynomial("x1*x2", 2)
         dom = Domain.box([(0, 3), (-1, 2)])
-        for other in (Domain.box([(0, 3), (0, 2)]), Domain.cube(2, -1, 1), Domain.box([(0, 3)] * 3)):
-            g = parse_polynomial("x1*x2", other.n)
-            with pytest.raises(ValueError, match=r"another domain than .*\['0', '3'\], \['-1', '2'\]"):
-                compute_bound(f, dom, 2, pencil=_sweep_pencil(g, other, 2))
-        with pytest.raises(ValueError, match="assembled to order 1, not 2"):
-            compute_bound(f, dom, 2, pencil=_sweep_pencil(f, dom, 1))
-        with pytest.raises(ValueError, match="order r must be >= 0"):
-            compute_bound(f, dom, -1, pencil=_sweep_pencil(f, dom, 1))
-        value = compute_bound(f, dom, 2, pencil=_sweep_pencil(f, dom, 2)).value
-        assert value == compute_bound(f, dom, 2).value
-        # a pencil names its polynomial too: booth's is not solved as motzkin's
-        motzkin, booth = get("motzkin"), get("booth")
-        box = motzkin.domain
-        with pytest.raises(ValueError, match="another polynomial"):
-            compute_bound(motzkin.f, box, 4, pencil=_sweep_pencil(booth.f, box, 4))
+        with pytest.raises(ValueError, match=r"solves orders 0\.\.1, not 2"):
+            _sweep_pencil(f, dom, 1).solve(2)
+        with pytest.raises(ValueError, match=r"solves orders 0\.\.1, not -1"):
+            _sweep_pencil(f, dom, 1).solve(-1)
+        pencil = _sweep_pencil(f, dom, 2)
+        with pytest.raises(TypeError):
+            iter(pencil)  # a record, not a tuple to unpack
+        swept, one = pencil.solve(2), compute_bound(f, dom, 2)
+        assert (swept.value, swept.cond_B, swept.residual) == (one.value, one.cond_B, one.residual)
+        assert swept.eigvec.tobytes() == one.eigvec.tobytes()
 
     def test_wide_codes(self):
         # 2^64 codes: the table keeps Python-int codes, the gather is the same
@@ -296,10 +291,10 @@ class TestLapackCall:
         from scipy.linalg import eigh
 
         tc = get(name)
-        _, _, A, B, _, _ = _sweep_pencil(tc.f, tc.domain, r_max)
+        pencil = _sweep_pencil(tc.f, tc.domain, r_max)
         for r in range(r_max + 1):
             m = math.comb(tc.domain.n + r, r)
-            Ar, Br = np.ascontiguousarray(A[:m, :m]), np.ascontiguousarray(B[:m, :m])
+            Ar, Br = np.ascontiguousarray(pencil.A[:m, :m]), np.ascontiguousarray(pencil.B[:m, :m])
             solved = []
 
             def scipy_eigh(a, b):
@@ -469,7 +464,7 @@ class TestSweep:
                 one = compute_bound(f, dom, r)
             except ConditioningError as exc:
                 with pytest.raises(ConditioningError) as err:
-                    compute_bound(f, dom, r, pencil=pencil)
+                    pencil.solve(r)
                 assert str(err.value) == str(exc)
                 assert r > len(swept)
                 continue

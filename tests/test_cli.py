@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from sosdensity import cli
+from sosdensity import ConditioningError, Domain, cli, compute_bound, parse_polynomial
 
 UNIT = '{"kind":"box","bounds":[["0","1"]]}'
 WIDE = '{"kind":"box","bounds":[["0","1000"]]}'
@@ -99,6 +99,25 @@ class TestBound:
         )
         assert code == 0  # some rows succeeded
         assert "conditioning-error" in out
+
+    def test_rows_are_lone_solves(self, capsys):
+        # each row of a range that starts above 1 has the bits of a lone
+        # compute_bound of its order; rows 23 and 24 are conditioning errors
+        # with the lone call's cond_B (1.6959e16, then inf)
+        code, out, _ = run(capsys, "bound", "--poly", "x1", "--domain", WIDE, "--r", "20..24")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(20, 25))
+        f, dom = parse_polynomial("x1", 1), Domain.box([(0, 1000)])
+        for r, value, cond_B, _, status in rows:
+            try:
+                one = compute_bound(f, dom, int(r))
+                want = (repr(one.value), repr(one.cond_B), "ok")
+            except ConditioningError as exc:
+                want = ("", repr(exc.cond_B), "conditioning-error")
+            assert (value, cond_B, status) == want
+        assert [row[4] for row in rows] == ["ok"] * 3 + ["conditioning-error"] * 2
+        assert float(rows[3][2]) == pytest.approx(1.6959e16, rel=1e-4) and rows[4][2] == "inf"
 
 
 class TestOverflow:
