@@ -16,8 +16,9 @@ on codes, and mA[gamma] = sum_d (f_d F) num_{gamma+d} / (den F), with F the
 lcm of f's denominators, is one exact integer sum and one int/int division.
 That division rounds the exact rational correctly, as float(Fraction) does,
 so A and B have the bits of summing Fraction moments and rounding once.
-A value past the largest float becomes +-inf there, and an order whose
-pencil holds one is a ConditioningError.
+A value past the largest float becomes +-inf there, a nonzero one below
+the smallest normal float NaN, and an order whose pencil holds either is a
+ConditioningError.
 The eigensolve is LAPACK's dsygvd (a Cholesky factor of B reduces the
 pencil to a dense symmetric problem), from scipy's compiled LAPACK wrapper.
 That extension is loaded from its file, so neither scipy's nor scipy.linalg's
@@ -162,9 +163,12 @@ class Pencil:
         m = math.comb(len(self.basis[0]) + r, r)
         A, B = np.ascontiguousarray(self.A[:m, :m]), np.ascontiguousarray(self.B[:m, :m])
         # order r's block holds the values of exactly the sums |gamma| <= 2r that an
-        # order-r assembly rounds, so an infinite entry is an overflow of order r's own
+        # order-r assembly rounds, so an infinite entry is an overflow of order r's
+        # own and a NaN (see _quotients) an underflow of its own
         if not (np.isfinite(A).all() and np.isfinite(B).all()):
-            raise ConditioningError(np.inf, "a moment overflows a float")
+            if np.isinf(A).any() or np.isinf(B).any():
+                raise ConditioningError(np.inf, "a moment overflows a float")
+            raise ConditioningError(np.inf, "a moment underflows a float")
         lam, v, cond_B = smallest_generalized_eigenpair(A, B)
         bv = B @ v
         residual = float(np.linalg.norm(A @ v - lam * bv) / np.linalg.norm(bv))
@@ -210,8 +214,13 @@ def assemble_AB(f: Polynomial, dom: Domain, r: int):
 
 def _quotients(nums: np.ndarray, den: int) -> np.ndarray:
     """The floats nums / den (Python ints, den > 0), each correctly rounded
-    by _quotient, and +-inf where the quotient passes the largest float."""
-    return np.array([_quotient(k, den) for k in nums.tolist()], dtype=float)
+    by _quotient, +-inf where the quotient passes the largest float and NaN
+    where a nonzero quotient falls below the smallest normal one."""
+    q = np.array([_quotient(k, den) for k in nums.tolist()], dtype=float)
+    # a nonzero moment that rounds to 0 or to a subnormal has lost its digits
+    tiny = np.flatnonzero(np.abs(q) < sys.float_info.min)
+    q[tiny[nums[tiny] != 0]] = np.nan
+    return q
 
 
 def _quotient(num: int, den: int) -> float:

@@ -2,7 +2,9 @@
 
 Coordinates are generated one at a time via the method of conditional
 distributions; each univariate conditional CDF is a polynomial, inverted by
-bracketed bisection with a safeguarded Newton polish.
+bracketed bisection with a safeguarded Newton polish.  The bisection steps
+every column of a block in place and masks the columns that reached the
+width; no column is gathered, copied out or dropped.
 
 Point j of a batch with seed s draws the uniforms that
 `default_rng(SeedSequence(s, spawn_key=(j,))).random()` gives.  `sample`
@@ -51,7 +53,6 @@ __all__ = [
     "write_batch_csv",
 ]
 
-MEMBERSHIP_SLACK = 1e-12
 DENOMINATOR_FLOOR = 1e-12
 MAX_PREFIX_RETRIES = 100
 # Points drawn together.  Drawing 4000 motzkin r = 12 points on a 2-vCPU
@@ -251,7 +252,7 @@ def _check_prefix(dom: Domain, prefix: np.ndarray):
     """A prefix is valid when completing it with the domain's lowest corner stays in K."""
     i = len(prefix)
     rest = [float(lo) for lo, _ in dom.bounds[i:]] if dom.kind == "box" else [0.0] * (dom.n - i)
-    if not dom.contains(list(prefix) + rest, slack=MEMBERSHIP_SLACK):
+    if not dom.contains(list(prefix) + rest):
         raise ValueError(f"prefix {list(prefix)} lies outside the domain")
 
 
@@ -282,33 +283,28 @@ def _derivative(cols: np.ndarray) -> np.ndarray:
 
 def _invert(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Column-wise min{y : F(y) >= u}: bisection to width 1e-12, then one guarded
-    Newton step.  coeffs holds one CDF per column.  The bisection steps
-    working copies of the columns still active, and compacts them only on a
-    step where some column reaches the width; each column does the operations
-    it would do alone, in the same order.
+    Newton step.  coeffs holds one CDF per column.  Every column is stepped
+    on every round, and a mask of the columns still live decides which
+    brackets move; each column does the operations it would do alone, in
+    the same order.  A column with u at or past an end of its range is that end.
     """
     at_lo = u <= _horner(lo, coeffs)
-    x = np.where(at_lo, lo, hi)
-    inner = np.flatnonzero(~at_lo & ~(u >= _horner(hi, coeffs)))
-    coeffs, a, b, u = coeffs[:, inner], lo[inner], hi[inner], u[inner]
-    rows = np.flatnonzero(b - a > 1e-12)
-    wc, wa, wb, wu = coeffs[:, rows], a[rows], b[rows], u[rows]
-    while rows.size:
-        mid = 0.5 * (wa + wb)
-        up = _horner(mid, wc) >= wu
-        np.copyto(wb, mid, where=up)
-        np.copyto(wa, mid, where=~up)
-        live = wb - wa > 1e-12
-        if not live.all():
-            a[rows], b[rows] = wa, wb
-            rows, wc, wa, wb, wu = rows[live], wc[:, live], wa[live], wb[live], wu[live]
+    inner = ~at_lo & ~(u >= _horner(hi, coeffs))
+    a, b = lo.copy(), hi.copy()
+    live = inner & (b - a > 1e-12)
+    while live.any():
+        mid = 0.5 * (a + b)
+        up = _horner(mid, coeffs) >= u
+        np.copyto(b, mid, where=up & live)
+        np.copyto(a, mid, where=~up & live)
+        live &= b - a > 1e-12
     mid = 0.5 * (a + b)
     d = _horner(mid, _derivative(coeffs))
     # columns with d <= 0 (or NaN) keep the midpoint and never use their step
     with np.errstate(divide="ignore", invalid="ignore"):
         y = mid - (_horner(mid, coeffs) - u) / d
-    x[inner] = np.where((d > 0) & (a <= y) & (y <= b), y, mid)
-    return x
+    newton = np.where((d > 0) & (a <= y) & (y <= b), y, mid)
+    return np.where(inner, newton, np.where(at_lo, lo, hi))
 
 
 def invert_cdf(F: CdfSlice, u: float) -> float:

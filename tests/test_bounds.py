@@ -214,6 +214,19 @@ class TestQuotients:
             assert all(abs(Fraction(x) - q) <= abs(y - q) for y in self._neighbours(x)), (num, den)
         assert got[nums.index(top * den)] == sys.float_info.max
 
+    @pytest.mark.parametrize("num, den", [
+        (1, 2**1023),  # half the smallest normal float: a subnormal
+        (-3, 10**310),  # -3e-310, a subnormal
+        (1, 10**400),  # rounds to 0.0
+        (-(10**20), 10**350),  # rounds to -0.0
+    ], ids=["subnormal", "negative-subnormal", "zero-rounded", "negative-zero-rounded"])
+    def test_nonzero_quotient_below_the_normal_floats_is_nan(self, num, den):
+        assert math.isnan(_quotients(np.array([num], dtype=object), den)[0])
+
+    def test_smallest_normal_and_zero_are_kept(self):
+        got = _quotients(np.array([1, -1, 0], dtype=object), 2**1022)
+        assert got.tolist() == [sys.float_info.min, -sys.float_info.min, 0.0]
+
     def test_negative_overflow_is_minus_inf(self):
         # at r = 39 on [-10^4, 10^4], -x1 weights m_78 ~ 2.5e314 by -1 in A's
         # entries (38, 39) and (39, 38); B holds m_78 itself at (39, 39)

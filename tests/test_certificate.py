@@ -60,6 +60,9 @@ class TestPConstant:
         assert p_constant(1) == 1.0
         assert p_constant(2) == pytest.approx(math.sqrt(math.pi / 2))
         assert p_constant(3) == pytest.approx(2.0)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                p_constant(n)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_against_quadrature(self, n):

@@ -132,6 +132,24 @@ class TestOverflow:
         assert (code, err) == (3, "")
         assert out.strip().endswith("conditioning-error")
 
+    def test_underflowing_moments_are_conditioning_rows(self, capsys):
+        # on [0, w] the moment of degree k is w^(k+1)/(k+1); an order whose
+        # pencil needs one below the normal floats is refused, not printed ok
+        def box(width):
+            return json.dumps({"kind": "box", "bounds": [["0", width]]})
+
+        code, out, err = run(capsys, "bound", "--poly", "x1", "--domain", box("1e-100"), "--r", "1..3")
+        assert (code, err) == (3, "")
+        assert [line.split(",")[-1] for line in out.strip().splitlines()[1:]] == ["conditioning-error"] * 3
+        # r = 1 needs m_3 = 2.5e-181; r = 2 needs m_5 ~ 1.7e-361
+        code, out, err = run(capsys, "bound", "--poly", "x1", "--domain", box("1e-60"), "--r", "1..2")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert (rows[0][1], rows[0][-1]) == ("2.1132486540518714e-61", "ok")
+        assert rows[1][-1] == "conditioning-error"
+        with pytest.raises(ConditioningError, match="a moment underflows a float"):
+            compute_bound(parse_polynomial("x1", 1), Domain.box([(0, "1e-60")]), 2)
+
     @pytest.mark.parametrize("command, expected", [("certificate", 2), ("bound", 3), ("sample", 3)])
     def test_huge_coefficient(self, capsys, command, expected):
         argv = [command, "--poly", "10^400*x1", "--domain", UNIT, "--r", "1"]

@@ -58,6 +58,10 @@ class TestDomain:
         b = Domain.ball(2)
         assert b.contains([0.6, 0.6])
         assert not b.contains([0.8, 0.8])
+        # a point of another length is not in K, whatever its entries
+        for dom in (box, s, b):
+            assert not dom.contains([0.1])
+            assert not dom.contains([0.1, 0.1, 0.1])
 
     def test_volume(self):
         assert Domain.cube(3).volume() == 1.0

@@ -52,6 +52,14 @@ class TestConstruction:
             Polynomial(1, {(-1,): 1})
         with pytest.raises(ValueError):
             Polynomial.variable(2, 2)
+        with pytest.raises(TypeError, match="unsupported coefficient type: list"):
+            Polynomial(1, {(1,): [1]})
+
+    def test_equal_polynomials_hash_equal(self):
+        # the same terms reached by arithmetic and by the constructor, in another order
+        p = (x + 1) * (y - 1)
+        q = Polynomial(2, {(0, 0): -1, (0, 1): 1, (1, 1): 1, (1, 0): -1})
+        assert p == q and hash(p) == hash(q)
 
 
 class TestArithmetic:
@@ -95,6 +103,12 @@ class TestArithmetic:
             x - bad
         with pytest.raises(TypeError):
             x * bad
+
+    def test_dimension_mismatch(self):
+        z = Polynomial.variable(3, 0)
+        for op in (lambda: x + z, lambda: x - z, lambda: x * z):
+            with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+                op()
 
 
 def _fraction_product(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -224,6 +238,8 @@ class TestEvaluation:
             x.evaluate([1.0])
         with pytest.raises(ValueError):
             x.evaluate(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="point has length 3, expected 2"):
+            x.evaluate_exact([1, 2, 3])
 
     def test_point_and_batch_shapes(self):
         p = x**2 * y + 3
@@ -357,6 +373,10 @@ class TestCalculus:
         assert q.evaluate([2.0, 3.0]) == p.evaluate([2.0, 5.0])
         with pytest.raises(ValueError):
             p.substitute_affine([0, 1], [0, 0])
+        with pytest.raises(ValueError, match="scale/shift length must equal n_vars"):
+            p.substitute_affine([1], [0])
+        with pytest.raises(ValueError, match="scale/shift length must equal n_vars"):
+            p.substitute_affine([1, 1], [0, 0, 0])
 
 
 class TestParser:
@@ -397,6 +417,9 @@ class TestParser:
         with pytest.raises(ParseError) as exc:
             parse_polynomial("x1 + x9", 2)
         assert "position" in str(exc.value)
+        # juxtaposition is not a product: the second factor is left over
+        with pytest.raises(ParseError, match=r"^unexpected token 'x2' \(at position 3\)$"):
+            parse_polynomial("x1 x2", 2)
 
     def test_deep_nesting_is_a_parse_error(self):
         # the recursive descent gives up at ~250 levels: a ParseError, not a RecursionError

@@ -1,6 +1,8 @@
 import hashlib
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,8 +184,8 @@ class TestInvertCdf:
 
     def test_block_matches_each_column_alone(self):
         # the simplex's second coordinate runs over [0, 1 - x1], so the columns
-        # reach the bisection width on different steps and the working arrays
-        # are compacted mid-loop; the last column starts below the width
+        # reach the bisection width on different steps and leave the live mask
+        # while others still bisect; the last column starts below the width
         chain = exact_chain(SIMPLEX3, SIMPLEX3_DENSITY)
         rng = np.random.default_rng(8)
         prefixes = np.concatenate([[0.0, 0.5, 0.9, 0.99, 0.9999], rng.uniform(0.0, 0.99, 200)])
@@ -237,6 +239,8 @@ class TestSample:
         f = parse_polynomial("x1 + x2", 2)
         assert sample(chain, 3, seed=1, f=f) == sample(chain, 3, seed=1, f=f)
         assert sample(chain, 3, seed=1, f=f) != sample(chain, 3, seed=1)
+        # another type is not equal (NotImplemented on both sides), and no error
+        assert (sample(chain, 3, seed=1) == 3) is False
 
     def test_unhashable(self):
         dom = Domain.cube(2)
@@ -316,6 +320,17 @@ class TestPinnedBits:
         chain = exact_chain(dom, density)
         longer = sample(chain, BLOCK_SIZE + 7, seed=6)
         assert np.array_equal(sample(chain, 5, seed=6).points, longer.points[:5])
+
+    def test_benchmark_csv(self, tmp_path):
+        # the sample-motzkin benchmark's pipeline at its recorded seed and
+        # count must write the CSV whose digest perfbench/spec.json records
+        recorded = json.loads((Path(__file__).parents[1] / "perfbench" / "spec.json").read_text())["sample_csv"]
+        tc = get("motzkin")
+        b = compute_bound(tc.f, tc.domain, 12)
+        batch = sample(build_chain(b.density, tc.domain), recorded["count"], seed=recorded["seed"], f=tc.f)
+        path = tmp_path / "sample-motzkin.csv"
+        write_batch_csv(batch, str(path), tc.domain, bound=b.value)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded["sha256"]
 
     def test_same_points_for_any_block_size(self, monkeypatch):
         chain = exact_chain(SIMPLEX3, SIMPLEX3_DENSITY)
