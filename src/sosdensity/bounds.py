@@ -6,14 +6,15 @@ x^a with |a| <= r.  Every entry depends on the sum a+b alone:
 
     B[a, b] = m_{a+b},    A[a, b] = sum_d f_d m_{a+b+d}.
 
-The basis is read off the moment table, each distinct sum gamma = a+b gets
-its two values mB[gamma] and mA[gamma] once, and both matrices are gathered
-as mB[idx] and mA[idx] with idx[i, j] the position of a_i + a_j among the
-distinct sums.  The table stores each moment as an integer numerator over a
-common denominator, keyed by a linear code of the multi-index; codes add
-like multi-indices, so idx and every m_{gamma+d} are found by searchsorted
-on codes, and mA[gamma] = sum_d (f_d F) num_{gamma+d} / (den F), with F the
-lcm of f's denominators, is one exact integer sum and one int/int division.
+The basis and the distinct sums gamma = a+b (all |gamma| <= 2r) come from one
+integer enumeration, each gamma gets its values mB[gamma] and mA[gamma] once,
+and both matrices are gathered as mB[idx] and mA[idx] with idx[i, j] the
+position of a_i + a_j among the sums.  The table stores each nonzero moment as
+an integer numerator over a common denominator, keyed by a linear code of the
+multi-index; codes add like multi-indices, so idx and every m_{gamma+d} are
+found by searchsorted on codes (a missing code is a zero moment and adds no
+term), and mA[gamma] = sum_d (f_d F) num_{gamma+d} / (den F), with F the lcm of
+f's denominators, is one exact integer sum and one int/int division (none for 0).
 That division rounds the exact rational correctly, as float(Fraction) does,
 so A and B have the bits of summing Fraction moments and rounding once.
 A value past the largest float becomes +-inf there, a nonzero one below
@@ -52,7 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .moments import Domain, moment_table
+from .moments import Domain, _enumerate, moment_table
 from .polynomials import Polynomial, _over_lcm
 
 __all__ = [
@@ -191,35 +192,37 @@ def assemble_AB(f: Polynomial, dom: Domain, r: int):
         raise ValueError("order r must be >= 0")
     _check_pencil_size(dom.n, r)
     table = moment_table(dom, 2 * r + f.degree)
-
-    sel = np.flatnonzero(table.degrees <= r)
-    E = table.decode(table.codes[sel])
-    order = np.lexsort([E[:, i] for i in reversed(range(dom.n))] + [table.degrees[sel]])  # grlex
-    basis = tuple(map(tuple, E[order].tolist()))
-    cb = table.codes[sel][order]
-    # the distinct sums a_i + a_j are all gamma with |gamma| <= 2r, and since
+    # every gamma with |gamma| <= 2r in the table's radix: the basis is its part
+    # with |gamma| <= r, and the distinct sums a_i + a_j are all of it, so since
     # c(a_i + a_j) = c(a_i) + c(a_j), idx[i, j] = position of a_i + a_j among them
-    within = np.flatnonzero(table.degrees <= 2 * r)
-    sums = table.codes[within]
-    idx = np.searchsorted(sums, cb[:, None] + cb[None, :])
+    sums, degrees, _ = _enumerate(2 * r, table.max_degree + 1, [np.arange(2 * r + 1)] * dom.n)
+    sel = np.flatnonzero(degrees <= r)
+    E = table.decode(sums[sel])
+    order = np.lexsort([E[:, i] for i in reversed(range(dom.n))] + [degrees[sel]])  # grlex
+    basis = tuple(map(tuple, E[order].tolist()))
+    cb = sums[sel]  # ascending, so each row of queries is too, which searchsorted is quicker on
+    idx = np.searchsorted(sums, cb[:, None] + cb[None, :])[np.ix_(order, order)]
     F, fnums = _over_lcm(f.terms.values())
-    dcodes = table.encode(list(f.terms))
-    acc = np.zeros(len(sums), dtype=object)
-    for dc, fn in zip(dcodes, fnums):
-        acc += fn * table.nums[np.searchsorted(table.codes, sums + dc)]
-    mB = _quotients(table.nums[within], table.den)
+    numsB, acc = np.zeros(len(sums), dtype=object), np.zeros(len(sums), dtype=object)
+    hit, at = table.find(sums)
+    numsB[hit] = table.nums[at]
+    for dc, fn in zip(table.encode(list(f.terms)), fnums):
+        hit, at = table.find(sums + dc)
+        acc[hit] += fn * table.nums[at]
+    mB = _quotients(numsB, table.den)
     mA = _quotients(acc, table.den * F)
     return (mA * table.scale)[idx], (mB * table.scale)[idx], basis
 
 
 def _quotients(nums: np.ndarray, den: int) -> np.ndarray:
-    """The floats nums / den (Python ints, den > 0), each correctly rounded
-    by _quotient, +-inf where the quotient passes the largest float and NaN
-    where a nonzero quotient falls below the smallest normal one."""
-    q = np.array([_quotient(k, den) for k in nums.tolist()], dtype=float)
+    """The floats nums / den (Python ints, den > 0): +0.0 where nums is 0, and
+    each nonzero quotient correctly rounded by _quotient, +-inf where it passes
+    the largest float and NaN where it falls below the smallest normal one."""
+    q = np.zeros(len(nums))
+    nz = np.flatnonzero(nums)
+    q[nz] = [_quotient(k, den) for k in nums[nz].tolist()]
     # a nonzero moment that rounds to 0 or to a subnormal has lost its digits
-    tiny = np.flatnonzero(np.abs(q) < sys.float_info.min)
-    q[tiny[nums[tiny] != 0]] = np.nan
+    q[nz[np.abs(q[nz]) < sys.float_info.min]] = np.nan
     return q
 
 

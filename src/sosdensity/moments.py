@@ -18,13 +18,14 @@ rational part of a moment: on the ball every moment carries the common
 factor pi^(n//2), which is left out of the formula above and enters once,
 as the float _pi_scale(K), wherever a moment becomes a float.
 
-The table (MomentTable) holds every moment with |alpha| <= D as a Python-int
-numerator over one common denominator, den = lcm(g denominators) *
-prod_i lcm(w_i denominators), so that exact sums of moments are integer
-sums; it is keyed by the code c(alpha) = sum_i alpha_i (D+1)^i, which adds
-like the multi-indices (c(a+b) = c(a) + c(b) while no coordinate exceeds D).
-On the ball the pi power is the table's single float `scale`.  Each request
-builds its own table; a bound sweep builds one, for its top order.
+The table (MomentTable) holds the nonzero moments with |alpha| <= D (on a
+centred box or the ball, C(n + D//2, n) of them) as Python-int numerators
+over one common denominator, den = lcm(g denominators) * prod_i lcm(w_i
+denominators), so that exact sums of moments are integer sums; it is keyed by
+the code c(alpha) = sum_i alpha_i (D+1)^i, which adds like the multi-indices
+(c(a+b) = c(a) + c(b) while no coordinate exceeds D), and a code not in it
+reads as 0.  On the ball the pi power is the table's single float `scale`.
+Each request builds its own table; a bound sweep builds one, for its top order.
 """
 
 from __future__ import annotations
@@ -207,10 +208,10 @@ def moment_rational(dom: Domain, alpha: Sequence[int]) -> Fraction:
     return m
 
 
-# Largest table moment_table builds.  An entry holds an int64 code, an int64
-# degree, an object pointer and a Python int numerator (28-33 bytes for the
-# catalog's 10-D boxes); with the arrays of the build the peak is ~60 bytes
-# per entry (3.3e6 entries: 195 MB), so the limit keeps a table under
+# Largest table moment_table builds, counted as if no moment were 0.  An entry
+# holds an int64 code and degree, an object pointer and a Python int numerator
+# (28-33 bytes for the catalog's 10-D boxes); with the arrays of the build the
+# peak is ~60 bytes per entry (3.3e6: 195 MB), so the limit keeps a table under
 # ~250 MB and its build under ~1 s.  C(n+D, n) grows fast in D, so a larger
 # limit buys little: n = 10 goes from D = 14 (2.0e6 entries) to D = 16 (5.3e6).
 MAX_TABLE_ENTRIES = 4_000_000
@@ -218,8 +219,8 @@ MAX_TABLE_ENTRIES = 4_000_000
 
 @dataclass(frozen=True, eq=False)
 class MomentTable:
-    """All moments m_alpha(K) with |alpha| <= max_degree, as integers over
-    one common denominator.
+    """The nonzero moments m_alpha(K) with |alpha| <= max_degree, as integers
+    over one common denominator; a multi-index that is not in it has m_alpha = 0.
 
     Entry k is the multi-index with code codes[k], c(alpha) = sum_i
     alpha_i (D+1)^i for D = max_degree; codes are sorted, and int64 unless
@@ -246,6 +247,12 @@ class MomentTable:
         powers = np.array([(self.max_degree + 1) ** i for i in range(self.dom.n)], dtype=self.codes.dtype)
         return (exps * powers).sum(axis=1)
 
+    def find(self, codes) -> tuple[np.ndarray, np.ndarray]:
+        """(hit, at): where codes are in the table (slice(None) if all are), and their entries."""
+        at = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
+        hit = self.codes[at] == codes  # all hit where no moment is 0: no gather or scatter
+        return (slice(None), at) if hit.all() else (np.flatnonzero(hit), at[hit])
+
     def decode(self, codes) -> np.ndarray:
         """The (N, n) int64 multi-indices of the given codes."""
         base = self.max_degree + 1
@@ -269,8 +276,28 @@ def _scaled_factors(dom: Domain, D: int) -> tuple[int, list[int], list[list[int]
     return den, G, W
 
 
+def _enumerate(D: int, base: int, axes, weights=None):
+    """(codes, degrees, products) of every alpha with |alpha| <= D and alpha_i
+    in axes[i] (ascending int64): codes ascending in radix `base` (Python ints
+    once base^n >= 2^63), products prod_i weights[i][j] for alpha_i = axes[i][j]."""
+    codes = np.zeros(1, dtype=object if base ** len(axes) >= 2**63 else np.int64)
+    degrees = np.zeros(1, dtype=np.int64)
+    prods = np.ones(1, dtype=object)
+    # coordinates from the most significant down: each entry is followed by
+    # its children alpha_i in axes[i] up to D - |alpha|, so the codes stay sorted
+    for i in reversed(range(len(axes))):
+        counts = np.searchsorted(axes[i], D - degrees, side="right")
+        j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        k = axes[i][j]
+        codes = np.repeat(codes * base, counts) + k
+        degrees = np.repeat(degrees, counts) + k
+        if weights is not None:
+            prods = np.repeat(prods, counts) * weights[i][j]
+    return codes, degrees, prods
+
+
 def moment_table(dom: Domain, max_degree: int) -> MomentTable:
-    """Every moment with |alpha| <= max_degree, in a table built per call; ValueError past MAX_TABLE_ENTRIES."""
+    """Every nonzero moment with |alpha| <= max_degree, in a table built per call; ValueError past MAX_TABLE_ENTRIES."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     n, D = dom.n, max_degree
@@ -280,21 +307,14 @@ def moment_table(dom: Domain, max_degree: int) -> MomentTable:
             f"moment table for n = {n}, degree {D} would hold {count} entries "
             f"(limit {MAX_TABLE_ENTRIES}); reduce r"
         )
-    base = D + 1
-    ctype = object if base**n >= 2**63 else np.int64
     den, G, W = _scaled_factors(dom, D)
-    codes = np.zeros(1, dtype=ctype)
-    degrees = np.zeros(1, dtype=np.int64)
-    nums = np.ones(1, dtype=object)
-    # coordinates from the most significant down: each entry is followed by
-    # its children alpha_i = 0..D-|alpha| in order, so the codes stay sorted
-    for i in reversed(range(n)):
-        counts = D + 1 - degrees
-        k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        codes = np.repeat(codes * base, counts) + k
-        degrees = np.repeat(degrees, counts) + k
-        nums = np.repeat(nums, counts) * np.array(W[i], dtype=object)[k]
+    axes = [np.array([k for k, w in enumerate(Wi) if w], dtype=np.int64) for Wi in W]
+    weights = [np.array([w for w in Wi if w], dtype=object) for Wi in W]
+    codes, degrees, nums = _enumerate(D, D + 1, axes, weights)
     nums = nums * np.array(G, dtype=object)[degrees]
+    if 0 in G:  # drops the degrees with g(s) = 0
+        keep = np.array([g != 0 for g in G])[degrees]
+        codes, degrees, nums = codes[keep], degrees[keep], nums[keep]
     return MomentTable(dom, D, codes, degrees, nums, den, _pi_scale(dom))
 
 

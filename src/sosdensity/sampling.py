@@ -385,10 +385,11 @@ def write_batch_csv(batch: SampleBatch, path: str, dom: Domain, bound: float | N
     values = np.full(len(points), np.nan) if batch.values is None else np.asarray(batch.values, dtype=float)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        # repr of the Python floats of row.tolist() is repr(float(c)) without
-        # one numpy scalar per entry; each line is written as it is formatted,
-        # so no copy of the whole file is held
-        fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in np.column_stack([points, values]))
+        # repr of the Python floats of .tolist() is repr(float(c)) without one numpy
+        # scalar per entry; a block of rows is written as it is formatted
+        rows = np.column_stack([points, values])
+        for start in range(0, len(rows), 4096):
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows[start : start + 4096].tolist())
     sidecar = {
         "seed": batch.seed,
         "count": int(batch.points.shape[0]),

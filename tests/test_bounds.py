@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib.util
 import itertools
@@ -30,7 +31,7 @@ from sosdensity.polynomials import Polynomial, grlex_key, parse_polynomial
 
 
 class TestMonomialBasis:
-    """The basis assemble_AB reads off the moment table."""
+    """The grlex basis assemble_AB enumerates."""
 
     @pytest.mark.parametrize("n,r", [(1, 0), (2, 3), (3, 4)])
     def test_size_and_order(self, n, r):
@@ -66,16 +67,19 @@ class TestMonomialBasis:
 
 def _reference_AB(f, dom, r):
     """Plain per-entry assembly: every (a, b) pair gets its own exact sums."""
-    basis = sorted((a for a in itertools.product(range(r + 1), repeat=dom.n) if sum(a) <= r), key=grlex_key)
+    # a multiset of k <= r coordinates is the monomial of degree k that takes them
+    picks = (c for k in range(r + 1) for c in itertools.combinations_with_replacement(range(dom.n), k))
+    basis = sorted((tuple(map(c.count, range(dom.n))) for c in picks), key=grlex_key)
     scale = math.pi ** (dom.n // 2) if dom.kind == "ball" else 1.0
     m = len(basis)
     A, B = np.empty((m, m)), np.empty((m, m))
+    moment = functools.cache(lambda alpha: moment_rational(dom, alpha))  # each pair still sums its own
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             ab = tuple(x + y for x, y in zip(a, b))
-            B[i, j] = float(moment_rational(dom, ab)) * scale
+            B[i, j] = float(moment(ab)) * scale
             acc = sum(
-                (c * moment_rational(dom, tuple(x + y for x, y in zip(ab, d))) for d, c in f.terms.items()),
+                (c * moment(tuple(x + y for x, y in zip(ab, d))) for d, c in f.terms.items()),
                 Fraction(0),
             )
             A[i, j] = float(acc) * scale
@@ -127,7 +131,11 @@ def test_assembly_exact_against_per_entry_reference(kind, n, r):
         "f16ff842ad9dde65f2c239cc2b88d2e6b2ada645c78d81c79812c283a91d1419",
         "319aeaa1779ef8787c61fafb823a580ad6b2518b921b9db1ba94cd0440447ed1",
     )),
-], ids=["styblinski-tang-n10", "motzkin", "matyas-modified-s", "three-hump-camel-modified-b"])
+    ("rosenbrock", 10, 3, (
+        "076b730eeca4d98f50b6ae2ee39fae83488cdf2416e7bf6ff39371f4b6ad724c",
+        "c0491cfa24d23f941d1a44d524bf543a86520aa1907654ff0774ab4b924029c7",
+    )),
+], ids=["styblinski-tang-n10", "motzkin", "matyas-modified-s", "three-hump-camel-modified-b", "rosenbrock-n10"])
 def test_assembly_digests(name, n, r, digests):
     tc = get(name, n) if n else get(name)
     A, B, _ = assemble_AB(tc.f, tc.domain, r)
@@ -169,6 +177,17 @@ class TestAssembly:
         swept, one = pencil.solve(2), compute_bound(f, dom, 2)
         assert (swept.value, swept.cond_B, swept.residual) == (one.value, one.cond_B, one.residual)
         assert swept.eigvec.tobytes() == one.eigvec.tobytes()
+
+    def test_wide_codes_against_per_entry_reference(self):
+        # 4^64 codes on [-1, 1]^64: the sums, the basis and every look-up run
+        # on Python-int codes, and each odd moment is missing from the table
+        f = parse_polynomial("x1 + x64", 64)
+        dom = Domain.cube(64, -1, 1)
+        A, B, basis = assemble_AB(f, dom, 1)
+        A_ref, B_ref, basis_ref = _reference_AB(f, dom, 1)
+        assert basis == basis_ref
+        assert np.array_equal(A, A_ref)
+        assert np.array_equal(B, B_ref)
 
     def test_wide_codes(self):
         # 2^64 codes: the table keeps Python-int codes, the gather is the same

@@ -165,7 +165,9 @@ class TestMomentTable:
     def test_matches_pointwise_oracle(self, dom):
         table = moment_table(dom, 6)
         n = dom.n
-        count = math.comb(n + 6, 6)
+        # the nonzero moments: even alpha_1 on [-2, 2] x [0, 1], all on the
+        # simplex, even alpha on the ball
+        count = {"box": 16, "simplex": 84, "ball": 10}[dom.kind]
         assert len(table) == count
         assert table.codes.dtype == np.int64
         assert np.all(np.diff(table.codes) > 0)  # sorted, distinct
@@ -175,7 +177,29 @@ class TestMomentTable:
         assert len(entries) == count
         for (alpha, val), deg in zip(entries.items(), table.degrees):
             assert sum(alpha) == deg <= 6
-            assert val == moment_rational(dom, alpha)
+            assert val != 0 and val == moment_rational(dom, alpha)
+        # a multi-index missing from the table has moment 0
+        for alpha in itertools.product(range(7), repeat=n):
+            if sum(alpha) <= 6 and alpha not in entries:
+                assert moment_rational(dom, alpha) == 0
+
+    @pytest.mark.parametrize("n,D", [(1, 0), (1, 7), (2, 5), (3, 6), (4, 9)])
+    def test_holds_only_nonzero_moments(self, n, D):
+        # odd exponents vanish on [-1, 1]^n and the ball, no moment on [0, 1]^n or the simplex
+        half, full = math.comb(n + D // 2, n), math.comb(n + D, n)
+        for dom, count in [(Domain.cube(n, -1, 1), half), (Domain.ball(n), half),
+                           (Domain.cube(n), full), (Domain.simplex(n), full)]:
+            assert len(moment_table(dom, D)) == count
+
+    def test_drops_degrees_whose_factor_is_zero(self, monkeypatch):
+        # no kind has g(s) = 0, but a degree with one holds no nonzero moment
+        dom = Domain.simplex(2)
+        full = _entries(moment_table(dom, 4))
+        g = moments._degree_factor
+        monkeypatch.setattr(moments, "_degree_factor", lambda dom, s: 0 * g(dom, s) if s == 2 else g(dom, s))
+        table = moment_table(dom, 4)
+        assert 2 not in table.degrees.tolist()
+        assert _entries(table) == {alpha: v for alpha, v in full.items() if sum(alpha) != 2}
 
     def test_caller_owns_the_table(self):
         table = moment_table(Domain.cube(2), 6)
@@ -239,7 +263,8 @@ class TestClosedFormOracle:
             want = _closed_form(dom, alpha)
             got = integrate_poly(dom, Polynomial.monomial(dom.n, alpha))
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-            assert float(entries[alpha]) * table.scale == pytest.approx(want, rel=1e-12, abs=0.0)
+            # a multi-index missing from the table reads as 0
+            assert float(entries.get(alpha, 0)) * table.scale == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestIntegratePoly:
