@@ -17,16 +17,16 @@ term), and mA[gamma] = sum_d (f_d F) num_{gamma+d} / (den F), with F the lcm of
 f's denominators, is one exact integer sum and one int/int division (none for 0).
 That division rounds the exact rational correctly, as float(Fraction) does,
 so A and B have the bits of summing Fraction moments and rounding once.
-A value past the largest float becomes +-inf there, a nonzero one below
-the smallest normal float NaN, and an order whose pencil holds either is a
-ConditioningError.
+A value past the largest float becomes +-inf there, and a nonzero one below
+the smallest normal float NaN.
 The eigensolve is LAPACK's dsygvd (a Cholesky factor of B reduces the
 pencil to a dense symmetric problem), from scipy's compiled LAPACK wrapper.
 That extension is loaded from its file, so neither scipy's nor scipy.linalg's
 Python package is imported (scipy.linalg's import takes longer than most
 bound sweeps).  The call is the one scipy.linalg.eigh(A, B) makes with its
-defaults, and it refuses what eigh refused: a non-finite entry (ValueError)
-and a nonzero LAPACK info (LinAlgError).
+defaults.  smallest_generalized_eigenpair is the one place that decides an
+order cannot be solved in floats, and every such order is a ConditioningError
+naming its cause.
 
 The bound does not move when K and f are translated together, but
 monomials lose digits fast on an off-centre box, so a Pencil is assembled
@@ -105,7 +105,7 @@ _dsygvd = _load_flapack().dsygvd
 
 
 class ConditioningError(RuntimeError):
-    """B is numerically indefinite or too ill-conditioned to trust."""
+    """An order whose pencil the floats cannot solve; detail names the cause."""
 
     def __init__(self, cond_B: float, detail: str = ""):
         msg = f"moment matrix B is numerically unusable (cond ~ {cond_B:.3e}); reduce r"
@@ -163,16 +163,12 @@ class Pencil:
             raise ValueError(f"the pencil solves orders 0..{top}, not {r}")
         m = math.comb(len(self.basis[0]) + r, r)
         A, B = np.ascontiguousarray(self.A[:m, :m]), np.ascontiguousarray(self.B[:m, :m])
-        # order r's block holds the values of exactly the sums |gamma| <= 2r that an
-        # order-r assembly rounds, so an infinite entry is an overflow of order r's
-        # own and a NaN (see _quotients) an underflow of its own
-        if not (np.isfinite(A).all() and np.isfinite(B).all()):
-            if np.isinf(A).any() or np.isinf(B).any():
-                raise ConditioningError(np.inf, "a moment overflows a float")
-            raise ConditioningError(np.inf, "a moment underflows a float")
         lam, v, cond_B = smallest_generalized_eigenpair(A, B)
         bv = B @ v
-        residual = float(np.linalg.norm(A @ v - lam * bv) / np.linalg.norm(bv))
+        res = A @ v - lam * bv
+        # each vector over its largest |entry|, whose square in a norm can pass the largest float
+        s, t = np.abs(res).max(), np.abs(bv).max()
+        residual = float(s / t * np.linalg.norm(res / s) / np.linalg.norm(bv / t)) if s else 0.0
         return BoundResult(r=r, value=lam, eigvec=v, cond_B=cond_B, residual=residual, basis=self.basis[:m], shift=self.shift)
 
 
@@ -238,26 +234,40 @@ def smallest_generalized_eigenpair(A: np.ndarray, B: np.ndarray):
 
     The pencil is diagonally equilibrated first (an exact congruence, so the
     eigenvalues are unchanged); this is what makes high orders on wide boxes
-    tractable in double precision.  A non-finite entry anywhere in A or B is
-    refused first, with the eigensolve's ValueError.
+    tractable in double precision.  Every reason the floats cannot solve the
+    pencil is a ConditioningError raised here, naming its cause: an infinite
+    or NaN entry, an equilibrated entry past the largest float, a nonpositive
+    diagonal in B, an indefinite or over-COND_LIMIT B, and a nonzero dsygvd info.
     """
-    _check_finite(A, B)
+    # a pencil's block of order r holds the values of exactly the sums |gamma| <= 2r
+    # that an order-r assembly rounds, so an infinite entry is an overflow of order
+    # r's own and a NaN (see _quotients) an underflow of its own
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        if np.isinf(A).any() or np.isinf(B).any():
+            raise ConditioningError(np.inf, "a moment overflows a float")
+        raise ConditioningError(np.inf, "a moment underflows a float")
     diag = np.diag(B)
     if np.any(diag <= 0):
         raise ConditioningError(np.inf, "nonpositive diagonal in B")
     D = 1.0 / np.sqrt(diag)
-    Bs = B * D[:, None] * D[None, :]
-    As = A * D[:, None] * D[None, :]
-    # enforce exact symmetry against float roundoff
-    Bs = 0.5 * (Bs + Bs.T)
-    As = 0.5 * (As + As.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        Bs = B * D[:, None] * D[None, :]
+        As = A * D[:, None] * D[None, :]
+        # enforce exact symmetry against float roundoff
+        Bs = 0.5 * (Bs + Bs.T)
+        As = 0.5 * (As + As.T)
+    if not (np.isfinite(As).all() and np.isfinite(Bs).all()):
+        raise ConditioningError(np.inf, "an equilibrated entry passes the largest float")
 
     bw = np.linalg.eigvalsh(Bs)
     cond_B = float(bw[-1] / bw[0]) if bw[0] > 0 else np.inf
     if bw[0] <= 0 or cond_B > COND_LIMIT:
         raise ConditioningError(cond_B)
 
-    w, V = _generalized_eigh(As, Bs)
+    # dsygvd reads the lower triangles of copies of As and Bs, as scipy.linalg.eigh(As, Bs) does
+    w, V, info = _dsygvd(As, Bs, itype=1, jobz="V", uplo="L")
+    if info != 0:
+        raise ConditioningError(cond_B, f"LAPACK dsygvd failed with info = {info}")
     lam = float(w[0])
     v = D * V[:, 0]
     # normalize v^T B v = 1, first nonzero coordinate positive
@@ -266,23 +276,6 @@ def smallest_generalized_eigenpair(A: np.ndarray, B: np.ndarray):
     if nz.size and v[nz[0]] < 0:
         v = -v
     return lam, v, cond_B
-
-
-def _check_finite(a: np.ndarray, b: np.ndarray) -> None:
-    """Refuse a NaN or an infinity in a or b, as scipy's check_finite did."""
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
-
-
-def _generalized_eigh(a: np.ndarray, b: np.ndarray):
-    """Eigenvalues (ascending) and b-orthonormal eigenvectors of a v = w b v,
-    a symmetric and b s.p.d., both read from their lower triangles: LAPACK
-    dsygvd on copies of a and b, as scipy.linalg.eigh(a, b) calls it."""
-    _check_finite(a, b)
-    w, V, info = _dsygvd(a, b, itype=1, jobz="V", uplo="L")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dsygvd failed with info = {info}")
-    return w, V
 
 
 def _centre(dom: Domain) -> tuple[Fraction, ...] | None:

@@ -145,12 +145,18 @@ class Domain:
 
 
 def domain_from_json(obj) -> Domain:
-    """Read the {"kind": ...} wire form (dict or JSON string)."""
+    """Read the wire form {"kind": "box", "bounds": [[lo, hi], ...]} or
+    {"kind": "simplex" | "ball", "n": n} (a dict or JSON text).  Any other
+    shape is a ValueError naming these forms; Domain checks the kind and n."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    if obj["kind"] == "box":
-        return Domain.box([(Fraction(str(lo)), Fraction(str(hi))) for lo, hi in obj["bounds"]])
-    return Domain(obj["kind"], obj.get("n"))
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind == "box" and obj.keys() == {"kind", "bounds"} and isinstance(obj["bounds"], list):
+        if all(isinstance(pair, list) and len(pair) == 2 for pair in obj["bounds"]):
+            return Domain.box([(Fraction(str(lo)), Fraction(str(hi))) for lo, hi in obj["bounds"]])
+    elif kind is not None and kind != "box" and obj.keys() <= {"kind", "n"}:
+        return Domain(kind, obj.get("n"))
+    raise ValueError('a domain is {"kind":"box","bounds":[[lo,hi],...]} or {"kind":"simplex"|"ball","n":n}')
 
 
 # ---- moment oracles ---------------------------------------------------

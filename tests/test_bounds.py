@@ -278,16 +278,17 @@ class TestEigenpair:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["A", "B"])
     def test_non_finite_entry_is_a_value_error_wherever_it_sits(self, where, bad, m):
-        # off the diagonal next to it, two places off it, and on it; B's
-        # eigenvalues used to be taken first, so an inf at B[0, 1] was a
-        # ConditioningError and one at B[0, 2] an uncaught LinAlgError
+        # off the diagonal next to it, two places off it, and on it, each is
+        # refused before B's eigenvalues are taken, as an overflow (inf) or an
+        # underflow (NaN, see _quotients)
+        cause = "a moment underflows a float" if math.isnan(bad) else "a moment overflows a float"
         for i, j in [(0, 1), (0, 2), (0, 0), (m - 1, m - 1)]:
             if j >= m:
                 continue
             A, B = np.diag(np.arange(1.0, m + 1)), np.eye(m)
             M = A if where == "A" else B
             M[i, j] = M[j, i] = bad
-            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            with pytest.raises(ConditioningError, match=rf"\(cond ~ inf\); reduce r \[{cause}\]$"):
                 smallest_generalized_eigenpair(A, B)
 
 
@@ -316,7 +317,8 @@ print(json.dumps([flapack is not None and bounds._dsygvd is flapack.dsygvd, "sci
 
 class TestLapackCall:
     """The eigensolve calls LAPACK dsygvd directly; it must give what
-    scipy.linalg.eigh(As, Bs) gave, bit for bit, and refuse what it refused."""
+    scipy.linalg.eigh(As, Bs) gave, bit for bit.  A pencil eigh refused is a
+    ConditioningError naming its cause, raised before or by that call."""
 
     @pytest.mark.parametrize("name,r_max", GOLDEN_SWEEPS, ids=[name for name, _ in GOLDEN_SWEEPS])
     def test_golden_blocks_match_scipy_eigh(self, name, r_max, monkeypatch):
@@ -329,15 +331,16 @@ class TestLapackCall:
             Ar, Br = np.ascontiguousarray(pencil.A[:m, :m]), np.ascontiguousarray(pencil.B[:m, :m])
             solved = []
 
-            def scipy_eigh(a, b):
+            def scipy_eigh(a, b, **kwargs):
                 solved.append((a, b))
-                return eigh(a, b)
+                return *eigh(a, b), 0
 
             with monkeypatch.context() as patched:
-                patched.setattr(bounds, "_generalized_eigh", scipy_eigh)
+                patched.setattr(bounds, "_dsygvd", scipy_eigh)
                 want = smallest_generalized_eigenpair(Ar, Br)
             (As, Bs), = solved
-            w, V = bounds._generalized_eigh(As, Bs)
+            w, V, info = bounds._dsygvd(As, Bs, itype=1, jobz="V", uplo="L")
+            assert info == 0
             w_ref, V_ref = eigh(As, Bs)
             assert w.tobytes() == w_ref.tobytes() and V.tobytes() == V_ref.tobytes()
             lam, v, cond_B = smallest_generalized_eigenpair(Ar, Br)
@@ -361,15 +364,15 @@ class TestLapackCall:
         from scipy.linalg import eigh
 
         for a, b in self._bad_pencils():
-            with pytest.raises(ValueError) as want:
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
                 eigh(a, b)
-            with pytest.raises(ValueError) as got:
-                bounds._generalized_eigh(a, b)
-            assert str(got.value) == str(want.value) == "array must not contain infs or NaNs"
+            with pytest.raises(ConditioningError, match=r"\[a moment (overflows|underflows) a float\]$") as got:
+                smallest_generalized_eigenpair(a, b)
+            assert got.value.cond_B == math.inf
 
-    def test_non_finite_A_is_a_value_error(self):
-        for a, b in list(self._bad_pencils())[:-1]:
-            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+    def test_non_finite_A_is_an_overflow_or_underflow(self):
+        for (a, b), cause in zip(list(self._bad_pencils())[:-1], ["underflows", "overflows", "overflows", "underflows"]):
+            with pytest.raises(ConditioningError, match=rf"\[a moment {cause} a float\]$"):
                 smallest_generalized_eigenpair(a, b)
 
     @pytest.mark.parametrize("spec", [None, SimpleNamespace(submodule_search_locations=[])], ids=["no-scipy", "no-file"])
@@ -400,13 +403,32 @@ class TestLapackCall:
         assert float.fromhex(bits[0]) == 0.40607565619235314
 
     def test_indefinite_B_is_a_lapack_error(self):
+        # dsygvd reports this B by its info, eigh by a LinAlgError; the pencil
+        # is refused before the call, by B's diagonal
         from scipy.linalg import eigh
 
         A, B = np.eye(2), np.diag([1.0, -1.0])
         with pytest.raises(np.linalg.LinAlgError):
             eigh(A, B)
-        with pytest.raises(np.linalg.LinAlgError, match="dsygvd"):
-            bounds._generalized_eigh(A, B)
+        assert bounds._dsygvd(A, B, itype=1, jobz="V", uplo="L")[2] != 0
+        with pytest.raises(ConditioningError, match=r"\[nonpositive diagonal in B\]$"):
+            smallest_generalized_eigenpair(A, B)
+
+    def test_nonzero_info_is_a_conditioning_error(self, monkeypatch):
+        # a dsygvd failure is refused like every other float failure of an
+        # order: compute_bound raises it, a sweep stops at that order
+        f, dom = parse_polynomial("x1", 1), Domain.cube(1)
+        solve = bounds._dsygvd
+
+        def fail_at_m3(a, b, **kwargs):
+            w, V, info = solve(a, b, **kwargs)
+            return w, V, 1 if len(a) == 3 else info
+
+        monkeypatch.setattr(bounds, "_dsygvd", fail_at_m3)
+        with pytest.raises(ConditioningError, match=r"\[LAPACK dsygvd failed with info = 1\]$") as exc:
+            compute_bound(f, dom, 2)
+        assert math.isfinite(exc.value.cond_B)
+        assert [b.r for b in bound_sweep(f, dom, 4)] == [1]
 
 
 class TestComputeBound:
@@ -433,6 +455,13 @@ class TestComputeBound:
         f = parse_polynomial("x1^4 - x1^2", 1)
         b = compute_bound(f, Domain.box([(-2, 2)]), 6)
         assert b.residual < 1e-8
+
+    @pytest.mark.parametrize("e", [150, 200])
+    def test_residual_of_a_huge_f_is_finite(self, e):
+        # |A v| ~ 10^e: squared in the norms, 10^200 passed the largest float
+        b = compute_bound(parse_polynomial(f"10^{e}*x1", 1), Domain.box([(0, "0.00001")]), 1)
+        assert b.value == pytest.approx(2.1132486540518714 * 10.0 ** (e - 6), rel=1e-12)
+        assert 0 < b.residual < 1e-15 * b.value
 
     def test_constant_objective(self):
         b = compute_bound(parse_polynomial("5", 1), Domain.cube(1), 3)

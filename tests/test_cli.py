@@ -150,6 +150,24 @@ class TestOverflow:
         with pytest.raises(ConditioningError, match="a moment underflows a float"):
             compute_bound(parse_polynomial("x1", 1), Domain.box([(0, "1e-60")]), 2)
 
+    def test_equilibration_overflow_is_a_conditioning_row(self, capsys):
+        # every entry of A and B is finite, but A's equilibrated and symmetrized
+        # (0, 0) entry, 2 * 5e303 / 1e-5, passes the largest float
+        domain = '{"kind":"box","bounds":[["0","0.00001"]]}'
+        code, out, err = run(capsys, "bound", "--poly", "10^314*x1", "--domain", domain, "--r", "1..3")
+        assert (code, err) == (3, "")
+        assert [line.split(",")[-1] for line in out.strip().splitlines()[1:]] == ["conditioning-error"] * 3
+
+    def test_lapack_failure_is_a_conditioning_row(self, capsys, monkeypatch):
+        from sosdensity import bounds
+
+        solve = bounds._dsygvd
+        monkeypatch.setattr(bounds, "_dsygvd", lambda a, b, **kwargs: (*solve(a, b, **kwargs)[:2], 1))
+        code, out, err = run(capsys, "bound", "--poly", "x1", "--domain", UNIT, "--r", "1..3")
+        assert (code, err) == (3, "")
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [(row[0], row[-1]) for row in rows] == [(str(r), "conditioning-error") for r in (1, 2, 3)]
+
     @pytest.mark.parametrize("command, expected", [("certificate", 2), ("bound", 3), ("sample", 3)])
     def test_huge_coefficient(self, capsys, command, expected):
         argv = [command, "--poly", "10^400*x1", "--domain", UNIT, "--r", "1"]

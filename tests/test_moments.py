@@ -72,6 +72,24 @@ class TestDomain:
     def test_json_roundtrip(self):
         for dom in [Domain.box([(Fraction(-21, 10), 2)]), Domain.simplex(3), Domain.ball(4)]:
             assert domain_from_json(json.dumps(dom.to_json())) == dom
+            assert domain_from_json(dom.to_json()) == dom
+
+    @pytest.mark.parametrize("text", [
+        '[0,1]',
+        '"box"',
+        '{"kind":"box"}',
+        '{"kind":"box","bounds":[[0]]}',
+        '{"kind":"box","bounds":[[0,1,2]]}',
+        '{"kind":"box","bounds":[0,1]}',
+        '{"kind":"box","bounds":{"0":1}}',
+        '{"kind":"simplex","n":1,"bounds":[["0","5"]]}',
+        '{"kind":"box","bounds":[["0","1"]],"n":1}',
+        '{"n":2}',
+    ])
+    def test_json_names_the_wire_forms(self, text):
+        with pytest.raises(ValueError) as exc:
+            domain_from_json(text)
+        assert str(exc.value) == 'a domain is {"kind":"box","bounds":[[lo,hi],...]} or {"kind":"simplex"|"ball","n":n}'
 
     @pytest.mark.parametrize("text, message", [
         ('{"kind":"simplex"}', "non-integer dimension None"),
