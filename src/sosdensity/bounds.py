@@ -105,14 +105,16 @@ _dsygvd = _load_flapack().dsygvd
 
 
 class ConditioningError(RuntimeError):
-    """An order whose pencil the floats cannot solve; detail names the cause."""
+    """An order whose pencil the floats cannot solve; the message is the cause,
+    and cond_B is B's equilibrated condition number, inf where none was measured."""
 
-    def __init__(self, cond_B: float, detail: str = ""):
-        msg = f"moment matrix B is numerically unusable (cond ~ {cond_B:.3e}); reduce r"
-        if detail:
-            msg += f" [{detail}]"
-        super().__init__(msg)
+    def __init__(self, cause: str, cond_B: float = math.inf):
+        super().__init__(cause)
         self.cond_B = cond_B
+
+
+# what a refusal adds when a value, not B's conditioning, is past the floats
+_OUT_OF_RANGE = "; K's extent or f's coefficients leave the float range"
 
 
 @dataclass(frozen=True, eq=False)  # == is identity: the generated one would ask an array for a bool
@@ -244,11 +246,11 @@ def smallest_generalized_eigenpair(A: np.ndarray, B: np.ndarray):
     # r's own and a NaN (see _quotients) an underflow of its own
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         if np.isinf(A).any() or np.isinf(B).any():
-            raise ConditioningError(np.inf, "a moment overflows a float")
-        raise ConditioningError(np.inf, "a moment underflows a float")
+            raise ConditioningError("a moment overflows a float" + _OUT_OF_RANGE)
+        raise ConditioningError("a moment underflows a float" + _OUT_OF_RANGE)
     diag = np.diag(B)
     if np.any(diag <= 0):
-        raise ConditioningError(np.inf, "nonpositive diagonal in B")
+        raise ConditioningError("nonpositive diagonal in B")
     D = 1.0 / np.sqrt(diag)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         Bs = B * D[:, None] * D[None, :]
@@ -257,17 +259,18 @@ def smallest_generalized_eigenpair(A: np.ndarray, B: np.ndarray):
         Bs = 0.5 * (Bs + Bs.T)
         As = 0.5 * (As + As.T)
     if not (np.isfinite(As).all() and np.isfinite(Bs).all()):
-        raise ConditioningError(np.inf, "an equilibrated entry passes the largest float")
+        raise ConditioningError("an equilibrated entry passes the largest float" + _OUT_OF_RANGE)
 
     bw = np.linalg.eigvalsh(Bs)
     cond_B = float(bw[-1] / bw[0]) if bw[0] > 0 else np.inf
+    unusable = f"moment matrix B is numerically unusable (cond ~ {cond_B:.3e}); reduce r"
     if bw[0] <= 0 or cond_B > COND_LIMIT:
-        raise ConditioningError(cond_B)
+        raise ConditioningError(unusable, cond_B)
 
     # dsygvd reads the lower triangles of copies of As and Bs, as scipy.linalg.eigh(As, Bs) does
     w, V, info = _dsygvd(As, Bs, itype=1, jobz="V", uplo="L")
     if info != 0:
-        raise ConditioningError(cond_B, f"LAPACK dsygvd failed with info = {info}")
+        raise ConditioningError(f"{unusable} [LAPACK dsygvd failed with info = {info}]", cond_B)
     lam = float(w[0])
     v = D * V[:, 0]
     # normalize v^T B v = 1, first nonzero coordinate positive

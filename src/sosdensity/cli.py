@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import benchmarks, golden
-from .bounds import ConditioningError, _sweep_pencil, bound_sweep, compute_bound
+from .bounds import ConditioningError, _sweep_pencil, compute_bound
 from .rate import certificate
 from .moments import Domain, domain_from_json
 from .polynomials import ParseError, Polynomial, parse_polynomial
@@ -126,9 +126,9 @@ def _emit(rows: list[dict], columns: list[str], as_json: bool, path: str | None)
 # ---- subcommands ------------------------------------------------------
 
 
-def cmd_bound(args) -> int:
-    f, dom, _ = _load_instance(args)
-    r_lo, r_hi = _parse_orders(args.r)
+def _solve_orders(f: Polynomial, dom: Domain, r_lo: int, r_hi: int) -> list[dict]:
+    """One row per order r_lo..r_hi, each solved on one pencil assembled at
+    r_hi; a refused order is a conditioning-error row with its cond_B."""
     pencil = _sweep_pencil(f, dom, r_hi)  # each row's time_sec is its solve only
     rows = []
     for r in range(r_lo, r_hi + 1):
@@ -140,6 +140,12 @@ def cmd_bound(args) -> int:
             value, cond_B, status = None, exc.cond_B, "conditioning-error"
         time_sec = round(time.perf_counter() - t0, 6)
         rows.append({"r": r, "value": value, "cond_B": cond_B, "time_sec": time_sec, "status": status})
+    return rows
+
+
+def cmd_bound(args) -> int:
+    f, dom, _ = _load_instance(args)
+    rows = _solve_orders(f, dom, *_parse_orders(args.r))
     _emit(rows, ["r", "value", "cond_B", "time_sec", "status"], args.json, args.out)
     return EX_OK if any(row["status"] == "ok" for row in rows) else EX_CONDITIONING
 
@@ -211,52 +217,30 @@ def cmd_certificate(args) -> int:
     return EX_OK
 
 
-def _bench_block(name, n, r_max, cells, tol, relative, rows):
-    """Rows for the golden cells r <= r_max of one function; True if any failed."""
-    tc = benchmarks.get(name, n)
-    results = bound_sweep(tc.f, tc.domain, r_max)
-    failed = False
-    got = {b.r: b for b in results}
-    for r in sorted(cells):
-        if r > r_max:
-            continue
-        gold = cells[r]
-        b = got.get(r)
-        row = {
-            "function": tc.name if n is None else f"{tc.name}(n={n})",
-            "r": r,
-            "value": None if b is None else b.value,
-            "golden": gold,
-            "abs_delta": None if b is None else abs(b.value - gold),
-            "time_sec": None,
-        }
-        if b is None:
-            row["status"] = "conditioning-error"
-            failed = True
-        elif abs(b.value - gold) / (abs(gold) if relative else 1.0) <= tol:
-            row["status"] = "ok"
-        else:
-            row["status"] = "FAIL"
-            failed = True
-        key = (tc.name, r)
-        if key in golden.CORRECTED:
-            row["reference_print"] = golden.CORRECTED[key]
-        rows.append(row)
-    return failed
-
-
 def cmd_bench(args) -> int:
-    rows: list[dict] = []
-    failed = False
-    for name, cells in golden.TABLE_BOX.items():
-        failed |= _bench_block(name, None, golden.TABLE_BOX_ASSERT_MAX_R, cells, golden.ABS_TOL, False, rows)
-    for name, cells in golden.TABLE_SB.items():
-        failed |= _bench_block(name, None, max(cells), cells, golden.ABS_TOL, False, rows)
-    for name, cells in golden.TABLE_N10.items():
-        failed |= _bench_block(name, 10, golden.TABLE_N10_ASSERT_MAX_R, cells, golden.REL_TOL_N10, True, rows)
-    columns = ["function", "r", "value", "golden", "abs_delta", "status", "reference_print"]
+    # (name, n, asserted top order, cells, tolerance, relative) per golden function
+    blocks = [(name, None, golden.TABLE_BOX_ASSERT_MAX_R, cells, golden.ABS_TOL, False)
+              for name, cells in golden.TABLE_BOX.items()]
+    blocks += [(name, None, max(cells), cells, golden.ABS_TOL, False) for name, cells in golden.TABLE_SB.items()]
+    blocks += [(name, 10, golden.TABLE_N10_ASSERT_MAX_R, cells, golden.REL_TOL_N10, True)
+               for name, cells in golden.TABLE_N10.items()]
+    rows = []
+    for name, n, top, cells, tol, relative in blocks:
+        tc = benchmarks.get(name, n)
+        for row in _solve_orders(tc.f, tc.domain, 1, top):
+            gold = cells.get(row["r"])
+            if gold is None:
+                continue
+            delta = None if row["value"] is None else abs(row["value"] - gold)
+            if row["status"] == "ok" and not delta / (abs(gold) if relative else 1.0) <= tol:  # NaN fails too
+                row["status"] = "FAIL"
+            row.update(function=tc.name if n is None else f"{tc.name}(n={n})", golden=gold, abs_delta=delta)
+            if (tc.name, row["r"]) in golden.CORRECTED:
+                row["reference_print"] = golden.CORRECTED[tc.name, row["r"]]
+            rows.append(row)
+    columns = ["function", "r", "value", "golden", "abs_delta", "time_sec", "status", "reference_print"]
     _emit(rows, columns, args.json, args.out)
-    return EX_GOLDEN if failed else EX_OK
+    return EX_OK if all(row["status"] == "ok" for row in rows) else EX_GOLDEN
 
 
 # ---- entry point ------------------------------------------------------

@@ -53,15 +53,8 @@ __all__ = [
 
 
 def _double_factorial(k: int) -> int:
-    if k in (0, -1):
-        return 1
-    if k < -1:
-        raise ValueError("double factorial undefined below -1")
-    result = 1
-    while k > 1:
-        result *= k
-        k -= 2
-    return result
+    """k!! for k >= -1 (1 at k = 0 and k = -1)."""
+    return math.prod(range(k, 0, -2))
 
 
 @dataclass(frozen=True)
@@ -232,14 +225,13 @@ class MomentTable:
     alpha_i (D+1)^i for D = max_degree; codes are sorted, and int64 unless
     (D+1)^n >= 2^63 (then Python ints in an object array).  Its moment is
     nums[k] / den exactly, times the float `scale` (pi^(n//2) on the ball,
-    1.0 otherwise); degrees[k] = |alpha|.  Codes add like the multi-indices
-    they encode as long as no coordinate of the sum exceeds D.
+    1.0 otherwise).  Codes add like the multi-indices they encode as long
+    as no coordinate of the sum exceeds D.
     """
 
     dom: Domain
     max_degree: int
     codes: np.ndarray
-    degrees: np.ndarray
     nums: np.ndarray
     den: int
     scale: float
@@ -317,11 +309,7 @@ def moment_table(dom: Domain, max_degree: int) -> MomentTable:
     axes = [np.array([k for k, w in enumerate(Wi) if w], dtype=np.int64) for Wi in W]
     weights = [np.array([w for w in Wi if w], dtype=object) for Wi in W]
     codes, degrees, nums = _enumerate(D, D + 1, axes, weights)
-    nums = nums * np.array(G, dtype=object)[degrees]
-    if 0 in G:  # drops the degrees with g(s) = 0
-        keep = np.array([g != 0 for g in G])[degrees]
-        codes, degrees, nums = codes[keep], degrees[keep], nums[keep]
-    return MomentTable(dom, D, codes, degrees, nums, den, _pi_scale(dom))
+    return MomentTable(dom, D, codes, nums * np.array(G, dtype=object)[degrees], den, _pi_scale(dom))
 
 
 def integrate_poly_exact(dom: Domain, p: Polynomial) -> Fraction:

@@ -16,6 +16,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def untimed_csv(text, column):
+    """The lines of a CSV with its time_sec column (0-based) removed."""
+    return [",".join(line.split(",")[:column] + line.split(",")[column + 1:]) for line in text.strip().splitlines()]
+
+
+def untimed_json(text):
+    """The rows of a JSON output without their time_sec."""
+    return [{k: v for k, v in row.items() if k != "time_sec"} for row in json.loads(text)]
+
+
 class TestBound:
     def test_sweep_csv(self, capsys):
         code, out, _ = run(capsys, "bound", "--fn", "motzkin", "--r", "1..6")
@@ -357,12 +367,8 @@ class TestOutFile:
         path = tmp_path / "bound.csv"
         code, shown, _ = run(capsys, "bound", "--fn", "motzkin", "--r", "1..4")
         assert run(capsys, "bound", "--fn", "motzkin", "--r", "1..4", "--out", str(path)) == (code, "", "")
-
-        def untimed(text):  # time_sec is the fourth column
-            return [line.split(",")[:3] + line.split(",")[4:] for line in text.splitlines()]
-
         assert code == 0 and len(shown.splitlines()) == 5
-        assert untimed(path.read_text()) == untimed(shown)
+        assert untimed_csv(path.read_text(), 3) == untimed_csv(shown, 3)
 
     def test_certificate(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
@@ -380,7 +386,7 @@ class TestOutFile:
         code, shown, _ = run(capsys, "bench", "--json")
         assert run(capsys, "bench", "--json", "--out", str(path)) == (code, "", "")
         assert code == 0 and len(json.loads(shown)) == 4
-        assert path.read_text() == shown
+        assert untimed_json(path.read_text()) == untimed_json(shown)
 
 
 class TestSample:
@@ -481,20 +487,44 @@ class TestBench:
         assert out.count("ok") >= 4
 
     def test_conditioning_error_row(self, capsys, monkeypatch):
-        # a sweep that stops early leaves its later golden cells as
-        # conditioning-error rows with no value and no delta
-        from sosdensity import golden
+        # an order the floats refuse is a conditioning-error row with no value
+        # and no delta, and the orders around it keep their rows
+        from sosdensity import bounds, golden
 
         cells = {r: v for r, v in golden.TABLE_BOX["motzkin"].items() if r <= 4}
         monkeypatch.setattr(golden, "TABLE_BOX", {"motzkin": cells})
         monkeypatch.setattr(golden, "TABLE_SB", {})
         monkeypatch.setattr(golden, "TABLE_N10", {})
-        sweep = cli.bound_sweep
-        monkeypatch.setattr(cli, "bound_sweep", lambda f, dom, r_max: sweep(f, dom, r_max)[:2])
+        solve = bounds.smallest_generalized_eigenpair
+
+        def refuse_above_m6(A, B):  # m = 10 at r = 3 in n = 2
+            if len(A) > 6:
+                raise ConditioningError("refused")
+            return solve(A, B)
+
+        monkeypatch.setattr(bounds, "smallest_generalized_eigenpair", refuse_above_m6)
         code, out, _ = run(capsys, "bench")
         assert code == 4
-        lines = out.strip().splitlines()
+        lines = untimed_csv(out, 5)
         assert lines[0] == "function,r,value,golden,abs_delta,status,reference_print"
         assert [line.split(",")[5] for line in lines[1:]] == ["ok", "ok", "conditioning-error", "conditioning-error"]
         for r, line in zip((3, 4), lines[3:]):
             assert line == f"motzkin,{r},,{cells[r]},,conditioning-error,"
+
+    def test_rows_are_bound_rows(self, capsys, monkeypatch):
+        # a bench row is the bound row of its order, timed the same way
+        from sosdensity import golden
+
+        monkeypatch.setattr(golden, "TABLE_BOX", {"motzkin": {r: v for r, v in golden.TABLE_BOX["motzkin"].items() if r <= 4}})
+        monkeypatch.setattr(golden, "TABLE_SB", {})
+        monkeypatch.setattr(golden, "TABLE_N10", {})
+        code, out, _ = run(capsys, "bench", "--json")
+        assert code == 0
+        benched = json.loads(out)
+        code, out, _ = run(capsys, "bound", "--fn", "motzkin", "--r", "1..4", "--json")
+        assert code == 0
+        bound = json.loads(out)
+        assert [row["r"] for row in benched] == [row["r"] for row in bound] == [1, 2, 3, 4]
+        for mine, theirs in zip(benched, bound):
+            assert [mine[k] for k in ("value", "cond_B", "status")] == [theirs[k] for k in ("value", "cond_B", "status")]
+            assert isinstance(mine["time_sec"], float) and mine["time_sec"] >= 0

@@ -2,10 +2,10 @@
 no module imports a name it never uses, every name in an ``__all__`` is
 defined in its module, every package name the benchmark harness in
 ``perfbench/`` reaches still exists, every name the package exports has
-a reader, and every parameter with a default is passed by some call; and,
-at run time, that no package attribute hides a module, that a bound sweep
-assembles its pencil once and that the package loads every module it uses
-at import.
+a reader, every parameter with a default is passed by some call, and the
+CLI solves orders in one loop; and, at run time, that no package attribute
+hides a module, that a bound sweep assembles its pencil once and that the
+package loads every module it uses at import.
 """
 
 import ast
@@ -265,6 +265,17 @@ def test_streams_without_numpy_random(path):
     text = path.read_text()
     assert "np.random" not in text and "numpy.random" not in text
 
+
+def test_one_sweep_loop_in_the_cli():
+    # bound and bench take their rows from one loop: one function solves
+    # orders on a pencil, and the library's sweep is not imported
+    tree = _parse(SRC / "cli.py")
+    solvers = [
+        fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+        if any(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "solve" for n in ast.walk(fn))
+    ]
+    assert solvers == ["_solve_orders"]
+    assert "bound_sweep" not in {name for node in ast.walk(tree) for name in _imported(node)}
 
 
 def test_a_sweep_assembles_once(monkeypatch, capsys):
