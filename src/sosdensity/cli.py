@@ -1,8 +1,8 @@
 """Command-line front end: bound sweeps, density sampling, rate certificates,
 and the golden-value benchmark regression.
 
-Exit codes: 0 success, 2 configuration error, 3 conditioning failure,
-4 golden-value mismatch.
+Exit codes: 0 success, 2 configuration error, 3 conditioning failure or a
+sampling prefix with no usable conditional density, 4 golden-value mismatch.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .bounds import ConditioningError, _sweep_pencil, compute_bound
 from .rate import certificate
 from .moments import Domain, domain_from_json
 from .polynomials import ParseError, Polynomial, parse_polynomial
-from .sampling import build_chain, markov_check, sample, write_batch_csv
+from .sampling import DegeneratePrefixError, build_chain, markov_check, sample, write_batch_csv
 
 EX_OK = 0
 EX_CONFIG = 2
@@ -128,18 +128,19 @@ def _emit(rows: list[dict], columns: list[str], as_json: bool, path: str | None)
 
 def _solve_orders(f: Polynomial, dom: Domain, r_lo: int, r_hi: int) -> list[dict]:
     """One row per order r_lo..r_hi, each solved on one pencil assembled at
-    r_hi; a refused order is a conditioning-error row with its cond_B."""
+    r_hi; a refused order is a conditioning-error row with its cond_B and
+    its cause, the refusal's message (None on an ok row)."""
     pencil = _sweep_pencil(f, dom, r_hi)  # each row's time_sec is its solve only
     rows = []
     for r in range(r_lo, r_hi + 1):
         t0 = time.perf_counter()
         try:
             b = pencil.solve(r)
-            value, cond_B, status = b.value, b.cond_B, "ok"
+            value, cond_B, status, cause = b.value, b.cond_B, "ok", None
         except ConditioningError as exc:
-            value, cond_B, status = None, exc.cond_B, "conditioning-error"
+            value, cond_B, status, cause = None, exc.cond_B, "conditioning-error", str(exc)
         time_sec = round(time.perf_counter() - t0, 6)
-        rows.append({"r": r, "value": value, "cond_B": cond_B, "time_sec": time_sec, "status": status})
+        rows.append({"r": r, "value": value, "cond_B": cond_B, "time_sec": time_sec, "status": status, "cause": cause})
     return rows
 
 
@@ -291,7 +292,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConditioningError as exc:
+    except (ConditioningError, DegeneratePrefixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_CONDITIONING
     except (ValueError, OverflowError) as exc:  # ConfigError and ParseError among them

@@ -284,9 +284,9 @@ def _ladder(dom: Domain, a: Sequence[float], sigma: float, K: int, f: Polynomial
     axis, q^k sums C(k, j) (q_1 + ... + q_{m-1})^(k-j) q_m^j over j.  Each
     axis gives one short sequence, the integer row of q_i^j met with its
     factored moments W_i shifted by the exponent d_i of a term of f, and
-    rung k convolves them: on the box G is constant and every entry is one
-    integer; on the simplex and the ball an entry carries the degree s it
-    has reached, and the last axis is folded against G[|d| + s] first.  No
+    rung k convolves them, the last axis folded against G[|d| + s] first.
+    An entry is keyed by the degree s it has reached, or by 0 when G is
+    constant (the box, or D = 0), where each entry is one integer.  No
     power of ||x - a||^2 is expanded; (2 sigma^2)^-k is applied to the sums.
     """
     n = dom.n
@@ -294,28 +294,26 @@ def _ladder(dom: Domain, a: Sequence[float], sigma: float, K: int, f: Polynomial
     Lf, coefs = _over_lcm(f.terms.values())
     den, G, W = _scaled_factors(dom, 2 * K + f.degree)
     scale = Fraction(float(sigma)) ** 2 * 2 * L * L  # t^k = (L^2 ||x - a||^2)^k / scale^k
-    box = dom.kind == "box"
-    last = n if box else n - 1  # axes convolved; off the box the last one is folded
+    graded = G.count(G[0]) < len(G)  # G constant (the box, or D = 0): every degree is keyed 0
     terms = [((0,) * n, 1), *zip(f.terms, coefs)]
     L_pow, p_pow = [1], [[1] for _ in p]
-    axes = {}  # (i, d_i, j) -> axis i's row j against W_i shifted by d_i
+    axes = {}  # (i, d_i, j) -> axis i's row j against W_i shifted by d_i, by degree key
     carried = {(): []}  # exponents of the first m axes -> their convolution, rung by rung
     folded = {}  # (d_n, |d|, j, s) -> the last axis's row j against G shifted by |d| + s
 
     def axis(i, e, j):
         if (i, e, j) not in axes:
-            if p[i]:
-                row = [(s, math.comb(2 * j, s) * L_pow[s] * p_pow[i][2 * j - s]) for s in range(2 * j + 1)]
-            else:
-                row = [(2 * j, L_pow[2 * j])]
-            entries = [(s, c * W[i][e + s]) for s, c in row if W[i][e + s]]
-            axes[i, e, j] = sum(c for _, c in entries) if box else entries
+            entries = axes[i, e, j] = {}
+            for s in range(2 * j + 1) if p[i] else [2 * j]:  # where p_i = 0 only s = 2j is nonzero
+                if W[i][e + s]:
+                    c = math.comb(2 * j, s) * L_pow[s] * p_pow[i][2 * j - s] * W[i][e + s]
+                    entries[s * graded] = entries.get(s * graded, 0) + c
         return axes[i, e, j]
 
     def fold(d, j, s):
         key = (d[-1], sum(d), j, s)
         if key not in folded:
-            folded[key] = sum(c * G[key[1] + s + s2] for s2, c in axis(n - 1, d[-1], j))
+            folded[key] = sum(c * G[key[1] + s + s2] for s2, c in axis(n - 1, d[-1], j).items())
         return folded[key]
 
     for k in range(K + 1):
@@ -324,32 +322,25 @@ def _ladder(dom: Domain, a: Sequence[float], sigma: float, K: int, f: Polynomial
             for pw, pi in zip(p_pow, p):
                 pw.append(-pw[-1] * pi)
         binom = [1, *map(add, binom, binom[1:]), 1] if k else [1]  # C(k, j), j = 0..k
-        carried[()].append(int(k == 0) if box else ({0: 1} if k == 0 else {}))
+        carried[()].append({0: 1} if k == 0 else {})
         sums = []
         for d, c in terms:
-            for m in range(1, last + 1):
+            for m in range(1, n):
                 seq = carried.setdefault(d[:m], [])
                 if len(seq) > k:
                     continue
                 prev = carried[d[: m - 1]]
-                if box:
-                    seq.append(sum(b * prev[k - j] * axis(m - 1, d[m - 1], j) for j, b in enumerate(binom) if prev[k - j]))
-                    continue
                 acc = {}
                 for j, b in enumerate(binom):
                     if prev[k - j]:
-                        for s2, e in axis(m - 1, d[m - 1], j):
+                        for s2, e in axis(m - 1, d[m - 1], j).items():
                             e *= b
                             for s1, v in prev[k - j].items():
                                 acc[s1 + s2] = acc.get(s1 + s2, 0) + v * e
                 seq.append(acc)
-            if box:
-                total = G[0] * carried[d][k]
-            else:
-                prev = carried[d[:-1]]
-                total = sum(b * v * fold(d, j, s) for j, b in enumerate(binom) for s, v in prev[k - j].items())
-            sums.append(c * total)
-        if not last:  # one folded axis: no later rung reads this rung's rows
+            prev = carried[d[:-1]]
+            sums.append(c * sum(b * v * fold(d, j, s) for j, b in enumerate(binom) for s, v in prev[k - j].items()))
+        if n == 1:  # one folded axis: no later rung reads this rung's rows
             axes.clear()
             folded.clear()
         over = (-1) ** k * den * math.factorial(k) * scale**k

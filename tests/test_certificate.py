@@ -491,6 +491,7 @@ class TestCertificate:
         ("styblinski-tang", 4, 2, "bb44fc733db20e4a107084b8043d22187be78fc879756fe200069fed6aa03410"),
         ("styblinski-tang", 10, 2, "945e09ecc1a0c72cc01c7d0b3454626e7a8a4975d503327b11f0dcdea99063d6"),
         ("motzkin", None, 20, "8a46f4f84f08959d8236486b9d97e5b83db8473309742e382cca7020e5c01554"),
+        ("styblinski-tang", 1, 3, "36a3a6c97f8c234af2c353d9955c1a5d620fff5d5bb27c253d800f3a46b630e8"),
     ], ids=lambda v: str(v)[:12] if isinstance(v, str) else str(v))
     def test_report_digests(self, name, n, r, digest):
         tc = benchmarks.get(name, n)

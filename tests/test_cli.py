@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -48,6 +49,7 @@ class TestBound:
         assert code == 0
         rows = json.loads(out)
         assert rows[0]["value"] == pytest.approx(7.2243, abs=1e-3)
+        assert rows[0]["cause"] is None
 
     def test_off_centre_box_is_centred(self, capsys):
         # x1 on [0, 1000] at r = 11 is 1000 (1 + node) / 2, with node the smallest
@@ -167,6 +169,11 @@ class TestOverflow:
         code, out, err = run(capsys, "bound", "--poly", "10^314*x1", "--domain", domain, "--r", "1..3")
         assert (code, err) == (3, "")
         assert [line.split(",")[-1] for line in out.strip().splitlines()[1:]] == ["conditioning-error"] * 3
+        # the --json rows name the cause, which the CSV has no column for
+        code, out, err = run(capsys, "bound", "--poly", "10^314*x1", "--domain", domain, "--r", "1..3", "--json")
+        assert (code, err) == (3, "")
+        cause = "an equilibrated entry passes the largest float; K's extent or f's coefficients leave the float range"
+        assert [(row["status"], row["cause"]) for row in json.loads(out)] == [("conditioning-error", cause)] * 3
 
     def test_lapack_failure_is_a_conditioning_row(self, capsys, monkeypatch):
         from sosdensity import bounds
@@ -413,6 +420,15 @@ class TestSample:
         se = (s["variance"] / s["count"]) ** 0.5
         assert abs(s["mean"] - s["bound"]) <= 3 * se
 
+    def test_degenerate_prefix_is_exit_3(self, capsys, monkeypatch):
+        # no prefix clears the floor: a conditioning failure with a message, not a traceback
+        from sosdensity import sampling
+
+        monkeypatch.setattr(sampling, "DENOMINATOR_FLOOR", math.inf)
+        code, out, err = run(capsys, "sample", "--fn", "motzkin", "--r", "2", "--count", "3")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_points_in_the_given_box(self, capsys, tmp_path):
         path = tmp_path / "s.csv"
         domain = '{"kind":"box","bounds":[["0","3"],["-1","2"]]}'
@@ -510,6 +526,9 @@ class TestBench:
         assert [line.split(",")[5] for line in lines[1:]] == ["ok", "ok", "conditioning-error", "conditioning-error"]
         for r, line in zip((3, 4), lines[3:]):
             assert line == f"motzkin,{r},,{cells[r]},,conditioning-error,"
+        code, out, _ = run(capsys, "bench", "--json")
+        assert code == 4
+        assert [row["cause"] for row in json.loads(out)] == [None, None, "refused", "refused"]
 
     def test_rows_are_bound_rows(self, capsys, monkeypatch):
         # a bench row is the bound row of its order, timed the same way

@@ -244,7 +244,8 @@ def test_one_gaussian_ladder():
     # rate convolves per-axis rows (_ladder) and expands no power of
     # ||x - a||^2: it imports neither the polynomial product nor a per-term
     # moment sum; the mass bracket and the certificate read the one kernel,
-    # and the certificate forms no H
+    # the certificate forms no H, and the kernel takes one path on every
+    # domain: it reads no domain kind
     tree = _parse(SRC / "rate.py")
 
     def names(node):
@@ -256,6 +257,7 @@ def test_one_gaussian_ladder():
     callers = {name for name, fn in functions.items() if "_ladder" in names(fn) and name != "_ladder"}
     assert callers == {"_taylor_enclosure", "certificate"}
     assert {"taylor_density", "integrate_poly", "integrate_poly_exact"}.isdisjoint(names(functions["certificate"]))
+    assert "kind" not in names(functions["_ladder"])
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
