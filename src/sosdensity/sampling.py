@@ -23,7 +23,9 @@ order, and 1 - (((0 + x_1) + x_2) + ...) for the simplex range), never a
 matmul or `einsum`, whose sums run in another order.
 `conditional_cdf` and `invert_cdf` run the same helpers on one column.
 Blocks bound the memory: a block's streams, power table and coefficient
-columns live only while that block is drawn.
+columns live only while that block is drawn, and only one coordinate's
+columns at a time; the first coordinate, which has no prefix, is one
+column that broadcasts over the block.
 """
 
 from __future__ import annotations
@@ -55,12 +57,15 @@ __all__ = [
 
 DENOMINATOR_FLOOR = 1e-12
 MAX_PREFIX_RETRIES = 100
-# Points drawn together.  Drawing 4000 motzkin r = 12 points on a 2-vCPU
-# x86-64 host (medians of 5 draws, two rounds; memory is the growth of peak
-# RSS over the draw): blocks of 256 take 0.13-0.20 s (+0.25 MB), 512 take
-# 0.10-0.14 s (+0.5 MB), 1024 take 0.07-0.11 s (+1.0 MB), 2048 take
-# 0.07-0.10 s (+2.3 MB) and one block of 4000 takes 0.07-0.08 s (+4.3 MB).
-BLOCK_SIZE = 1024
+# Points drawn together: the largest power of two whose one-block traced
+# peak stays within the 1.21 MiB that a block of 1024 motzkin r = 12 points
+# took before the first coordinate's column was shared and the CDF columns
+# were built in place.  Drawing 4000 motzkin r = 12 points on a 2-vCPU
+# x86-64 host (medians of 7 draws, two rounds; memory is the tracemalloc
+# peak of one block): blocks of 256 take 0.09-0.16 s (0.19 MiB), 512 take
+# 0.06-0.10 s (0.34 MiB), 1024 take 0.038 s (0.62 MiB), 2048 take 0.029-0.030 s
+# (1.17 MiB) and one block of 4000 takes 0.025-0.026 s (4096: 2.27 MiB).
+BLOCK_SIZE = 2048
 
 
 class DegeneratePrefixError(RuntimeError):
@@ -232,10 +237,11 @@ def _univariate(chain: ConditionalChain, i: int, prefix: np.ndarray) -> np.ndarr
 def _cdf_coeffs(dens: np.ndarray, lo: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """Columns of coefficients of t -> (integral of dens from lo to t) / denom."""
     anti = np.zeros((dens.shape[0] + 1, dens.shape[1]))
-    anti[1:] = dens / np.arange(1, dens.shape[0] + 1)[:, None]
-    coeffs = anti / denom
-    coeffs[0] -= _horner(lo, anti) / denom
-    return coeffs
+    np.divide(dens, np.arange(1, dens.shape[0] + 1)[:, None], out=anti[1:])
+    at_lo = _horner(lo, anti) / denom
+    anti /= denom
+    anti[0] -= at_lo
+    return anti
 
 
 def _conditional(chain: ConditionalChain, i: int, prefix: np.ndarray, denom: np.ndarray):
@@ -283,14 +289,15 @@ def _derivative(cols: np.ndarray) -> np.ndarray:
 
 def _invert(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Column-wise min{y : F(y) >= u}: bisection to width 1e-12, then one guarded
-    Newton step.  coeffs holds one CDF per column.  Every column is stepped
+    Newton step.  coeffs holds one CDF per entry of u, or one column (with
+    one lo and hi) that broadcasts over every u.  Every column is stepped
     on every round, and a mask of the columns still live decides which
     brackets move; each column does the operations it would do alone, in
     the same order.  A column with u at or past an end of its range is that end.
     """
     at_lo = u <= _horner(lo, coeffs)
     inner = ~at_lo & ~(u >= _horner(hi, coeffs))
-    a, b = lo.copy(), hi.copy()
+    a, b = np.broadcast_to(lo, u.shape).copy(), np.broadcast_to(hi, u.shape).copy()
     live = inner & (b - a > 1e-12)
     while live.any():
         mid = 0.5 * (a + b)
@@ -321,19 +328,30 @@ def _draw_block(chain: ConditionalChain, streams: np.ndarray) -> np.ndarray:
     mass falls below DENOMINATOR_FLOOR leaves the attempt before it draws its
     next uniform and starts again in the next round, from where its own
     stream stands.
+
+    The first coordinate has no prefix, so its conditional is built once,
+    as one column that broadcasts over every row.  A coordinate's columns
+    are dropped before the next coordinate's are built, and the last
+    coordinate drops its density before it inverts: no mass follows it.
     """
     n = chain.domain.n
     points = np.empty((streams.shape[1], n))
     todo = np.arange(streams.shape[1])
+    first = _conditional(chain, 0, np.empty((1, 0)), np.ones(1))
     for _ in range(MAX_PREFIX_RETRIES):
         rows, x, denom = todo, np.empty((len(todo), n)), np.ones(len(todo))
         for i in range(n):
             keep = ~(denom < DENOMINATOR_FLOOR)  # NaN is not below the floor
             rows, x, denom = rows[keep], x[keep], denom[keep]
             u = _pcg64.uniforms(streams, rows)
-            coeffs, lo, hi, dens = _conditional(chain, i, x[:, :i], denom)
+            coeffs, lo, hi, dens = first if i == 0 else _conditional(chain, i, x[:, :i], denom)
+            if i == n - 1:
+                del dens  # no coordinate follows to read this one's mass
             x[:, i] = _invert(coeffs, lo, hi, u)
-            denom = _horner(x[:, i], dens)
+            del coeffs, lo, hi
+            if i < n - 1:
+                denom = _horner(x[:, i], dens)
+                del dens
         points[rows] = x
         todo = np.setdiff1d(todo, rows, assume_unique=True)
         if not todo.size:
@@ -363,6 +381,13 @@ def sample(chain: ConditionalChain, count: int, seed: int, f: Polynomial | None 
     return SampleBatch(points=points, seed=seed, values=values)
 
 
+def _check_finite(**values: float):
+    """Refuse a NaN or infinite value, which no comparison or JSON would catch."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value}")
+
+
 def markov_check(f: Polynomial, batch: SampleBatch, bound: float, f_min: float, eps: float) -> float:
     """Observed frequency of f(x) >= bound + eps*(bound - f_min).
 
@@ -370,6 +395,7 @@ def markov_check(f: Polynomial, batch: SampleBatch, bound: float, f_min: float, 
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, not {eps}")
+    _check_finite(bound=bound, f_min=f_min)
     if bound < f_min:
         raise ValueError("bound must be >= f_min")
     values = f.evaluate(batch.points) if batch.values is None else batch.values
@@ -379,6 +405,8 @@ def markov_check(f: Polynomial, batch: SampleBatch, bound: float, f_min: float, 
 
 def write_batch_csv(batch: SampleBatch, path: str, dom: Domain, bound: float | None = None):
     """CSV with header x1,...,xn,f plus a JSON sidecar describing the run."""
+    if bound is not None:
+        _check_finite(bound=bound)
     points = np.asarray(batch.points, dtype=float)
     n = points.shape[1]
     header = ",".join(f"x{i + 1}" for i in range(n)) + ",f"
@@ -397,5 +425,5 @@ def write_batch_csv(batch: SampleBatch, path: str, dom: Domain, bound: float | N
         "domain": dom.to_json(),
     }
     with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        json.dump(sidecar, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -2,7 +2,8 @@
 no module imports a name it never uses, every name in an ``__all__`` is
 defined in its module, every package name the benchmark harness in
 ``perfbench/`` reaches still exists, every name the package exports has
-a reader, every parameter with a default is passed by some call, and the
+a reader, every private helper has a caller in the package, every
+parameter with a default is passed by some call, and the
 CLI solves orders in one loop; and, at run time, that no package attribute
 hides a module, that a bound sweep assembles its pencil once and that the
 package loads every module it uses at import.
@@ -178,6 +179,23 @@ def dead_exports() -> list[str]:
 
 def test_no_dead_exports():
     assert dead_exports() == []
+
+
+def dead_private_helpers() -> list[str]:
+    """Private top-level functions and classes that no other definition in
+    the package reads."""
+    refs = src_references()
+    return [
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in _parse(path).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__") and node.name not in refs
+    ]
+
+
+def test_no_dead_private_helpers():
+    assert dead_private_helpers() == []
 
 
 def _calls() -> dict[str, list[ast.Call]]:

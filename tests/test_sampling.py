@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -333,11 +334,34 @@ class TestPinnedBits:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded["sha256"]
 
     def test_same_points_for_any_block_size(self, monkeypatch):
+        # on the 3-simplex the middle coordinate keeps its density for the
+        # last one's mass, and the first broadcasts one column over the block
         chain = exact_chain(SIMPLEX3, SIMPLEX3_DENSITY)
         want = sample(chain, 300, seed=2024).points
         for size in (1, 128):
             monkeypatch.setattr(sampling, "BLOCK_SIZE", size)
             assert np.array_equal(sample(chain, 300, seed=2024).points, want)
+        monkeypatch.undo()
+        count = 2 * BLOCK_SIZE + 3
+        want = sample(chain, count, seed=2024).points
+        for size in (BLOCK_SIZE - 1, BLOCK_SIZE):
+            monkeypatch.setattr(sampling, "BLOCK_SIZE", size)
+            assert np.array_equal(sample(chain, count, seed=2024).points, want)
+
+
+class TestBlockMemory:
+    def test_one_block_peak(self, motzkin_chain):
+        # a block of motzkin r = 12 points holds no more traced memory than a
+        # block of 1024 points did before the first coordinate was shared
+        # and the CDF columns were built in place (1.21 MiB)
+        sample(motzkin_chain, BLOCK_SIZE, seed=0)
+        tracemalloc.start()
+        try:
+            sample(motzkin_chain, BLOCK_SIZE, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2**20
 
 
 class TestStreams:
@@ -390,6 +414,20 @@ class TestOptimalDensitySampling:
         batch = sample(chain, 3000, seed=7, f=f)
         se = float(np.std(batch.values)) / math.sqrt(len(batch.values))
         assert abs(float(np.mean(batch.values)) - b.value) <= 3 * se
+
+    def test_motzkin_mean_within_exact_standard_errors(self, motzkin_chain):
+        # reads no bits: the mean of f over 50,000 draws from the motzkin
+        # r = 12 density lies within 4 exact standard errors of its integral
+        # against that density (mean 0.406, SD 0.875, skewness 47)
+        tc = get("motzkin")
+        h = motzkin_chain.marginals[-1]
+        mass = integrate_poly_exact(tc.domain, h)
+        mean = integrate_poly_exact(tc.domain, tc.f * h) / mass
+        second = integrate_poly_exact(tc.domain, tc.f * tc.f * h) / mass
+        count = 50_000
+        se = math.sqrt(second - mean * mean) / math.sqrt(count)
+        batch = sample(motzkin_chain, count, seed=0, f=tc.f)
+        assert abs(float(np.mean(batch.values)) - float(mean)) <= 4 * se
 
     def test_off_centre_box(self):
         # the bound is solved on the centred box; .density is back in x
@@ -476,7 +514,8 @@ class TestKernels:
 
         monkeypatch.setattr(sampling, "_invert", recording)
         sample(motzkin_chain, BLOCK_SIZE, seed=0)
-        assert len(seen) == motzkin_chain.domain.n and all(c.shape[1] == BLOCK_SIZE for c in seen)
+        # the first coordinate inverts one column shared by every row
+        assert [c.shape[1] for c in seen] == [1] + [BLOCK_SIZE] * (motzkin_chain.domain.n - 1)
         for coeffs in seen + [np.array([[0.5, np.nan, -0.0]])]:
             want = np.polynomial.polynomial.polyder(coeffs)
             assert np.array_equal(self._bits(sampling._derivative(coeffs)), self._bits(want))
@@ -507,6 +546,17 @@ class TestMarkov:
         with pytest.raises(ValueError):
             markov_check(f, batch, bound=-1.0, f_min=0.0, eps=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["bound", "f_min"])
+    def test_non_finite_refused(self, name, value):
+        # a NaN compares False and an infinity makes the threshold infinite:
+        # either would pass the check vacuously
+        f = parse_polynomial("x1", 1)
+        batch = sample(build_chain(uniform_density(Domain.cube(1)), Domain.cube(1)), 20, seed=5, f=f)
+        args = dict(bound=0.5, f_min=0.0, eps=1.0) | {name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            markov_check(f, batch, **args)
+
 
 class TestCsvOutput:
     def test_csv_and_sidecar(self, tmp_path):
@@ -523,6 +573,14 @@ class TestCsvOutput:
         assert v == pytest.approx(x1 + x2)
         sidecar = (tmp_path / "batch.csv.json").read_text()
         assert '"seed": 2' in sidecar and '"count": 5' in sidecar
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bound_refused_before_writing(self, tmp_path, bound):
+        dom = Domain.cube(2)
+        batch = sample(build_chain(uniform_density(dom), dom), 5, seed=2)
+        with pytest.raises(ValueError, match="bound must be finite"):
+            write_batch_csv(batch, str(tmp_path / "batch.csv"), dom, bound=bound)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("with_values", [True, False], ids=["values", "no-values"])
     def test_rows_are_repr_of_each_float(self, tmp_path, with_values):
