@@ -21,7 +21,7 @@ from .bounds import ConditioningError, _sweep_pencil, compute_bound
 from .rate import certificate
 from .moments import Domain, domain_from_json
 from .polynomials import ParseError, Polynomial, parse_polynomial
-from .sampling import DegeneratePrefixError, build_chain, markov_check, sample, write_batch_csv
+from .sampling import DegeneratePrefixError, _sides, build_chain, markov_check, sample, write_batch_csv
 
 EX_OK = 0
 EX_CONFIG = 2
@@ -91,7 +91,7 @@ def _load_instance(args) -> tuple[Polynomial, Domain, benchmarks.TestCase | None
 def _write(text: str, path: str | None) -> None:
     """Text to the file at path, or to stdout when path is None."""
     if path:
-        with _writable(path), open(path, "w") as fh:
+        with _writable(path), open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -153,8 +153,7 @@ def cmd_bound(args) -> int:
 
 def cmd_sample(args) -> int:
     f, dom, tc = _load_instance(args)
-    if dom.kind == "ball":
-        raise ConfigError("sampling is not supported on the ball (box and simplex only)")
+    _sides(dom)  # refuses a domain the sampler cannot draw on, before any work
     r = _single_order(args)
     if args.count < 1:
         raise ConfigError("--count must be >= 1")

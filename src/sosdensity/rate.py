@@ -28,11 +28,13 @@ of f on the bounding box of K, exactly, with no grid and no random number.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import add
 from typing import Sequence
 
+from .bounds import _OUT_OF_RANGE
 from .moments import Domain, _double_factorial, _pi_scale, _scaled_factors
 from .polynomials import Polynomial, _over_lcm
 
@@ -79,17 +81,6 @@ class GeomParams:
     gamma_n: float
 
 
-def _cone_eta(n: int, theta: float) -> float:
-    s = math.sin(theta)
-    return (s / (1.0 + s)) ** n
-
-
-def _threshold_order(D: float, eps_K: float, n: int) -> float:
-    if eps_K <= 1.0:
-        return max(D * math.e / (2.0 * eps_K**3), float(n))
-    return D * math.e / 2.0
-
-
 def geom_params(dom: Domain) -> GeomParams:
     """Constants for boxes (star-shaped w.r.t. the inscribed ball), the
     standard simplex, and the unit ball.
@@ -98,7 +89,9 @@ def geom_params(dom: Domain) -> GeomParams:
     star-shaped with respect to a ball of radius rho satisfies the cone
     condition with angle theta = 2*arcsin(rho / (2*sqrt(D))), giving
     eta = (sin(theta)/(1+sin(theta)))^n and eps_K = rho.  The unit ball
-    satisfies it directly with theta = pi/3.
+    satisfies it directly with theta = pi/3.  OverflowError when D, or
+    eps_K^3 with eps_K <= 1, is not a normal float: r_K would be rounded
+    down or divide by 0.
     """
     n = dom.n
     try:
@@ -113,14 +106,13 @@ def geom_params(dom: Domain) -> GeomParams:
             D, rho = sum(s * s for s in sides), min(sides) / 2.0
         else:  # the standard simplex
             D, rho = 2.0, 1.0 / (n + math.sqrt(n))
+        tiny, huge = sys.float_info.min, sys.float_info.max
+        if not (tiny <= D <= huge and (rho > 1.0 or rho**3 >= tiny)):
+            raise OverflowError(f"K's extent leaves the float range: D = {D:.3e}, eps_K = {rho:.3e}")
         theta = 2.0 * math.asin(rho / (2.0 * math.sqrt(D)))
-    return GeomParams(
-        D=D,
-        eta=_cone_eta(n, theta),
-        eps_K=rho,
-        r_K=_threshold_order(D, rho, n),
-        gamma_n=gamma_n,
-    )
+    s = math.sin(theta)
+    r_K = max(D * math.e / (2.0 * rho**3), float(n)) if rho <= 1.0 else D * math.e / 2.0
+    return GeomParams(D=D, eta=(s / (1.0 + s)) ** n, eps_K=rho, r_K=r_K, gamma_n=gamma_n)
 
 
 def p_constant(n: int) -> float:
@@ -398,6 +390,14 @@ def gaussian_mass(dom: Domain, a: Sequence[float], sigma: float) -> tuple[float,
 # ---- Lipschitz bound --------------------------------------------------
 
 
+def _to_float(x: Fraction, name: str) -> float:
+    """float(x), or an OverflowError that names the quantity x is."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise OverflowError(f"{name} passes the largest float" + _OUT_OF_RANGE) from None
+
+
 def lipschitz_bound(f: Polynomial, dom: Domain) -> float:
     """Upper bound on the Lipschitz constant of f on K, sqrt(sum_i s_i^2).
 
@@ -416,7 +416,7 @@ def lipschitz_bound(f: Polynomial, dom: Domain) -> float:
     for i in range(dom.n):
         s = sum(abs(coef) * math.prod(r**e for r, e in zip(R, exp)) for exp, coef in g.partial(i).terms.items())
         total += s * s
-    root = math.sqrt(float(total))
+    root = math.sqrt(_to_float(total, "the squared Lipschitz bound of f"))
     return root if Fraction(root) ** 2 >= total else math.nextafter(root, math.inf)
 
 
@@ -507,7 +507,9 @@ def certificate(
 
     # the integrals of H and f * H: the ladder's sums to 2r times H's exact prefactor
     prefactor = Fraction((2.0 * math.pi * float(Fraction(float(sigma)) ** 2)) ** (-n / 2.0))
-    inv_cr, int_fH = (float(prefactor * sum(s)) * _pi_scale(dom) for s in zip(*_ladder(dom, a, sigma, 2 * r, f)))
+    names = ("the integral of H", "the integral of f * H")
+    inv_cr, int_fH = (_to_float(prefactor * sum(s), name) * _pi_scale(dom)
+                      for s, name in zip(zip(*_ladder(dom, a, sigma, 2 * r, f)), names))
     if inv_cr <= 0:
         raise ValueError("truncated Gaussian has nonpositive mass on the domain")
     c_rKa = 1.0 / inv_cr

@@ -19,7 +19,7 @@ its own, and it gets the bits it would get if it were drawn alone: every
 batched step is the elementwise operation one point does (one in-place
 Horner kernel over columns of coefficients, powers of the prefix by numpy's
 array-exponent pow, each row's terms multiplied out and summed in term
-order, and 1 - (((0 + x_1) + x_2) + ...) for the simplex range), never a
+order, and hi - (((0 + x_1) + x_2) + ...) for a shrinking range), never a
 matmul or `einsum`, whose sums run in another order.
 `conditional_cdf` and `invert_cdf` run the same helpers on one column.
 Blocks bound the memory: a block's streams, power table and coefficient
@@ -57,13 +57,13 @@ __all__ = [
 
 DENOMINATOR_FLOOR = 1e-12
 MAX_PREFIX_RETRIES = 100
-# Points drawn together: the largest power of two whose one-block traced
-# peak stays within the 1.21 MiB that a block of 1024 motzkin r = 12 points
-# took before the first coordinate's column was shared and the CDF columns
-# were built in place.  Drawing 4000 motzkin r = 12 points on a 2-vCPU
-# x86-64 host (medians of 7 draws, two rounds; memory is the tracemalloc
-# peak of one block): blocks of 256 take 0.09-0.16 s (0.19 MiB), 512 take
-# 0.06-0.10 s (0.34 MiB), 1024 take 0.038 s (0.62 MiB), 2048 take 0.029-0.030 s
+# Points drawn together: a wider block spreads numpy's per-call overhead
+# over more points but holds memory in proportion, so this is the largest
+# power of two whose one-block traced peak (motzkin r = 12) stays within
+# 1.25 MiB.  Drawing 4000 motzkin r = 12 points on a 2-vCPU x86-64 host
+# (medians of 7 draws, two rounds; memory is the tracemalloc peak of one
+# block): blocks of 256 take 0.09-0.16 s (0.19 MiB), 512 take 0.06-0.10 s
+# (0.34 MiB), 1024 take 0.038 s (0.62 MiB), 2048 take 0.029-0.030 s
 # (1.17 MiB) and one block of 4000 takes 0.025-0.026 s (4096: 2.27 MiB).
 BLOCK_SIZE = 2048
 
@@ -145,18 +145,20 @@ class SampleBatch:
         )
 
 
-def _simplex_upper(n_vars: int, i: int) -> Polynomial:
-    """Upper integration limit 1 - x_1 - ... - x_i for coordinate i+1 (0-based i)."""
-    p = Polynomial.constant(n_vars, 1)
-    for j in range(i):
-        p = p - Polynomial.variable(n_vars, j)
-    return p
+def _sides(dom: Domain) -> tuple:
+    """(lo, hi, shrinks) per coordinate: coordinate i + 1 (0-based i) runs
+    from lo to hi, less x_1 + ... + x_i when shrinks.  Only the box and the
+    simplex have such polynomial ranges."""
+    if dom.kind == "box":
+        return tuple((lo, hi, False) for lo, hi in dom.bounds)
+    if dom.kind == "simplex":
+        return ((0, 1, True),) * dom.n
+    raise ValueError(f"sampling is supported on boxes and the simplex, not {dom.kind!r}")
 
 
 def build_chain(hstar: Polynomial, dom: Domain) -> ConditionalChain:
     """Exact nested marginals of hstar; hstar must integrate to 1 within 1e-6."""
-    if dom.kind not in ("box", "simplex"):
-        raise ValueError(f"sampling is supported on boxes and the simplex, not {dom.kind!r}")
+    sides = _sides(dom)
     dom.check_vars(hstar)
     mass = integrate_poly_exact(dom, hstar)
     if abs(float(mass) - 1.0) > 1e-6:
@@ -165,28 +167,24 @@ def build_chain(hstar: Polynomial, dom: Domain) -> ConditionalChain:
     marginals = [h]
     for i in range(dom.n - 1, 0, -1):
         # integrate out coordinate i (0-based) from f_{1..i+1}
-        if dom.kind == "box":
-            lo, hi = dom.bounds[i]
-            lower = Polynomial.constant(dom.n, lo)
-            upper = Polynomial.constant(dom.n, hi)
-        else:
-            lower = Polynomial.constant(dom.n, 0)
-            upper = _simplex_upper(dom.n, i)
-        marginals.append(marginals[-1].definite_integrate(i, lower, upper))
+        lo, hi, shrinks = sides[i]
+        upper = Polynomial.constant(dom.n, hi)
+        if shrinks:
+            for j in range(i):
+                upper = upper - Polynomial.variable(dom.n, j)
+        marginals.append(marginals[-1].definite_integrate(i, Polynomial.constant(dom.n, lo), upper))
     marginals.reverse()
     return ConditionalChain(domain=dom, marginals=tuple(marginals))
 
 
 def _coordinate_range(dom: Domain, i: int, prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of (lo, hi) for coordinate i (0-based) given (N, i) prefixes."""
-    rows = len(prefix)
-    if dom.kind == "box":
-        lo, hi = dom.bounds[i]
-        return np.full(rows, float(lo)), np.full(rows, float(hi))
-    used = np.zeros(rows)
-    for col in prefix.T:  # ((0 + x_1) + x_2) + ..., the order of Python's sum
-        used = used + col
-    return np.zeros(rows), 1.0 - used
+    lo, hi, shrinks = _sides(dom)[i]
+    used = np.zeros(len(prefix))
+    if shrinks:
+        for col in prefix.T:  # ((0 + x_1) + x_2) + ..., the order of Python's sum
+            used = used + col
+    return np.full(len(prefix), float(lo)), float(hi) - used
 
 
 def _horner(x, cols: np.ndarray):
@@ -256,8 +254,7 @@ def _conditional(chain: ConditionalChain, i: int, prefix: np.ndarray, denom: np.
 
 def _check_prefix(dom: Domain, prefix: np.ndarray):
     """A prefix is valid when completing it with the domain's lowest corner stays in K."""
-    i = len(prefix)
-    rest = [float(lo) for lo, _ in dom.bounds[i:]] if dom.kind == "box" else [0.0] * (dom.n - i)
+    rest = [float(lo) for lo, _, _ in _sides(dom)[len(prefix):]]
     if not dom.contains(list(prefix) + rest):
         raise ValueError(f"prefix {list(prefix)} lies outside the domain")
 
@@ -411,7 +408,7 @@ def write_batch_csv(batch: SampleBatch, path: str, dom: Domain, bound: float | N
     n = points.shape[1]
     header = ",".join(f"x{i + 1}" for i in range(n)) + ",f"
     values = np.full(len(points), np.nan) if batch.values is None else np.asarray(batch.values, dtype=float)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         # repr of the Python floats of .tolist() is repr(float(c)) without one numpy
         # scalar per entry; a block of rows is written as it is formatted
@@ -424,6 +421,6 @@ def write_batch_csv(batch: SampleBatch, path: str, dom: Domain, bound: float | N
         "bound": bound,
         "domain": dom.to_json(),
     }
-    with open(path + ".json", "w") as fh:
+    with open(path + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

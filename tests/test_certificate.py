@@ -352,6 +352,26 @@ class TestGeomParams:
         assert gp.eta == pytest.approx((math.sqrt(3) / (2 + math.sqrt(3))) ** 3)
         assert gp.r_K == pytest.approx(max(2 * math.e, 3))
 
+    @pytest.mark.parametrize("side", ["1e-120", "1e-160", "1e-200"])
+    def test_extent_past_the_normal_floats_is_refused(self, side):
+        # eps_K^3 underflows at side 1e-120, D is subnormal at 1e-160 and 0 at
+        # 1e-200: r_K would be rounded down or divide by 0, so K is refused
+        dom = Domain.box([(0, Fraction(side))])
+        with pytest.raises(OverflowError, match="^K's extent leaves the float range: D = "):
+            geom_params(dom)
+        with pytest.raises(OverflowError, match="^K's extent leaves the float range"):
+            certificate(parse_polynomial("x1", 1), dom, [0.0], 1, 0.0)
+
+    def test_small_extent_within_the_normal_floats(self):
+        # at side 1e-100 eps_K^3 ~ 1.25e-301 is still normal: the formulas' bits
+        dom = Domain.box([(0, Fraction("1e-100"))])
+        side, gp = float(dom.bounds[0][1]), geom_params(dom)
+        theta = 2.0 * math.asin(side / 2.0 / (2.0 * math.sqrt(side * side)))
+        assert (gp.D, gp.eps_K) == (side * side, side / 2.0)
+        assert gp.eta == math.sin(theta) / (1.0 + math.sin(theta))
+        assert gp.r_K == side * side * math.e / (2.0 * (side / 2.0) ** 3)
+        assert certificate(parse_polynomial("x1", 1), dom, [0.0], 1, 0.0).geom == gp
+
 
 class TestLipschitz:
     def test_linear_on_square(self):
@@ -392,6 +412,15 @@ class TestLipschitz:
         # the smallest float whose square is not below the exact sum
         m = lipschitz_bound(f, dom)
         assert Fraction(m) ** 2 >= total > Fraction(math.nextafter(m, 0.0)) ** 2
+
+    def test_coefficients_past_the_floats_are_named(self):
+        # the exact sum of squares 10^800 has no float: the refusal names it
+        with pytest.raises(OverflowError) as exc:
+            lipschitz_bound(parse_polynomial("10^400*x1", 1), Domain.cube(1))
+        assert str(exc.value) == (
+            "the squared Lipschitz bound of f passes the largest float; "
+            "K's extent or f's coefficients leave the float range"
+        )
 
     @staticmethod
     def _points(dom: Domain, k: int) -> np.ndarray:

@@ -194,7 +194,25 @@ class TestOverflow:
         assert code == expected
         if command != "bound":  # bound reports the failure in its row
             assert err.startswith("error: ") and "Traceback" not in err
+        if command == "certificate":  # the refusal names the quantity
+            assert err == (
+                "error: the integral of f * H passes the largest float; "
+                "K's extent or f's coefficients leave the float range\n"
+            )
 
+    @pytest.mark.parametrize("side", ["1e-100", "1e-120", "1e-160", "1e-200"])
+    def test_small_box(self, capsys, side):
+        # eps_K^3 is a normal float at side 1e-100; it underflows at 1e-120,
+        # D is subnormal at 1e-160 and 0 at 1e-200: one error line, no traceback
+        box = json.dumps({"kind": "box", "bounds": [["0", side]]})
+        code, out, err = run(capsys, "certificate", "--poly", "x1", "--domain", box, "--r", "1",
+                             "--a", "0", "--f-min", "0")
+        if side == "1e-100":
+            assert (code, err) == (0, "")
+            assert json.loads(out)["geom"]["eps_K"] == 5e-101
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: K's extent leaves the float range: D = ") and err.count("\n") == 1
 
     def test_json_is_strict(self, capsys):
         # RFC 8259 has no Infinity: a cond_B past the largest float is null
@@ -322,6 +340,16 @@ class TestRefusedUpFront:
         assert code == 2
         assert "error:" in err and "--f-min" in err
         assert out == ""
+
+    def test_ball_sample_before_the_bound(self, capsys, monkeypatch):
+        # the library's refusal, from the one statement of where the sampler draws
+        def no_bound(*_):
+            raise AssertionError("compute_bound ran")
+
+        monkeypatch.setattr(cli, "compute_bound", no_bound)
+        code, out, err = run(capsys, "sample", "--poly", "x1", "--domain", '{"kind":"ball","n":2}', "--r", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: sampling is supported on boxes and the simplex, not 'ball'\n"
 
     def test_negative_seed_before_the_bound(self, capsys, monkeypatch):
         def no_bound(*_):

@@ -3,9 +3,10 @@ no module imports a name it never uses, every name in an ``__all__`` is
 defined in its module, every package name the benchmark harness in
 ``perfbench/`` reaches still exists, every name the package exports has
 a reader, every private helper has a caller in the package, every
-parameter with a default is passed by some call, and the
-CLI solves orders in one loop; and, at run time, that no package attribute
-hides a module, that a bound sweep assembles its pencil once and that the
+parameter with a default is passed by some call, the CLI solves orders in
+one loop, the sampler states each coordinate's range in one function and
+every text-mode ``open`` names its encoding; and, at run time, that no
+package attribute hides a module, that a bound sweep assembles its pencil once and that the
 package loads every module it uses at import.
 """
 
@@ -276,6 +277,36 @@ def test_one_gaussian_ladder():
     assert callers == {"_taylor_enclosure", "certificate"}
     assert {"taylor_density", "integrate_poly", "integrate_poly_exact"}.isdisjoint(names(functions["certificate"]))
     assert "kind" not in names(functions["_ladder"])
+
+
+def test_one_statement_of_the_sampling_range():
+    # each coordinate's range, and the refusal of a domain without a
+    # polynomial one, come from sampling._sides; the CLI asks it, not the kind
+    readers = {
+        node.name for node in _parse(SRC / "sampling.py").body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        if any(isinstance(n, ast.Attribute) and n.attr in ("kind", "bounds") for n in ast.walk(node))
+    }
+    assert readers == {"_sides"}
+    assert not any(isinstance(n, ast.Attribute) and n.attr == "kind" for n in ast.walk(_parse(SRC / "cli.py")))
+
+
+def _text_opens_without_encoding(path: Path) -> list[int]:
+    """Lines of the built-in ``open`` calls in text mode that name no encoding;
+    a mode that is not a literal counts as text."""
+    lines = []
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            mode = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "mode"), None)
+            binary = isinstance(mode, ast.Constant) and "b" in mode.value
+            if not binary and len(node.args) < 4 and all(k.arg != "encoding" for k in node.keywords):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_text_files_name_their_encoding(path):
+    # the locale's encoding would make the CSV and reports depend on the host
+    assert _text_opens_without_encoding(path) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -294,7 +294,8 @@ class TestSample:
 class TestPinnedBits:
     # sha256 of points.tobytes() and values.tobytes() from the per-point
     # sampler the batched draw replaced; 300 points cross a block boundary,
-    # and the 4-D simplex pins the order of the sum in its range 1 - x1 - x2 - x3
+    # the 4-D simplex pins the order of the sum in its range 1 - x1 - x2 - x3,
+    # and the last box has negative and non-dyadic sides, read as float(lo)
     @pytest.mark.parametrize("dom,density,objective,digests", [
         (BOX3, BOX3_DENSITY, "x1^2 - x2*x3 + x3", (
             "6f3057c0a481665d5dbea1ee32cac6ec2061491c1a6216384f34e1e1f1ecc32e",
@@ -308,7 +309,12 @@ class TestPinnedBits:
             "96f3d45a5906b668e847eed170fdf5a0274f77a130ebebca224c2c593ff81731",
             "04ebba2285f387f031e5032f5920af5e16940525ea92dcd771253f1dacbaa070",
         )),
-    ], ids=["box3", "simplex3", "simplex4"])
+        (Domain.box([(Fraction(-1, 3), Fraction(2, 7)), (Fraction(1, 10), 5)]), "1 + x1^2 + x1*x2 + x2^3",
+         "x1^2 - x1*x2 + x2", (
+            "58123f9d754d373d4226c899e80588f521b11823505e646fe4c51902ab603bfa",
+            "423daa8a4076d1e006d850da483a05dc0c5939fe1f7ee4ef636f451834462a55",
+        )),
+    ], ids=["box3", "simplex3", "simplex4", "box2-non-dyadic"])
     def test_digests(self, dom, density, objective, digests, monkeypatch):
         monkeypatch.setattr(sampling, "BLOCK_SIZE", 128)
         batch = sample(exact_chain(dom, density), 300, seed=2024, f=parse_polynomial(objective, dom.n))
