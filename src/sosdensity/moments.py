@@ -12,11 +12,14 @@ ball in dimension n:
     ball:     w(k) = (k-1)!!/2^(k/2) for even k, 0 for odd k,
               g(s) = 1/((n+s)/2)! for even n, 2^((n+s+1)/2)/(n+s)!! for odd n.
 
-Each kind's (w, g) is stated once (_axis_weight, _degree_factor); the scalar
-oracle and the table both read from it.  Exact values are the
-rational part of a moment: on the ball every moment carries the common
-factor pi^(n//2), which is left out of the formula above and enters once,
-as the float _pi_scale(K), wherever a moment becomes a float.
+Each kind's (w, g) is stated once (_axis_weights, _degree_factor); the scalar
+oracle and the table both read from it.  _axis_weights gives an axis's whole
+row w_i(0..D) as integers over their lcm; on the box it is built from integer
+running powers of the bounds over their common denominator, with no Fraction
+per entry, and is the reduced row that Fraction arithmetic gives.  Exact
+values are the rational part of a moment: on the ball every moment carries
+the common factor pi^(n//2), which is left out of the formula above and
+enters once, as the float _pi_scale(K), wherever a moment becomes a float.
 
 The table (MomentTable) holds the nonzero moments with |alpha| <= D (on a
 centred box or the ball, C(n + D//2, n) of them) as Python-int numerators
@@ -172,16 +175,32 @@ def _pi_scale(dom: Domain) -> float:
     return math.pi ** (dom.n // 2) if dom.kind == "ball" else 1.0
 
 
-def _axis_weight(dom: Domain, i: int, k: int):
-    """w_{K,i}(k): the factor of m_alpha contributed by alpha_i = k."""
+def _axis_weights(dom: Domain, i: int, D: int) -> tuple[int, list[int]]:
+    """(L, W) with w_{K,i}(k) = W[k] / L for k = 0..D, the factors of m_alpha
+    contributed by alpha_i = k; L is the lcm of their reduced denominators.
+
+    On a box, with q the lcm of the denominators of lo and hi, a = lo q and
+    b = hi q, entry k is (b^(k+1) - a^(k+1)) / ((k+1) q^(k+1)): integer
+    running powers, each entry reduced by one gcd, so (L, W) is the _over_lcm
+    of the reduced Fractions without building one.
+    """
     if dom.kind == "box":
         lo, hi = dom.bounds[i]
-        return (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+        q = math.lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+        nums, dens = [], []
+        pa, pb, pq = a, b, q
+        for k in range(1, D + 2):
+            num, den = pb - pa, k * pq  # num > 0 as lo < hi
+            g = math.gcd(num, den)
+            nums.append(num // g)
+            dens.append(den // g)
+            pa, pb, pq = pa * a, pb * b, pq * q
+        L = math.lcm(*dens)
+        return L, [v * (L // d) for v, d in zip(nums, dens)]
     if dom.kind == "simplex":
-        return math.factorial(k)
-    if k % 2:
-        return Fraction(0)
-    return Fraction(_double_factorial(k - 1), 2 ** (k // 2))
+        return _over_lcm(math.factorial(k) for k in range(D + 1))
+    return _over_lcm(Fraction(0) if k % 2 else Fraction(_double_factorial(k - 1), 2 ** (k // 2)) for k in range(D + 1))
 
 
 def _degree_factor(dom: Domain, s: int) -> Fraction:
@@ -203,7 +222,8 @@ def moment_rational(dom: Domain, alpha: Sequence[int]) -> Fraction:
     alpha = _check_alpha(dom, alpha)
     m = _degree_factor(dom, sum(alpha))
     for i, k in enumerate(alpha):
-        m *= _axis_weight(dom, i, k)
+        L, W = _axis_weights(dom, i, k)
+        m *= Fraction(W[k], L)
     return m
 
 
@@ -268,7 +288,7 @@ def _scaled_factors(dom: Domain, D: int) -> tuple[int, list[int], list[list[int]
     den, G = _over_lcm(_degree_factor(dom, s) for s in range(D + 1))
     W = []
     for i in range(dom.n):
-        L, Wi = _over_lcm(_axis_weight(dom, i, k) for k in range(D + 1))
+        L, Wi = _axis_weights(dom, i, D)
         den *= L
         W.append(Wi)
     return den, G, W

@@ -395,7 +395,12 @@ def _to_float(x: Fraction, name: str) -> float:
     try:
         return float(x)
     except OverflowError:
-        raise OverflowError(f"{name} passes the largest float" + _OUT_OF_RANGE) from None
+        raise _past_the_floats(name) from None
+
+
+def _past_the_floats(name: str) -> OverflowError:
+    """The refusal of a quantity that passes the largest float, by name."""
+    return OverflowError(f"{name} passes the largest float" + _OUT_OF_RANGE)
 
 
 def lipschitz_bound(f: Polynomial, dom: Domain) -> float:
@@ -403,21 +408,46 @@ def lipschitz_bound(f: Polynomial, dom: Domain) -> float:
 
     K is convex, so sup_K ||grad f|| is a Lipschitz constant, and it is at
     most sqrt(sum_i s_i^2) for any s_i >= sup_K |d_i f|.  With c and R the
-    centre and half-sides of K's bounding box and g(y) = f(c + y), every
-    |y^beta| <= R^beta on the box, so s_i = sum |coef| R^beta over the terms
-    of d_i g.  The sum of squares is exact, and its square root is rounded
-    up to the smallest float whose square is not below it.
+    centre and half-sides of K's bounding box and g(y) = f(c + y) (g = f
+    when c = 0, as on the ball), every |y^beta| <= R^beta on the box, so
+    s_i = sum |coef| R^beta over the terms of d_i g.  With g's coefficients
+    over their lcm and R over one denominator, each s_i is an integer over
+    one denominator Q, and sum_i s_i^2 = N / Q^2 exactly.  Its square root
+    is taken as sqrt(N / (Q^2 4^k)) 2^k, with k putting N / (Q^2 4^k) near 1
+    (the bits of sqrt(N / Q^2) wherever that is a normal float), and rounded
+    up to the smallest float whose square is not below N / Q^2.
     """
     dom.check_vars(f)
     box = _bounding_box(dom)
-    R = [Fraction(hi - lo) / 2 for lo, hi in box]
-    g = f.substitute_affine([1] * dom.n, [Fraction(lo + hi) / 2 for lo, hi in box])
-    total = Fraction(0)
-    for i in range(dom.n):
-        s = sum(abs(coef) * math.prod(r**e for r, e in zip(R, exp)) for exp, coef in g.partial(i).terms.items())
-        total += s * s
-    root = math.sqrt(_to_float(total, "the squared Lipschitz bound of f"))
-    return root if Fraction(root) ** 2 >= total else math.nextafter(root, math.inf)
+    c = [Fraction(lo + hi) / 2 for lo, hi in box]
+    g = f.substitute_affine([1] * dom.n, c) if any(c) else f
+    Lg, coefs = _over_lcm(g.terms.values())
+    Lr, R = _over_lcm(Fraction(hi - lo) / 2 for lo, hi in box)
+    top = g.degree
+    # a term c y^e adds e_i c R^(e - 1_i) to s_i: over Q = Lg Lr^(top - 1),
+    # e_i |c| Lr^(top - |e|) prod_j R_j^(e_j) / R_i, exact as e_i >= 1
+    S = [0] * dom.n
+    for exp, cn in zip(g.terms, coefs):
+        cn = abs(cn) * Lr ** (top - sum(exp)) * math.prod(map(pow, R, exp))
+        for i, e in enumerate(exp):
+            if e:
+                S[i] += e * cn // R[i]
+    N = sum(s * s for s in S)
+    if not N:
+        return 0.0
+    Q2 = (Lg * Lr ** (top - 1)) ** 2
+    k = (N.bit_length() - Q2.bit_length()) // 2  # N / (Q2 4^k) lies in (1/2, 4)
+    try:
+        root = math.ldexp(math.sqrt(N / (Q2 << 2 * k) if k >= 0 else (N << -2 * k) / Q2), k)
+    except OverflowError:
+        root = math.inf
+    if root < math.inf:
+        p, q = root.as_integer_ratio()
+        if p * p * Q2 < N * q * q:
+            root = math.nextafter(root, math.inf)
+    if root == math.inf:
+        raise _past_the_floats("the Lipschitz bound of f")
+    return root
 
 
 # ---- the certificate --------------------------------------------------
@@ -514,12 +544,16 @@ def certificate(
         raise ValueError("truncated Gaussian has nonpositive mass on the domain")
     c_rKa = 1.0 / inv_cr
     f_rKa = c_rKa * int_fH
+    if not math.isfinite(f_rKa):
+        raise _past_the_floats("f_rKa = c_rKa * int_fH")
 
     mass = gaussian_mass(dom, a, sigma)
     C_Ka = 1.0 / mass[0] if mass[0] > 0 else None
 
     M_f = lipschitz_bound(f, dom)
     rhs = zeta * M_f / math.sqrt(m)
+    if not math.isfinite(rhs):
+        raise _past_the_floats("rhs = zeta(K) * M_f / sqrt(2r + 1)")
 
     if eps_capped or r < gp.r_K / 2.0:
         holds = "false-precondition"

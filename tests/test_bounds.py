@@ -404,7 +404,7 @@ class TestLapackCall:
 
         def fresh(*first):
             out = subprocess.run([sys.executable, "-c", _MOTZKIN_R12, *first], env=env, capture_output=True,
-                                 text=True, check=True).stdout
+                                 text=True, encoding="utf-8", check=True).stdout
             return json.loads(out.splitlines()[-1])
 
         reused, loaded, *bits = fresh("scipy.linalg")

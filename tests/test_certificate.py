@@ -373,6 +373,29 @@ class TestGeomParams:
         assert certificate(parse_polynomial("x1", 1), dom, [0.0], 1, 0.0).geom == gp
 
 
+def _lipschitz_cases():
+    """(id, f, K): every catalog instance on its own domain, some on
+    off-centre boxes, and one on the simplex and on the ball."""
+    sizes = {"rosenbrock": (2, 4, 10), "styblinski-tang": (2, 4, 10)}
+    for name in benchmarks.list_names():
+        for n in sizes.get(name, (None,)):
+            tc = benchmarks.get(name, n)
+            yield f"{name}-{tc.domain.n}", tc.f, tc.domain
+    off = {
+        ("motzkin", None): [(Fraction(-1, 3), Fraction(2, 7)), (Fraction(1, 10), 5)],
+        ("booth", None): [(0, 10), (Fraction(-7, 3), Fraction(1, 1000))],
+        ("rosenbrock", 4): [(Fraction(k, 7), 3 + k) for k in range(4)],
+    }
+    for (name, n), bounds in off.items():
+        yield f"{name}-off-centre", benchmarks.get(name, n).f, Domain.box(bounds)
+    f = benchmarks.get("styblinski-tang", 2).f
+    yield "styblinski-tang-simplex", f, Domain.simplex(2)
+    yield "styblinski-tang-ball", f, Domain.ball(2)
+
+
+_LIPSCHITZ_CASES = list(_lipschitz_cases())
+
+
 class TestLipschitz:
     def test_linear_on_square(self):
         assert lipschitz_bound(parse_polynomial("x1", 2), Domain.cube(2)) == 1.0
@@ -414,13 +437,49 @@ class TestLipschitz:
         assert Fraction(m) ** 2 >= total > Fraction(math.nextafter(m, 0.0)) ** 2
 
     def test_coefficients_past_the_floats_are_named(self):
-        # the exact sum of squares 10^800 has no float: the refusal names it
+        # the bound 10^400 has no float: the refusal names it
         with pytest.raises(OverflowError) as exc:
             lipschitz_bound(parse_polynomial("10^400*x1", 1), Domain.cube(1))
         assert str(exc.value) == (
-            "the squared Lipschitz bound of f passes the largest float; "
+            "the Lipschitz bound of f passes the largest float; "
             "K's extent or f's coefficients leave the float range"
         )
+
+    @pytest.mark.parametrize("scale, total", [(10**200, 10**400), (Fraction(1, 10**200), Fraction(1, 10**400))],
+                             ids=["huge", "tiny"])
+    def test_bound_whose_square_leaves_the_floats(self, scale, total):
+        # the root of total / 4^k, scaled by 2^k: M_f is the smallest float
+        # whose square is not below the exact total, which has no float
+        m = lipschitz_bound(Polynomial.monomial(1, (1,)) * scale, Domain.cube(1))
+        assert Fraction(m) ** 2 >= total > Fraction(math.nextafter(m, 0.0)) ** 2
+
+    @staticmethod
+    def _reference(f: Polynomial, dom: Domain) -> float:
+        """The bound in per-entry Fraction arithmetic: f centred on K's
+        bounding box, s_i summed from the terms of d_i g, the float root of
+        the exact sum of squares rounded up."""
+        box = rate._bounding_box(dom)
+        R = [Fraction(hi - lo) / 2 for lo, hi in box]
+        g = f.substitute_affine([1] * dom.n, [Fraction(lo + hi) / 2 for lo, hi in box])
+        total = Fraction(0)
+        for i in range(dom.n):
+            s = sum(abs(c) * math.prod(r**e for r, e in zip(R, exp)) for exp, c in g.partial(i).terms.items())
+            total += s * s
+        root = math.sqrt(float(total))
+        return root if Fraction(root) ** 2 >= total else math.nextafter(root, math.inf)
+
+    @pytest.mark.parametrize("f, dom", [case[1:] for case in _LIPSCHITZ_CASES], ids=[c[0] for c in _LIPSCHITZ_CASES])
+    def test_matches_the_fraction_reference(self, f, dom):
+        # the integer sums give the bits of the Fraction sums, centred or not
+        assert lipschitz_bound(f, dom) == self._reference(f, dom)
+
+    @pytest.mark.parametrize("dom", [benchmarks.get("motzkin").domain, Domain.ball(2)], ids=["motzkin-box", "ball"])
+    def test_no_centring_at_the_origin(self, monkeypatch, dom):
+        # a bounding box centred at 0 leaves f as it is: no exact substitution
+        f = parse_polynomial("x1^3 - 2*x1*x2^2 + x2/3", 2)
+        expected = self._reference(f, dom)
+        monkeypatch.setattr(Polynomial, "substitute_affine", lambda *args: pytest.fail("centred at 0"))
+        assert lipschitz_bound(f, dom) == expected
 
     @staticmethod
     def _points(dom: Domain, k: int) -> np.ndarray:
@@ -457,6 +516,20 @@ class TestLipschitz:
 
 
 class TestCertificate:
+    @pytest.mark.parametrize("poly, dom, a, quantity", [
+        # zeta(K) ~ 1.04e299 on [-1, 1]^110 and M_f = 1e100
+        ("10^100*x1", Domain.cube(110, -1, 1), [0.0] * 110, "rhs = zeta(K) * M_f / sqrt(2r + 1)"),
+        # int_fH fits, but f's mean under H near the corner x = 1 does not
+        ("5*10^308*x1", Domain.cube(1), [1.0], "f_rKa = c_rKa * int_fH"),
+    ], ids=["rhs", "f_rKa"])
+    def test_quantity_past_the_floats_is_named(self, poly, dom, a, quantity):
+        # a report never carries inf: the quantity that leaves the floats is named
+        with pytest.raises(OverflowError) as exc:
+            certificate(parse_polynomial(poly, dom.n), dom, a, 1, -1.0)
+        assert str(exc.value) == (
+            f"{quantity} passes the largest float; K's extent or f's coefficients leave the float range"
+        )
+
     def test_n1_report_fields_and_holds(self):
         f = parse_polynomial("x1", 1)
         rep = certificate(f, Domain.cube(1), [0.0], 8, 0.0)

@@ -200,6 +200,26 @@ class TestOverflow:
                 "K's extent or f's coefficients leave the float range\n"
             )
 
+    def test_rate_bound_past_the_largest_float(self, capsys):
+        # zeta(K) ~ 1.04e299 on [-1, 1]^110 times M_f = 1e100: named, not
+        # printed as Infinity nor refused by the JSON writer
+        box = json.dumps({"kind": "box", "bounds": [["-1", "1"]] * 110})
+        code, out, err = run(
+            capsys, "certificate", "--poly", "10^100*x1", "--domain", box, "--a", ",".join(["0"] * 110),
+            "--f-min", "-1", "--r", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: rhs = zeta(K) * M_f / sqrt(2r + 1) passes the largest float; "
+            "K's extent or f's coefficients leave the float range\n"
+        )
+
+    def test_lipschitz_bound_whose_square_passes_the_floats(self, capsys):
+        code, out, err = run(capsys, "certificate", "--poly", "10^200*x1", "--domain", UNIT, "--r", "1",
+                             "--a", "0.5", "--f-min", "0")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["M_f"] == math.nextafter(1e200, math.inf)
+
     @pytest.mark.parametrize("side", ["1e-100", "1e-120", "1e-160", "1e-200"])
     def test_small_box(self, capsys, side):
         # eps_K^3 is a normal float at side 1e-100; it underflows at 1e-120,
@@ -403,13 +423,13 @@ class TestOutFile:
         code, shown, _ = run(capsys, "bound", "--fn", "motzkin", "--r", "1..4")
         assert run(capsys, "bound", "--fn", "motzkin", "--r", "1..4", "--out", str(path)) == (code, "", "")
         assert code == 0 and len(shown.splitlines()) == 5
-        assert untimed_csv(path.read_text(), 3) == untimed_csv(shown, 3)
+        assert untimed_csv(path.read_text(encoding="utf-8"), 3) == untimed_csv(shown, 3)
 
     def test_certificate(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
         code, shown, _ = run(capsys, "certificate", "--fn", "booth", "--r", "2")
         assert run(capsys, "certificate", "--fn", "booth", "--r", "2", "--out", str(path)) == (code, "", "")
-        assert code == 0 and path.read_text() == shown
+        assert code == 0 and path.read_text(encoding="utf-8") == shown
 
     def test_bench_json(self, capsys, tmp_path, monkeypatch):
         from sosdensity import golden
@@ -421,7 +441,7 @@ class TestOutFile:
         code, shown, _ = run(capsys, "bench", "--json")
         assert run(capsys, "bench", "--json", "--out", str(path)) == (code, "", "")
         assert code == 0 and len(json.loads(shown)) == 4
-        assert untimed_json(path.read_text()) == untimed_json(shown)
+        assert untimed_json(path.read_text(encoding="utf-8")) == untimed_json(shown)
 
 
 class TestSample:
@@ -465,7 +485,7 @@ class TestSample:
             "--count", "300", "--out", str(path),
         )
         assert code == 0
-        pts = np.loadtxt(path, delimiter=",", skiprows=1)[:, :2]
+        pts = np.loadtxt(path, delimiter=",", skiprows=1, encoding="utf-8")[:, :2]
         assert np.all(pts >= [0, -1]) and np.all(pts <= [3, 2])
         assert pts[:, 0].max() > 1.5  # in the box, not in its centred copy [-3/2, 3/2]^2
 

@@ -5,7 +5,8 @@ defined in its module, every package name the benchmark harness in
 a reader, every private helper has a caller in the package, every
 parameter with a default is passed by some call, the CLI solves orders in
 one loop, the sampler states each coordinate's range in one function and
-every text-mode ``open`` names its encoding; and, at run time, that no
+every text-mode ``open``, ``read_text`` and ``write_text`` of the package and
+its tests names its encoding; and, at run time, that no
 package attribute hides a module, that a bound sweep assembles its pencil once and that the
 package loads every module it uses at import.
 """
@@ -26,10 +27,11 @@ import sosdensity
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sosdensity"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("perfbench/tests/*.py"))
 
 
 def _parse(path: Path) -> ast.Module:
-    return ast.parse(path.read_text(), filename=str(path))
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _all_names(tree: ast.Module) -> list[str]:
@@ -170,7 +172,7 @@ def dead_exports() -> list[str]:
     and no README line reaches."""
     traced, used = perfbench_names()
     reached = src_references() | traced | {dotted.split(".")[0] for dotted in used}
-    readme = (ROOT / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     return [
         name
         for name in sosdensity.__all__
@@ -256,7 +258,7 @@ def test_no_dead_parameters():
 
 def test_one_horner_kernel():
     # the sampler evaluates every polynomial through sampling._horner
-    assert "polyval" not in (SRC / "sampling.py").read_text()
+    assert "polyval" not in (SRC / "sampling.py").read_text(encoding="utf-8")
 
 
 def test_one_gaussian_ladder():
@@ -291,21 +293,29 @@ def test_one_statement_of_the_sampling_range():
 
 
 def _text_opens_without_encoding(path: Path) -> list[int]:
-    """Lines of the built-in ``open`` calls in text mode that name no encoding;
-    a mode that is not a literal counts as text."""
+    """Lines of the built-in ``open`` calls in text mode, of the path
+    ``read_text`` and ``write_text`` calls, of numpy ``loadtxt`` and of the
+    calls with a ``text`` keyword (subprocess's) that name no encoding; a mode
+    that is not a literal counts as text."""
     lines = []
     for node in ast.walk(_parse(path)):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+        if not isinstance(node, ast.Call) or any(k.arg == "encoding" for k in node.keywords):
+            continue
+        if getattr(node.func, "id", None) == "open":
             mode = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "mode"), None)
-            binary = isinstance(mode, ast.Constant) and "b" in mode.value
-            if not binary and len(node.args) < 4 and all(k.arg != "encoding" for k in node.keywords):
-                lines.append(node.lineno)
+            text = not (isinstance(mode, ast.Constant) and "b" in mode.value) and len(node.args) < 4
+        else:  # the encoding is read_text's first argument, write_text's second and loadtxt's tenth
+            slots = {"read_text": 0, "write_text": 1, "loadtxt": 8}.get(getattr(node.func, "attr", None), -1)
+            text = len(node.args) <= slots or any(k.arg == "text" for k in node.keywords)
+        if text:
+            lines.append(node.lineno)
     return lines
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_text_files_name_their_encoding(path):
-    # the locale's encoding would make the CSV and reports depend on the host
+    # the locale's encoding would make the CSV and reports depend on the
+    # host, and the tests read them back in the encoding they were written in
     assert _text_opens_without_encoding(path) == []
 
 
@@ -313,7 +323,7 @@ def test_text_files_name_their_encoding(path):
 def test_streams_without_numpy_random(path):
     # the sampler computes numpy's streams itself (_pcg64), and no other
     # module draws a random number
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     assert "np.random" not in text and "numpy.random" not in text
 
 
@@ -381,7 +391,8 @@ def test_imports_happen_at_start_up():
     # no call imports a module late, so the first call of a process costs
     # what later ones do
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _FRESH], env=env, capture_output=True, text=True, check=True).stdout
+    out = subprocess.run([sys.executable, "-c", _FRESH], env=env, capture_output=True, text=True,
+                         encoding="utf-8", check=True).stdout
     origin, at_import, added, scipy_whole = json.loads(out.splitlines()[-1])
     assert Path(origin).resolve().is_relative_to(SRC)
     assert at_import == []

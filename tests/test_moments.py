@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sosdensity import moments
+from sosdensity import benchmarks, moments
 from sosdensity.moments import (
     MAX_TABLE_ENTRIES,
     Domain,
@@ -19,7 +19,13 @@ from sosdensity.moments import (
     moment_rational,
     moment_table,
 )
-from sosdensity.polynomials import Polynomial, parse_polynomial
+from sosdensity.polynomials import Polynomial, _over_lcm, parse_polynomial
+
+_CATALOG = [
+    benchmarks.get(name, n)
+    for name in benchmarks.list_names()
+    for n in ((2, 4, 10) if name in ("rosenbrock", "styblinski-tang") else (None,))
+]
 
 
 def _ball_moment(n: int, alpha) -> float:
@@ -140,6 +146,65 @@ class TestBoxMoments:
         dom = Domain.box([(Fraction(-2048, 1000), Fraction(2048, 1000))])
         assert moment_rational(dom, (1,)) == 0
         assert moment_rational(dom, (2,)) == 2 * Fraction(2048, 1000) ** 3 / 3
+
+
+def _fraction_row(dom: Domain, i: int, D: int) -> list[Fraction]:
+    """w_{K,i}(0..D) in per-entry Fraction arithmetic, the reference for
+    _axis_weights: (hi^(k+1) - lo^(k+1)) / (k+1) on a box, k! on the simplex
+    and (k-1)!!/2^(k/2) (0 for odd k) on the ball."""
+    if dom.kind == "box":
+        lo, hi = dom.bounds[i]
+        return [(hi ** (k + 1) - lo ** (k + 1)) / (k + 1) for k in range(D + 1)]
+    if dom.kind == "simplex":
+        return [Fraction(math.factorial(k)) for k in range(D + 1)]
+    return [Fraction(0) if k % 2 else Fraction(math.prod(range(k - 1, 0, -2)), 2 ** (k // 2)) for k in range(D + 1)]
+
+
+def _fraction_factors(dom: Domain, D: int):
+    """(den, G, W) of _scaled_factors from the Fraction rows, each over its lcm."""
+    den, G = _over_lcm(moments._degree_factor(dom, s) for s in range(D + 1))
+    W = []
+    for i in range(dom.n):
+        L, Wi = _over_lcm(_fraction_row(dom, i, D))
+        den *= L
+        W.append(Wi)
+    return den, G, W
+
+
+class TestBoxRows:
+    # the box row w_i(k) is built from integer running powers over the
+    # bounds' common denominator; it must be the reduced Fraction row
+    SIDES = [
+        (Fraction(-1, 3), Fraction(2, 7)),
+        (Fraction(1, 10), Fraction(5)),
+        (Fraction(-5), Fraction(5)),
+        (Fraction(0), Fraction(1, 10**100)),
+        (Fraction(3), Fraction(7, 2)),
+    ]
+
+    @pytest.mark.parametrize("lo, hi", SIDES, ids=["-1/3..2/7", "1/10..5", "-5..5", "0..1e-100", "3..7/2"])
+    @pytest.mark.parametrize("D", [0, 1, 2, 7, 40])
+    def test_row_is_the_fraction_row(self, lo, hi, D):
+        dom = Domain.box([(lo, hi)])
+        row = _fraction_row(dom, 0, D)
+        assert moments._axis_weights(dom, 0, D) == _over_lcm(row)
+        assert moments._scaled_factors(dom, D) == (_over_lcm(row)[0], [1] * (D + 1), [_over_lcm(row)[1]])
+        assert [moment_rational(dom, (k,)) for k in range(D + 1)] == row
+
+    @pytest.mark.parametrize("D", [0, 3, 40])
+    def test_every_side_keeps_its_own_row(self, D):
+        dom = Domain.box(self.SIDES)
+        assert moments._scaled_factors(dom, D) == _fraction_factors(dom, D)
+        alpha = (D, 0, D // 2, 1, D - D // 2)
+        assert moment_rational(dom, alpha) == math.prod(_fraction_row(dom, i, k)[k] for i, k in enumerate(alpha))
+
+    @pytest.mark.parametrize(
+        "dom", [tc.domain for tc in _CATALOG] + [Domain.simplex(3), Domain.ball(3), Domain.ball(4)],
+        ids=[f"{tc.name}-{tc.domain.n}" for tc in _CATALOG] + ["simplex3", "ball3", "ball4"],
+    )
+    def test_catalog_factors(self, dom):
+        for D in (0, 1, 6, 13):
+            assert moments._scaled_factors(dom, D) == _fraction_factors(dom, D)
 
 
 class TestSimplexMoments:

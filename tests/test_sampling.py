@@ -331,7 +331,7 @@ class TestPinnedBits:
     def test_benchmark_csv(self, tmp_path):
         # the sample-motzkin benchmark's pipeline at its recorded seed and
         # count must write the CSV whose digest perfbench/spec.json records
-        recorded = json.loads((Path(__file__).parents[1] / "perfbench" / "spec.json").read_text())["sample_csv"]
+        recorded = json.loads((Path(__file__).parents[1] / "perfbench" / "spec.json").read_text(encoding="utf-8"))["sample_csv"]
         tc = get("motzkin")
         b = compute_bound(tc.f, tc.domain, 12)
         batch = sample(build_chain(b.density, tc.domain), recorded["count"], seed=recorded["seed"], f=tc.f)
@@ -572,12 +572,12 @@ class TestCsvOutput:
         batch = sample(chain, 5, seed=2, f=f)
         path = tmp_path / "batch.csv"
         write_batch_csv(batch, str(path), dom, bound=1.0)
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "x1,x2,f"
         assert len(lines) == 6
         x1, x2, v = (float(t) for t in lines[1].split(","))
         assert v == pytest.approx(x1 + x2)
-        sidecar = (tmp_path / "batch.csv.json").read_text()
+        sidecar = (tmp_path / "batch.csv.json").read_text(encoding="utf-8")
         assert '"seed": 2' in sidecar and '"count": 5' in sidecar
 
     @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
@@ -598,4 +598,4 @@ class TestCsvOutput:
         write_batch_csv(batch, str(path), dom)
         values = batch.values if with_values else [float("nan")] * 50
         rows = [",".join(repr(float(c)) for c in p) + f",{float(v)!r}" for p, v in zip(batch.points, values)]
-        assert path.read_text() == "\n".join(["x1,x2,x3,f", *rows]) + "\n"
+        assert path.read_text(encoding="utf-8") == "\n".join(["x1,x2,x3,f", *rows]) + "\n"
