@@ -23,10 +23,11 @@ The eigensolve is LAPACK's dsygvd (a Cholesky factor of B reduces the
 pencil to a dense symmetric problem), from scipy's compiled LAPACK wrapper.
 That extension is loaded from its file, so neither scipy's nor scipy.linalg's
 Python package is imported (scipy.linalg's import takes longer than most
-bound sweeps).  The call is the one scipy.linalg.eigh(A, B) makes with its
-defaults.  smallest_generalized_eigenpair is the one place that decides an
-order cannot be solved in floats, and every such order is a ConditioningError
-naming its cause.
+bound sweeps).  The call is the one scipy.linalg.eigh(As, Bs) makes with its
+defaults, on the diagonally equilibrated pencil.  An order that cannot be
+solved in floats is a ConditioningError naming its cause: Pencil.solve
+refuses an order whose block holds a bad entry, and
+smallest_generalized_eigenpair one whose B is unusable or that dsygvd fails.
 
 The bound does not move when K and f are translated together, but
 monomials lose digits fast on an off-centre box, so a Pencil is assembled
@@ -36,6 +37,9 @@ the bound with that shift.
 The grlex basis of order r is a prefix of the basis of any higher order, and
 no entry depends on r, so the order-r pencil is the leading m_r x m_r block
 of the order-R pencil for every R >= r.  Pencil.solve(r) solves that block.
+The equilibration is elementwise and D_r is the head of D_R, so a Pencil
+equilibrates once, when it is built, and the leading block of its
+equilibrated copy is, bit for bit, the equilibrated order-r pencil.
 compute_bound assembles the pencil of its own order; a sweep (bound_sweep,
 the CLI's bound --r a..b) assembles one at its top order and solves each
 order on it.
@@ -48,8 +52,9 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 
 import numpy as np
 
@@ -72,7 +77,8 @@ COND_LIMIT = 1e16
 
 # Largest pencil size m = C(n+r, r) taken on.  Assembly and the eigensolve
 # hold several m x m arrays of 8-byte entries at once (the code sums and
-# index, A and B, their equilibrated copies, the eigenvectors): one bound at
+# index, A and B and the equilibrated copies the Pencil keeps, the copies of
+# a block that its solve makes, the eigenvectors): one bound at
 # m = 1001 (rosenbrock, n = 10, r = 4) raises peak memory by ~60 MB over its
 # moment table and takes ~0.7 s with one BLAS thread, so m = 3500 needs
 # ~0.75 GB and ~30 s.  The table limit does not bound m at small n: motzkin
@@ -138,6 +144,17 @@ class BoundResult:
         return g * g
 
 
+def _order(r) -> int:
+    """The order r as an int; a bool or a non-integer is refused."""
+    try:
+        k = index(r)
+    except TypeError:
+        k = None
+    if k is None or isinstance(r, bool):
+        raise ValueError(f"the order must be an integer, not {r!r}")
+    return k
+
+
 def _check_pencil_size(n: int, r: int) -> None:
     """Refuse an order whose m x m pencil would exceed MAX_PENCIL_SIZE."""
     m = math.comb(n + r, r)
@@ -150,22 +167,46 @@ def _check_pencil_size(n: int, r: int) -> None:
 
 @dataclass(frozen=True, eq=False)  # == is identity, as for BoundResult
 class Pencil:
-    """The moment pencil of a top order, whose leading blocks are the lower orders'."""
+    """The moment pencil of a top order, whose leading blocks are the lower
+    orders', and its equilibrated copy, made once when the pencil is built."""
 
     A: np.ndarray
     B: np.ndarray
     basis: tuple[tuple[int, ...], ...]
     shift: tuple[Fraction, ...] | None  # the box centre c, as in BoundResult
+    D: np.ndarray = field(init=False)  # 1 / sqrt(diag B)
+    As: np.ndarray = field(init=False)  # D A D, symmetrized
+    Bs: np.ndarray = field(init=False)  # D B D, symmetrized
+    # (size of the first leading block that holds the cause, cause), in the order decided
+    refusals: tuple[tuple[int, str], ...] = field(init=False)
+
+    def __post_init__(self):
+        for name, value in zip(("D", "As", "Bs", "refusals"), _equilibrate(self.A, self.B)):
+            object.__setattr__(self, name, value)
 
     def solve(self, r: int) -> BoundResult:
-        """The order-r bound from the leading block of order r, whose entries
-        are those of the order-r assembly bit for bit."""
+        """The order-r bound from the leading block of order r, whose entries,
+        raw and equilibrated, are those of the order-r assembly bit for bit.
+
+        An order whose block holds an infinite or NaN entry, a nonpositive
+        diagonal in B or an equilibrated entry past the largest float is a
+        ConditioningError naming that cause (in this order of precedence)."""
+        r = _order(r)
         top = sum(self.basis[-1])  # the grlex basis ends with a monomial of the top order
         if not 0 <= r <= top:
             raise ValueError(f"the pencil solves orders 0..{top}, not {r}")
         m = math.comb(len(self.basis[0]) + r, r)
+        for size, cause in self.refusals:
+            if m >= size:
+                raise ConditioningError(cause)
+        lam, u, cond_B = smallest_generalized_eigenpair(self.As[:m, :m], self.Bs[:m, :m])
         A, B = np.ascontiguousarray(self.A[:m, :m]), np.ascontiguousarray(self.B[:m, :m])
-        lam, v, cond_B = smallest_generalized_eigenpair(A, B)
+        v = self.D[:m] * u
+        # normalize v^T B v = 1, first nonzero coordinate positive
+        v = v / math.sqrt(float(v @ B @ v))
+        nz = np.flatnonzero(np.abs(v) > 1e-14 * np.max(np.abs(v)))
+        if nz.size and v[nz[0]] < 0:
+            v = -v
         bv = B @ v
         res = A @ v - lam * bv
         # each vector over its largest |entry|, whose square in a norm can pass the largest float
@@ -186,6 +227,7 @@ def assemble_AB(f: Polynomial, dom: Domain, r: int):
     the table's float scale.
     """
     dom.check_vars(f)
+    r = _order(r)
     if r < 0:
         raise ValueError("order r must be >= 0")
     _check_pencil_size(dom.n, r)
@@ -231,36 +273,54 @@ def _quotient(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
-def smallest_generalized_eigenpair(A: np.ndarray, B: np.ndarray):
-    """Smallest eigenvalue of A v = lambda B v with symmetric A, s.p.d. B.
+def _equilibrate(A: np.ndarray, B: np.ndarray):
+    """D = 1 / sqrt(diag B), the equilibrated pencil As = D A D and
+    Bs = D B D (an exact congruence, so the eigenvalues are unchanged; this is
+    what makes high orders on wide boxes tractable in double precision), each
+    symmetrized, and the refusals of Pencil.solve.
 
-    The pencil is diagonally equilibrated first (an exact congruence, so the
-    eigenvalues are unchanged); this is what makes high orders on wide boxes
-    tractable in double precision.  Every reason the floats cannot solve the
-    pencil is a ConditioningError raised here, naming its cause: an infinite
-    or NaN entry, an equilibrated entry past the largest float, a nonpositive
-    diagonal in B, an indefinite or over-COND_LIMIT B, and a nonzero dsygvd info.
+    Every step is elementwise, so each leading block of As and Bs has the
+    bits of equilibrating that block alone.  A refusal is (the size of the
+    first leading block that holds the cause, the cause), in the order they
+    are decided: an infinite entry, a NaN entry, a nonpositive diagonal in B,
+    an equilibrated entry past the largest float.
     """
-    # a pencil's block of order r holds the values of exactly the sums |gamma| <= 2r
-    # that an order-r assembly rounds, so an infinite entry is an overflow of order
-    # r's own and a NaN (see _quotients) an underflow of its own
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        if np.isinf(A).any() or np.isinf(B).any():
-            raise ConditioningError("a moment overflows a float" + _OUT_OF_RANGE)
-        raise ConditioningError("a moment underflows a float" + _OUT_OF_RANGE)
-    diag = np.diag(B)
-    if np.any(diag <= 0):
-        raise ConditioningError("nonpositive diagonal in B")
-    D = 1.0 / np.sqrt(diag)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # Pencil.solve refuses what these flag
+        D = 1.0 / np.sqrt(np.diag(B))
         Bs = B * D[:, None] * D[None, :]
         As = A * D[:, None] * D[None, :]
         # enforce exact symmetry against float roundoff
         Bs = 0.5 * (Bs + Bs.T)
         As = 0.5 * (As + As.T)
-    if not (np.isfinite(As).all() and np.isfinite(Bs).all()):
-        raise ConditioningError("an equilibrated entry passes the largest float" + _OUT_OF_RANGE)
+    bad = ~(np.isfinite(As) & np.isfinite(Bs))
+    if not bad.any():  # every cause leaves a non-finite equilibrated entry
+        return D, As, Bs, ()
+    # a pencil's block of order r holds the values of exactly the sums |gamma| <= 2r
+    # that an order-r assembly rounds, so an infinite entry is an overflow of order
+    # r's own and a NaN (see _quotients) an underflow of its own
+    causes = [
+        (np.isinf(A) | np.isinf(B), "a moment overflows a float" + _OUT_OF_RANGE),
+        (np.isnan(A) | np.isnan(B), "a moment underflows a float" + _OUT_OF_RANGE),
+        (np.diag(np.diag(B) <= 0), "nonpositive diagonal in B"),
+        (bad, "an equilibrated entry passes the largest float" + _OUT_OF_RANGE),
+    ]
+    return D, As, Bs, tuple((_first_block(mask), cause) for mask, cause in causes if mask.any())
 
+
+def _first_block(mask: np.ndarray) -> int:
+    """The size of the smallest leading block that holds a True of mask."""
+    i, j = np.nonzero(mask)
+    return int(np.maximum(i, j).min()) + 1
+
+
+def smallest_generalized_eigenpair(As: np.ndarray, Bs: np.ndarray):
+    """Smallest eigenvalue of As u = lambda Bs u, an equilibrated pencil with
+    finite, symmetric entries, its dsygvd eigenvector u and B's condition
+    number cond_B.
+
+    An indefinite or over-COND_LIMIT Bs, and a nonzero dsygvd info, is a
+    ConditioningError; the entries are Pencil.solve's to refuse.
+    """
     bw = np.linalg.eigvalsh(Bs)
     cond_B = float(bw[-1] / bw[0]) if bw[0] > 0 else np.inf
     unusable = f"moment matrix B is numerically unusable (cond ~ {cond_B:.3e}); reduce r"
@@ -271,14 +331,7 @@ def smallest_generalized_eigenpair(A: np.ndarray, B: np.ndarray):
     w, V, info = _dsygvd(As, Bs, itype=1, jobz="V", uplo="L")
     if info != 0:
         raise ConditioningError(f"{unusable} [LAPACK dsygvd failed with info = {info}]", cond_B)
-    lam = float(w[0])
-    v = D * V[:, 0]
-    # normalize v^T B v = 1, first nonzero coordinate positive
-    v = v / math.sqrt(float(v @ B @ v))
-    nz = np.flatnonzero(np.abs(v) > 1e-14 * np.max(np.abs(v)))
-    if nz.size and v[nz[0]] < 0:
-        v = -v
-    return lam, v, cond_B
+    return float(w[0]), V[:, 0], cond_B
 
 
 def _centre(dom: Domain) -> tuple[Fraction, ...] | None:
@@ -310,6 +363,7 @@ def bound_sweep(f: Polynomial, dom: Domain, r_max: int) -> list[BoundResult]:
     Stops at the first conditioning failure (the remaining orders would only
     be less trustworthy).
     """
+    r_max = _order(r_max)
     if r_max < 1:
         raise ValueError("empty order range")
     pencil = _sweep_pencil(f, dom, r_max)

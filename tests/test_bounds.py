@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ import pytest
 from sosdensity import bounds, golden
 from sosdensity.bounds import (
     ConditioningError,
+    Pencil,
     _check_pencil_size,
     _quotients,
     _sweep_pencil,
@@ -263,6 +265,12 @@ class TestQuotients:
             compute_bound(f, dom, 39)
 
 
+def _whole(A, B):
+    """The order-(m - 1) solve of the pencil A, B in one variable, whose basis is
+    1, x, ..., x^(m - 1): the whole pencil."""
+    return Pencil(A, B, tuple((k,) for k in range(len(A))), None).solve(len(A) - 1)
+
+
 class TestEigenpair:
     def test_rejects_indefinite(self):
         A = np.eye(2)
@@ -284,7 +292,7 @@ class TestEigenpair:
     def test_non_finite_entry_is_a_value_error_wherever_it_sits(self, where, bad, m):
         # off the diagonal next to it, two places off it, and on it, each is
         # refused before B's eigenvalues are taken, as an overflow (inf) or an
-        # underflow (NaN, see _quotients)
+        # underflow (NaN, see _quotients), by the pencil's solve
         cause = "a moment underflows a float" if math.isnan(bad) else "a moment overflows a float"
         for i, j in [(0, 1), (0, 2), (0, 0), (m - 1, m - 1)]:
             if j >= m:
@@ -293,7 +301,7 @@ class TestEigenpair:
             M = A if where == "A" else B
             M[i, j] = M[j, i] = bad
             with pytest.raises(ConditioningError, match=rf"^{cause}{OUT_OF_RANGE}$") as got:
-                smallest_generalized_eigenpair(A, B)
+                _whole(A, B)
             assert got.value.cond_B == math.inf
 
     def test_no_lower_order_is_advised_at_r0(self):
@@ -330,7 +338,8 @@ print(json.dumps([flapack is not None and bounds._dsygvd is flapack.dsygvd, "sci
 class TestLapackCall:
     """The eigensolve calls LAPACK dsygvd directly; it must give what
     scipy.linalg.eigh(As, Bs) gave, bit for bit.  A pencil eigh refused is a
-    ConditioningError naming its cause, raised before or by that call."""
+    ConditioningError naming its cause, raised before or by that call: by the
+    pencil's solve for its entries, by the eigensolve for B and dsygvd."""
 
     @pytest.mark.parametrize("name,r_max", GOLDEN_SWEEPS, ids=[name for name, _ in GOLDEN_SWEEPS])
     def test_golden_blocks_match_scipy_eigh(self, name, r_max, monkeypatch):
@@ -339,8 +348,6 @@ class TestLapackCall:
         tc = get(name)
         pencil = _sweep_pencil(tc.f, tc.domain, r_max)
         for r in range(r_max + 1):
-            m = math.comb(tc.domain.n + r, r)
-            Ar, Br = np.ascontiguousarray(pencil.A[:m, :m]), np.ascontiguousarray(pencil.B[:m, :m])
             solved = []
 
             def scipy_eigh(a, b, **kwargs):
@@ -349,14 +356,15 @@ class TestLapackCall:
 
             with monkeypatch.context() as patched:
                 patched.setattr(bounds, "_dsygvd", scipy_eigh)
-                want = smallest_generalized_eigenpair(Ar, Br)
+                want = pencil.solve(r)
             (As, Bs), = solved
             w, V, info = bounds._dsygvd(As, Bs, itype=1, jobz="V", uplo="L")
             assert info == 0
             w_ref, V_ref = eigh(As, Bs)
             assert w.tobytes() == w_ref.tobytes() and V.tobytes() == V_ref.tobytes()
-            lam, v, cond_B = smallest_generalized_eigenpair(Ar, Br)
-            assert (lam, cond_B) == (want[0], want[2]) and v.tobytes() == want[1].tobytes()
+            got = pencil.solve(r)
+            assert (got.value, got.cond_B, got.residual) == (want.value, want.cond_B, want.residual)
+            assert got.eigvec.tobytes() == want.eigvec.tobytes()
 
     @staticmethod
     def _bad_pencils():
@@ -379,13 +387,13 @@ class TestLapackCall:
             with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
                 eigh(a, b)
             with pytest.raises(ConditioningError, match=rf"^a moment (overflows|underflows) a float{OUT_OF_RANGE}$") as got:
-                smallest_generalized_eigenpair(a, b)
+                _whole(a, b)
             assert got.value.cond_B == math.inf
 
     def test_non_finite_A_is_an_overflow_or_underflow(self):
         for (a, b), cause in zip(list(self._bad_pencils())[:-1], ["underflows", "overflows", "overflows", "underflows"]):
             with pytest.raises(ConditioningError, match=rf"^a moment {cause} a float{OUT_OF_RANGE}$"):
-                smallest_generalized_eigenpair(a, b)
+                _whole(a, b)
 
     @pytest.mark.parametrize("spec", [None, SimpleNamespace(submodule_search_locations=[])], ids=["no-scipy", "no-file"])
     def test_missing_extension_is_an_import_error(self, spec, tmp_path, monkeypatch):
@@ -424,7 +432,7 @@ class TestLapackCall:
             eigh(A, B)
         assert bounds._dsygvd(A, B, itype=1, jobz="V", uplo="L")[2] != 0
         with pytest.raises(ConditioningError, match=r"^nonpositive diagonal in B$"):
-            smallest_generalized_eigenpair(A, B)
+            _whole(A, B)
 
     def test_nonzero_info_is_a_conditioning_error(self, monkeypatch):
         # a dsygvd failure is refused like every other float failure of an
@@ -489,6 +497,23 @@ class TestComputeBound:
             assert b.shift == tuple(-ti for ti in t)
             assert b.value == compute_bound(tc.f, tc.domain, r).value
 
+    @pytest.mark.parametrize("r", [True, False, 2.0, 1.5, "2", None, np.float64(2)], ids=repr)
+    def test_order_must_be_an_integer(self, r):
+        # a bool is an int to Python but not an order, and 2.0 is not an integer
+        tc = get("motzkin")
+        pencil = _sweep_pencil(tc.f, tc.domain, 2)
+        for call in (compute_bound, assemble_AB, bound_sweep, lambda f, dom, r: pencil.solve(r)):
+            with pytest.raises(ValueError, match=rf"^the order must be an integer, not {re.escape(repr(r))}$"):
+                call(tc.f, tc.domain, r)
+
+    def test_numpy_integer_order_is_an_int(self):
+        tc = get("motzkin")
+        want = compute_bound(tc.f, tc.domain, 3)
+        for b in (compute_bound(tc.f, tc.domain, np.int64(3)), _sweep_pencil(tc.f, tc.domain, 4).solve(np.int32(3)),
+                  bound_sweep(tc.f, tc.domain, np.int64(3))[-1]):
+            assert type(b.r) is int and b.r == 3
+            assert b.value == want.value and b.eigvec.tobytes() == want.eigvec.tobytes()
+
     def test_equality_is_identity_and_hashable(self):
         x1 = parse_polynomial("x1", 1)
         a = compute_bound(x1, Domain.box([(0, 1)]), 1)
@@ -544,6 +569,39 @@ class TestSweep:
             b = swept[r - 1]
             assert [getattr(b, k) for k in fields] == [getattr(one, k) for k in fields]
             assert b.eigvec.tobytes() == one.eigvec.tobytes()
+
+    @pytest.mark.parametrize("diag", [-1.0, 0.0], ids=["negative", "zero"])
+    @pytest.mark.parametrize("orders", [(2, 3, 4, 5), (5, 4, 3, 2), (3, 5, 2, 4)], ids=str)
+    def test_planted_faults_are_refused_as_their_own_block(self, orders, diag):
+        # orders: where an equilibrated entry passes the largest float, B has a
+        # nonpositive diagonal, a NaN sits and an inf sits, each at the first
+        # basis index of that order; the later cause in this list wins.  Every
+        # order of the top pencil must be solved or refused exactly as a
+        # pencil holding only its block is.
+        causes = ["an equilibrated entry passes the largest float" + OUT_OF_RANGE, "nonpositive diagonal in B",
+                  "a moment underflows a float" + OUT_OF_RANGE, "a moment overflows a float" + OUT_OF_RANGE]
+        tc = get("motzkin")
+        pencil = _sweep_pencil(tc.f, tc.domain, 5)
+        A, B = pencil.A.copy(), pencil.B.copy()
+        first = [math.comb(2 + r - 1, r - 1) for r in orders]
+        A[first[0], first[0]], B[first[0], first[0]] = sys.float_info.max, 0.5
+        B[first[1], first[1]] = diag
+        B[first[2], 1] = B[1, first[2]] = math.nan
+        A[first[3], 0] = A[0, first[3]] = math.inf
+        top = Pencil(A, B, pencil.basis, pencil.shift)
+        for r in range(6):
+            m = math.comb(2 + r, r)
+            alone = Pencil(A[:m, :m].copy(), B[:m, :m].copy(), pencil.basis[:m], pencil.shift)
+            held = [cause for cause, order in zip(causes, orders) if order <= r]
+            if held:
+                for p in (top, alone):
+                    with pytest.raises(ConditioningError) as got:
+                        p.solve(r)
+                    assert (str(got.value), got.value.cond_B) == (held[-1], math.inf)
+                continue
+            b, want = top.solve(r), alone.solve(r)
+            assert (b.r, b.value, b.cond_B, b.residual) == (want.r, want.value, want.cond_B, want.residual)
+            assert b.eigvec.tobytes() == want.eigvec.tobytes()
 
     def test_empty_range(self):
         with pytest.raises(ValueError):

@@ -7,13 +7,15 @@ parameter with a default is passed by some call, the CLI solves orders in
 one loop, the sampler states each coordinate's range in one function and
 every text-mode ``open``, ``read_text`` and ``write_text`` of the package and
 its tests names its encoding; and, at run time, that no
-package attribute hides a module, that a bound sweep assembles its pencil once and that the
+package attribute hides a module, that a bound sweep assembles and equilibrates
+its pencil once and solves each order once, and that the
 package loads every module it uses at import.
 """
 
 import ast
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -340,28 +342,47 @@ def test_one_sweep_loop_in_the_cli():
 
 
 def test_a_sweep_assembles_once(monkeypatch, capsys):
-    # a sweep assembles its top order and solves every order on a leading block
+    # a sweep assembles and equilibrates its top order once, and solves every
+    # order on a leading block with one eigensolve
     from sosdensity import bounds, cli, golden
 
-    orders = []
-    original = bounds.assemble_AB
+    calls = {"assemble_AB": [], "_equilibrate": [], "smallest_generalized_eigenpair": []}
 
-    def counted(f, dom, r, *args, **kwargs):
-        orders.append(r)
-        return original(f, dom, r, *args, **kwargs)
+    def counted(name):
+        original = getattr(bounds, name)
 
-    monkeypatch.setattr(bounds, "assemble_AB", counted)
+        def call(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls[name].append(len(result[2]) if name == "assemble_AB" else len(args[0]))
+            return result
+
+        monkeypatch.setattr(bounds, name, call)
+
+    for name in calls:
+        counted(name)
+
+    def orders(n, top):
+        return [math.comb(n + r, r) for r in range(1, top + 1)]
+
+    def check(pencils, solved):
+        assert calls["assemble_AB"] == calls["_equilibrate"] == pencils
+        assert calls["smallest_generalized_eigenpair"] == solved
+        for made in calls.values():
+            made.clear()
+
     tc = sosdensity.get("motzkin")
     assert len(bounds.bound_sweep(tc.f, tc.domain, 8)) == 8
-    assert orders == [8]
-    orders.clear()
+    check([45], orders(2, 8))
     assert cli.main(["bound", "--fn", "motzkin", "--r", "1..6"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 7
-    assert orders == [6]
-    orders.clear()
+    check([28], orders(2, 6))
     assert cli.main(["bench"]) == 0
-    blocks = [golden.TABLE_BOX_ASSERT_MAX_R] * len(golden.TABLE_BOX) + [10] * len(golden.TABLE_SB)
-    assert orders == blocks + [golden.TABLE_N10_ASSERT_MAX_R] * len(golden.TABLE_N10)
+    tops = [golden.TABLE_BOX_ASSERT_MAX_R] * len(golden.TABLE_BOX) + [10] * len(golden.TABLE_SB)
+    golden_solved = [m for top in tops for m in orders(2, top)]
+    assert len(golden_solved) == 88
+    n10 = [golden.TABLE_N10_ASSERT_MAX_R] * len(golden.TABLE_N10)
+    check([math.comb(2 + top, top) for top in tops] + [math.comb(10 + top, top) for top in n10],
+          golden_solved + [m for top in n10 for m in orders(10, top)])
 
 
 # Run in a fresh interpreter: prints the heavy modules that importing the CLI
