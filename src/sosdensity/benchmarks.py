@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
 
 from .moments import Domain
-from .polynomials import Polynomial, parse_polynomial
+from .polynomials import Polynomial, _integer, parse_polynomial
 
 __all__ = ["TestCase", "get", "list_names"]
 
@@ -110,13 +109,7 @@ def get(name: str, n: int | None = None) -> TestCase:
     if name not in _FIXED and name not in _PARAMETRIC:
         raise KeyError(f"unknown benchmark {name!r}; known: {', '.join(list_names())}")
     if n is not None:
-        try:
-            k = index(n)
-        except TypeError:
-            k = 0  # refused just below
-        if isinstance(n, bool) or k < 1:
-            raise ValueError(f"n must be an integer >= 1, not {n!r}")
-        n = k
+        n = _integer(n, "n", 1)
     if name in _PARAMETRIC:
         if n is None:
             raise ValueError(f"{name!r} is parametric; pass n")

@@ -54,12 +54,11 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import index
 
 import numpy as np
 
 from .moments import Domain, _enumerate, moment_table
-from .polynomials import Polynomial, _over_lcm
+from .polynomials import Polynomial, _integer, _over_lcm
 
 __all__ = [
     "BoundResult",
@@ -144,17 +143,6 @@ class BoundResult:
         return g * g
 
 
-def _order(r) -> int:
-    """The order r as an int; a bool or a non-integer is refused."""
-    try:
-        k = index(r)
-    except TypeError:
-        k = None
-    if k is None or isinstance(r, bool):
-        raise ValueError(f"the order must be an integer, not {r!r}")
-    return k
-
-
 def _check_pencil_size(n: int, r: int) -> None:
     """Refuse an order whose m x m pencil would exceed MAX_PENCIL_SIZE."""
     m = math.comb(n + r, r)
@@ -191,9 +179,9 @@ class Pencil:
         An order whose block holds an infinite or NaN entry, a nonpositive
         diagonal in B or an equilibrated entry past the largest float is a
         ConditioningError naming that cause (in this order of precedence)."""
-        r = _order(r)
+        r = _integer(r, "the order", 0)
         top = sum(self.basis[-1])  # the grlex basis ends with a monomial of the top order
-        if not 0 <= r <= top:
+        if r > top:
             raise ValueError(f"the pencil solves orders 0..{top}, not {r}")
         m = math.comb(len(self.basis[0]) + r, r)
         for size, cause in self.refusals:
@@ -227,9 +215,7 @@ def assemble_AB(f: Polynomial, dom: Domain, r: int):
     the table's float scale.
     """
     dom.check_vars(f)
-    r = _order(r)
-    if r < 0:
-        raise ValueError("order r must be >= 0")
+    r = _integer(r, "the order", 0)
     _check_pencil_size(dom.n, r)
     table = moment_table(dom, 2 * r + f.degree)
     # every gamma with |gamma| <= 2r in the table's radix: the basis is its part
@@ -363,9 +349,7 @@ def bound_sweep(f: Polynomial, dom: Domain, r_max: int) -> list[BoundResult]:
     Stops at the first conditioning failure (the remaining orders would only
     be less trustworthy).
     """
-    r_max = _order(r_max)
-    if r_max < 1:
-        raise ValueError("empty order range")
+    r_max = _integer(r_max, "the order", 1)
     pencil = _sweep_pencil(f, dom, r_max)
     results = []
     for r in range(1, r_max + 1):

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomials import Polynomial, _over_lcm
+from .polynomials import Polynomial, _integer, _over_lcm
 
 __all__ = [
     "Domain",
@@ -76,15 +76,7 @@ class Domain:
     def __post_init__(self):
         if self.kind not in ("box", "simplex", "ball"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        try:
-            n = index(self.n)
-        except TypeError:
-            n = None
-        if n is None or isinstance(self.n, bool):
-            raise ValueError(f"non-integer dimension {self.n!r}")
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _integer(self.n, "dimension", 1))
         if self.kind == "box":
             if self.bounds is None or len(self.bounds) != self.n:
                 raise ValueError("box needs one (lo, hi) pair per coordinate")
@@ -104,7 +96,7 @@ class Domain:
 
     @staticmethod
     def cube(n: int, lo=0, hi=1) -> "Domain":
-        return Domain.box([(lo, hi)] * n)
+        return Domain.box([(lo, hi)] * _integer(n, "dimension", 1))
 
     @staticmethod
     def simplex(n: int) -> "Domain":
@@ -316,9 +308,7 @@ def _enumerate(D: int, base: int, axes, weights=None):
 
 def moment_table(dom: Domain, max_degree: int) -> MomentTable:
     """Every nonzero moment with |alpha| <= max_degree, in a table built per call; ValueError past MAX_TABLE_ENTRIES."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    n, D = dom.n, max_degree
+    n, D = dom.n, _integer(max_degree, "max_degree", 0)
     count = math.comb(n + D, n)
     if count > MAX_TABLE_ENTRIES:
         raise ValueError(

@@ -45,6 +45,20 @@ def _over_lcm(values) -> tuple[int, list[int]]:
     return L, [v.numerator * (L // v.denominator) for v in values]
 
 
+def _integer(value, what: str, least: int) -> int:
+    """value as an int >= least (a numpy integer becomes an int); a bool, a
+    non-integer or a smaller value is a ValueError that names `what`."""
+    try:
+        k = index(value)
+    except TypeError:
+        k = None
+    if k is None or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    if k < least:
+        raise ValueError(f"{what} must be >= {least}, not {k}")
+    return k
+
+
 def _mul_nums(p: Mapping, q: Mapping) -> dict:
     """Product of two integer coefficient maps; terms in first-reached order
     (p's terms outer, q's inner), sums that cancel to 0 dropped."""
@@ -83,8 +97,7 @@ class Polynomial:
     __slots__ = ("n_vars", "terms", "degree")
 
     def __init__(self, n_vars: int, terms: Mapping[tuple[int, ...], object] | None = None):
-        if n_vars < 1:
-            raise ValueError("n_vars must be positive")
+        n_vars = _integer(n_vars, "n_vars", 1)
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exp, coef in terms.items():
@@ -192,8 +205,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        k = _integer(k, "exponent", 0)
         # x1^k with x1 replaced by self: downstream code needs the full coefficient map
         x1_k = Polynomial.monomial(self.n_vars, (k,) + (0,) * (self.n_vars - 1))
         return x1_k.substitute_var(0, self)

@@ -36,7 +36,7 @@ from typing import Sequence
 
 from .bounds import _OUT_OF_RANGE
 from .moments import Domain, _double_factorial, _pi_scale, _scaled_factors
-from .polynomials import Polynomial, _over_lcm
+from .polynomials import Polynomial, _integer, _over_lcm
 
 __all__ = [
     "GeomParams",
@@ -117,8 +117,7 @@ def geom_params(dom: Domain) -> GeomParams:
 
 def p_constant(n: int) -> float:
     """p(n) = integral over t >= 0 of t^n * exp(-t^2/2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer(n, "n", 1)
     if n % 2 == 0:
         return math.sqrt(math.pi / 2.0) * _double_factorial(n - 1)
     return float(_double_factorial(n - 1))
@@ -132,8 +131,7 @@ def phi_coeffs(r: int) -> Polynomial:
 
     Even-order truncation of exp(-t); nonnegative on the whole real line.
     """
-    if r < 0:
-        raise ValueError("order r must be >= 0")
+    r = _integer(r, "the order", 0)
     terms = {(k,): Fraction((-1) ** k, math.factorial(k)) for k in range(2 * r + 1)}
     return Polynomial(1, terms)
 
@@ -516,8 +514,7 @@ def certificate(
     C_Ka = 1/lo from gaussian_mass's enclosure, so no quantity in the report
     is sampled.
     """
-    if r < 1:
-        raise ValueError("order r must be >= 1")
+    r = _integer(r, "the order", 1)
     if not math.isfinite(f_min):
         raise ValueError(f"f_min must be finite, not {f_min}")
     dom.check_vars(f)

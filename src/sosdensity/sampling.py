@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from . import _pcg64
 from .moments import Domain, integrate_poly_exact
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _integer
 
 __all__ = [
     "ConditionalChain",
@@ -261,7 +260,8 @@ def _check_prefix(dom: Domain, prefix: np.ndarray):
 
 def conditional_cdf(chain: ConditionalChain, i: int, prefix: Sequence[float]) -> CdfSlice:
     """CDF of coordinate i (1-based) given values for coordinates 1..i-1."""
-    if not 1 <= i <= chain.domain.n:
+    i = _integer(i, "coordinate index", 1)
+    if i > chain.domain.n:
         raise ValueError(f"coordinate index {i} out of range")
     if len(prefix) != i - 1:
         raise ValueError(f"prefix must have length {i - 1}")
@@ -361,15 +361,15 @@ def sample(chain: ConditionalChain, count: int, seed: int, f: Polynomial | None 
     of (seed, j) that numpy's default_rng(SeedSequence(seed, spawn_key=(j,)))
     has, so the batch is independent of generation order and of the blocks
     of BLOCK_SIZE points it is drawn in.  A spawn key of one 32-bit word
-    indexes at most 2**32 points.
+    indexes at most 2**32 points.  An f in another number of variables than
+    the chain's domain is refused before any point is drawn.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _integer(count, "count", 1)
     if count > 2**32:
         raise ValueError(f"count must be <= 2**32 (one 32-bit stream index per point), not {count}")
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, not {seed}")
+    seed = _integer(seed, "seed", 0)
+    if f is not None:
+        chain.domain.check_vars(f)
     points = np.empty((count, chain.domain.n))
     for start in range(0, count, BLOCK_SIZE):
         stop = min(start + BLOCK_SIZE, count)
@@ -406,6 +406,8 @@ def write_batch_csv(batch: SampleBatch, path: str, dom: Domain, bound: float | N
         _check_finite(bound=bound)
     points = np.asarray(batch.points, dtype=float)
     n = points.shape[1]
+    if n != dom.n:
+        raise ValueError(f"the points have {n} coordinates, domain has {dom.n}")
     header = ",".join(f"x{i + 1}" for i in range(n)) + ",f"
     values = np.full(len(points), np.nan) if batch.values is None else np.asarray(batch.values, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:

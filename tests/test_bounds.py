@@ -30,6 +30,7 @@ from sosdensity.bounds import (
 from sosdensity.benchmarks import get
 from sosdensity.moments import Domain, integrate_poly, moment_rational
 from sosdensity.polynomials import Polynomial, grlex_key, parse_polynomial
+from sosdensity.rate import certificate
 
 # what a refusal for a value past the floats says after its cause; it names no
 # condition number and advises no lower order
@@ -175,7 +176,7 @@ class TestAssembly:
         dom = Domain.box([(0, 3), (-1, 2)])
         with pytest.raises(ValueError, match=r"solves orders 0\.\.1, not 2"):
             _sweep_pencil(f, dom, 1).solve(2)
-        with pytest.raises(ValueError, match=r"solves orders 0\.\.1, not -1"):
+        with pytest.raises(ValueError, match=r"^the order must be >= 0, not -1$"):
             _sweep_pencil(f, dom, 1).solve(-1)
         pencil = _sweep_pencil(f, dom, 2)
         with pytest.raises(TypeError):
@@ -502,7 +503,11 @@ class TestComputeBound:
         # a bool is an int to Python but not an order, and 2.0 is not an integer
         tc = get("motzkin")
         pencil = _sweep_pencil(tc.f, tc.domain, 2)
-        for call in (compute_bound, assemble_AB, bound_sweep, lambda f, dom, r: pencil.solve(r)):
+
+        def cert(f, dom, r):
+            return certificate(f, dom, tc.minimizers[0], r, tc.f_min)
+
+        for call in (compute_bound, assemble_AB, bound_sweep, lambda f, dom, r: pencil.solve(r), cert):
             with pytest.raises(ValueError, match=rf"^the order must be an integer, not {re.escape(repr(r))}$"):
                 call(tc.f, tc.domain, r)
 

@@ -4,8 +4,8 @@ defined in its module, every package name the benchmark harness in
 ``perfbench/`` reaches still exists, every name the package exports has
 a reader, every private helper has a caller in the package, every
 parameter with a default is passed by some call, the CLI solves orders in
-one loop, the sampler states each coordinate's range in one function and
-every text-mode ``open``, ``read_text`` and ``write_text`` of the package and
+one loop, the sampler states each coordinate's range in one function, one
+function states the rule for scalar integer arguments and every text-mode ``open``, ``read_text`` and ``write_text`` of the package and
 its tests names its encoding; and, at run time, that no
 package attribute hides a module, that a bound sweep assembles and equilibrates
 its pencil once and solves each order once, and that the
@@ -327,6 +327,48 @@ def test_streams_without_numpy_random(path):
     # module draws a random number
     text = path.read_text(encoding="utf-8")
     assert "np.random" not in text and "numpy.random" not in text
+
+
+def _where(tree: ast.Module, module: str, hit) -> set[str]:
+    """Qualified names of the functions (or the module) holding a node for which hit is true."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+            else:
+                if hit(child):
+                    found.add(scope)
+                visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+def test_one_integer_rule():
+    # every scalar order, dimension, degree, count and seed goes through
+    # polynomials._integer; operator.index is read elsewhere only by the
+    # per-entry parsers of exponent tuples and multi-indices, and no other
+    # module tells a bool from an int
+    def reads_index(node):
+        return (isinstance(node, ast.Name) and node.id == "index") or (
+            isinstance(node, ast.Attribute) and node.attr == "index" and getattr(node.value, "id", None) == "operator")
+
+    def asks_bool(node):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2):
+            return False
+        kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        return any(getattr(k, "id", None) == "bool" for k in kinds)
+
+    index_readers, bool_askers = set(), set()
+    for path in MODULES:
+        tree = _parse(path)
+        index_readers |= _where(tree, path.stem, reads_index)
+        bool_askers |= {scope.split(".")[0] for scope in _where(tree, path.stem, asks_bool)}
+    assert index_readers == {"polynomials._integer", "polynomials.Polynomial.__init__", "moments._check_alpha"}
+    assert bool_askers == {"polynomials"}
+    assert not hasattr(importlib.import_module("sosdensity.bounds"), "_order")
 
 
 def test_one_sweep_loop_in_the_cli():

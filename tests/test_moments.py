@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -46,9 +47,9 @@ class TestDomain:
 
     @pytest.mark.parametrize("n", [True, 2.5, "3"])
     def test_non_integer_dimension(self, n):
-        for kind in ("simplex", "ball"):
-            with pytest.raises(ValueError, match="non-integer dimension"):
-                Domain(kind, n)
+        for make in (Domain.simplex, Domain.ball, Domain.cube):
+            with pytest.raises(ValueError, match=rf"^dimension must be an integer, not {re.escape(repr(n))}$"):
+                make(n)
 
     def test_integer_like_dimension(self):
         dom = Domain.simplex(np.int64(3))
@@ -98,8 +99,8 @@ class TestDomain:
         assert str(exc.value) == 'a domain is {"kind":"box","bounds":[[lo,hi],...]} or {"kind":"simplex"|"ball","n":n}'
 
     @pytest.mark.parametrize("text, message", [
-        ('{"kind":"simplex"}', "non-integer dimension None"),
-        ('{"kind":"ball","n":0}', "dimension must be >= 1"),
+        ('{"kind":"simplex"}', "dimension must be an integer, not None"),
+        ('{"kind":"ball","n":0}', "dimension must be >= 1, not 0"),
         ('{"kind":"cone","n":2}', "unknown domain kind 'cone'"),
     ])
     def test_json_leaves_checks_to_domain(self, text, message):
@@ -284,6 +285,9 @@ class TestMomentTable:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             moment_table(Domain.cube(1), -1)
+        for D in (True, 2.0):
+            with pytest.raises(ValueError, match=rf"^max_degree must be an integer, not {D!r}$"):
+                moment_table(Domain.cube(1), D)
 
     def test_refuses_oversized_table(self):
         count = math.comb(10 + 64, 10)

@@ -39,13 +39,17 @@ class TestConstruction:
             Polynomial(1, {bad: 1})
 
     def test_integer_like_exponents_accepted(self):
-        p = Polynomial(2, {(True, np.int64(3)): 1, (np.uint8(2), 0): 2})
+        p = Polynomial(np.int64(2), {(True, np.int64(3)): 1, (np.uint8(2), 0): 2})
+        assert type(p.n_vars) is int and p.n_vars == 2
         assert list(p.terms) == [(1, 3), (2, 0)]
         assert all(type(e) is int for exp in p.terms for e in exp)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Polynomial(0, {})
+        for n in (True, 2.0):
+            with pytest.raises(ValueError, match=rf"^n_vars must be an integer, not {n!r}$"):
+                Polynomial(n, {})
         with pytest.raises(ValueError):
             Polynomial(2, {(1,): 1})
         with pytest.raises(ValueError):
@@ -78,6 +82,10 @@ class TestArithmetic:
         assert (x + y) ** 0 == Polynomial.constant(2, 1)
         with pytest.raises(ValueError):
             (x + y) ** -1
+        assert (x + y) ** np.int64(3) == (x + y) ** 3
+        for k in (True, 2.0):
+            with pytest.raises(ValueError, match=rf"^exponent must be an integer, not {k!r}$"):
+                (x + y) ** k
 
     def test_scalar_ops(self):
         p = Fraction(1, 2) * x + 1

@@ -13,6 +13,7 @@ from sosdensity.benchmarks import get
 from sosdensity.bounds import compute_bound
 from sosdensity.moments import Domain, integrate_poly_exact
 from sosdensity.polynomials import Polynomial, parse_polynomial
+from sosdensity.rate import certificate
 from sosdensity.sampling import (
     BLOCK_SIZE,
     DegeneratePrefixError,
@@ -116,6 +117,9 @@ class TestConditionalCdf:
             conditional_cdf(chain, 3, [0.5, 0.5])
         with pytest.raises(ValueError):
             conditional_cdf(chain, 2, [])
+        for i in (True, 1.0):
+            with pytest.raises(ValueError, match=rf"^coordinate index must be an integer, not {i!r}$"):
+                conditional_cdf(chain, i, [])
 
     def test_prefix_outside_domain(self):
         simplex = Domain.simplex(2)
@@ -256,6 +260,18 @@ class TestSample:
         batch = sample(chain, 100, seed=0, f=f)
         assert batch.values == pytest.approx(batch.points[:, 0])
 
+    def test_objective_checked_before_drawing(self, monkeypatch):
+        # f in three variables on a 2-D chain: refused in
+        # Domain.check_vars's words before a point is drawn
+        chain = build_chain(uniform_density(Domain.cube(2)), Domain.cube(2))
+
+        def no_draw(*_, **__):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(sampling, "_draw_block", no_draw)
+        with pytest.raises(ValueError, match="^polynomial has 3 variables, domain has 2$"):
+            sample(chain, 20000, 1, f=parse_polynomial("x1+x2+x3", 3))
+
     def test_negative_seed_refused_before_any_generator(self, monkeypatch):
         chain = build_chain(uniform_density(Domain.cube(2)), Domain.cube(2))
 
@@ -284,11 +300,18 @@ class TestSample:
 
     def test_numpy_integer_seed(self):
         chain = exact_chain(BOX3, BOX3_DENSITY)
-        batch = sample(chain, 20, seed=np.uint64(7))
+        batch = sample(chain, np.int64(20), seed=np.uint64(7))
         assert type(batch.seed) is int
         assert batch == sample(chain, 20, seed=7)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, not 7\.0$"):
             sample(chain, 20, seed=7.0)
+        for count in (True, 2.0):
+            with pytest.raises(ValueError, match=rf"^count must be an integer, not {count!r}$"):
+                sample(chain, count, seed=7)
+        # a numpy order is reported as an int, so the report is JSON
+        tc = get("motzkin")
+        report = certificate(tc.f, tc.domain, tc.minimizers[0], np.int64(2), tc.f_min)
+        assert json.loads(json.dumps(report.to_json()))["r"] == 2
 
 
 class TestPinnedBits:
@@ -587,6 +610,14 @@ class TestCsvOutput:
         with pytest.raises(ValueError, match="bound must be finite"):
             write_batch_csv(batch, str(tmp_path / "batch.csv"), dom, bound=bound)
         assert list(tmp_path.iterdir()) == []
+
+    def test_domain_of_another_dimension_refused_before_writing(self, tmp_path):
+        dom = Domain.cube(2)
+        batch = sample(build_chain(uniform_density(dom), dom), 5, seed=2)
+        path = tmp_path / "batch.csv"
+        with pytest.raises(ValueError, match="^the points have 2 coordinates, domain has 3$"):
+            write_batch_csv(batch, str(path), Domain.simplex(3), bound=1.0)
+        assert not path.exists() and not (tmp_path / "batch.csv.json").exists()
 
     @pytest.mark.parametrize("with_values", [True, False], ids=["values", "no-values"])
     def test_rows_are_repr_of_each_float(self, tmp_path, with_values):
