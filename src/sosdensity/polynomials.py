@@ -3,16 +3,22 @@
 Exponent vectors are plain tuples of nonnegative ints; terms live in a dict
 mapping exponent tuple -> Fraction.  All arithmetic is exact and sums
 Python-int numerators over one common denominator (_over_lcm), building one
-Fraction per output term: a product scales each operand to integers, and
-substitute_var sums one ladder of integer powers of the substituted
-polynomial (p ** k is x1^k with x1 replaced by p; definite_integrate and
-substitute_affine go through it too).  The Fractions, and the bits of every
-float rounded from them, are those of per-term Fraction sums, without a gcd
-per product.  Floating point enters only in evaluate(), which takes one
-point or an (N, n) array and gives every row the same float operations,
-hence the same bits, as a point-by-point loop: its powers come from
-np.float_power, whose float64 loop is C pow, as for float ** int
-(evaluate_exact() is the rational path).  Canonical term order is graded
+Fraction per output term.  Inside the kernels an exponent is one integer
+code, its entries the digits of a radix wide enough for every entry of the
+result, so codes add as exponents do and each output tuple is built once.
+A product scales each operand to integers and sums per code (_mul_nums, the
+one loop over pairs of terms); substitute_var sums one ladder of integer
+powers of the substituted polynomial (_substitute_nums; p ** k is x1^k with
+x1 replaced by p, and substitute_affine goes through it too);
+definite_integrate folds the antiderivative into the numerators, puts in
+both bounds through _substitute_nums and sums upper minus lower; a scalar
+product scales the numerators.  The Fractions, their term order and the
+bits of every float rounded from them are those of per-term Fraction sums,
+without a gcd per product and with no intermediate Polynomial.  Floating
+point enters only in evaluate(), which takes one point or an (N, n) array
+and gives every row the same float operations, hence the same bits, as a
+point-by-point loop: its powers come from np.float_power, whose float64
+loop is C pow, as for float ** int (evaluate_exact() is the rational path).  Canonical term order is graded
 lexicographic (total degree first, then lex on the exponent tuple).
 """
 
@@ -21,7 +27,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add, index
+from itertools import repeat
+from operator import index, itemgetter, lshift
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -40,9 +47,9 @@ def grlex_key(exponents: tuple[int, ...]) -> tuple:
 
 def _over_lcm(values) -> tuple[int, list[int]]:
     """(L, [v * L for v in values]) for ints and Fractions, L the lcm of their denominators."""
-    values = list(values)
-    L = math.lcm(*(v.denominator for v in values))
-    return L, [v.numerator * (L // v.denominator) for v in values]
+    ratios = [v.as_integer_ratio() for v in values]
+    L = math.lcm(*[d for _, d in ratios])
+    return L, [c * (L // d) for c, d in ratios]
 
 
 def _integer(value, what: str, least: int) -> int:
@@ -59,15 +66,68 @@ def _integer(value, what: str, least: int) -> int:
     return k
 
 
-def _mul_nums(p: Mapping, q: Mapping) -> dict:
-    """Product of two integer coefficient maps; terms in first-reached order
-    (p's terms outer, q's inner), sums that cancel to 0 dropped."""
-    out: dict[tuple[int, ...], int] = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+def _shifts(top: int, n: int) -> range:
+    """Bit offsets of the n digits of an exponent code, each digit wide
+    enough for entries up to top: codes of such exponents add as the
+    exponents do."""
+    w = top.bit_length() or 1
+    return range(0, w * n, w)
+
+
+def _codes(exponents, shifts: range):
+    """The code of each exponent tuple: its entries as digits at shifts."""
+    return map(sum, map(map, repeat(lshift), exponents, repeat(shifts)))
+
+
+def _decoded(nums: Mapping[int, int], shifts: range, den: int) -> dict[tuple[int, ...], Fraction]:
+    """The exponent tuple of each code of nums, with its numerator over den as a Fraction."""
+    mask = (1 << shifts.step) - 1
+    return {tuple([(k >> s) & mask for s in shifts]): Fraction(c, den) for k, c in nums.items()}
+
+
+def _mul_nums(p: Mapping[int, int], q: Mapping[int, int]) -> dict[int, int]:
+    """Product of two integer coefficient maps keyed by exponent codes; terms
+    in first-reached order (p's terms outer, q's inner), sums that cancel to
+    0 dropped."""
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _substitute_nums(nums: Mapping[int, int], i: int, K: int, value: "Polynomial", shifts: range) -> tuple[dict, int]:
+    """(S, V^K): the code-keyed integer map nums, of degree K in x_i, with
+    value put in for x_i, as sums S over V^K, where value's coefficients are
+    W / V (V the lcm of their denominators).
+
+    Each term N x^rest x_i^k adds N V^(K-k) x^rest W^k, from one ladder of
+    integer powers of W, to one running sum.  Terms and their order are
+    those of adding term * value^k in Fractions: a sum that cancels to 0
+    leaves at once and comes back at the end if it reappears.
+    """
+    V, vnums = _over_lcm(value.terms.values())
+    w = dict(zip(_codes(value.terms, shifts), vnums))
+    ladder = [{0: 1}]  # W^k
+    for _ in range(K):
+        ladder.append(_mul_nums(ladder[-1], w))
+    si, mask = shifts[i], (1 << shifts.step) - 1
+    out: dict[int, int] = {}
+    get = out.get
+    for code, c in nums.items():
+        k = (code >> si) & mask
+        code -= k << si
+        c *= V ** (K - k)
+        for kw, v in ladder[k].items():
+            key = code + kw
+            s = get(key, 0) + c * v
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out, V**K
 
 
 # scalars that arithmetic with a Polynomial accepts, each taken exactly
@@ -107,14 +167,14 @@ class Polynomial:
                     raise ValueError(f"non-integer exponent in {exp!r}") from None
                 if len(exp) != n_vars:
                     raise ValueError(f"exponent tuple {exp} has length {len(exp)}, expected {n_vars}")
-                if any(e < 0 for e in exp):
+                if min(exp) < 0:
                     raise ValueError(f"negative exponent in {exp}")
                 c = _as_fraction(coef)
-                if c != 0:
+                if c:
                     clean[exp] = c
         object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "degree", max((sum(e) for e in clean), default=0))
+        object.__setattr__(self, "degree", max(map(sum, clean), default=0))
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -127,15 +187,16 @@ class Polynomial:
 
     @staticmethod
     def constant(n_vars: int, c) -> "Polynomial":
+        n_vars = _integer(n_vars, "n_vars", 1)
         return Polynomial(n_vars, {(0,) * n_vars: _as_fraction(c)})
 
     @staticmethod
     def variable(n_vars: int, i: int) -> "Polynomial":
         """The monomial x_{i+1} (0-based index i)."""
+        n_vars = _integer(n_vars, "n_vars", 1)
         if not 0 <= i < n_vars:
             raise ValueError(f"variable index {i} out of range for n_vars={n_vars}")
-        exp = tuple(1 if j == i else 0 for j in range(n_vars))
-        return Polynomial(n_vars, {exp: Fraction(1)})
+        return Polynomial(n_vars, {(0,) * i + (1,) + (0,) * (n_vars - i - 1): 1})
 
     @staticmethod
     def monomial(n_vars: int, exponents: Sequence[int], coef=1) -> "Polynomial":
@@ -171,7 +232,7 @@ class Polynomial:
         self._check_same(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
+            terms[exp] = terms[exp] + c if exp in terms else c
         return Polynomial(self.n_vars, terms)
 
     __radd__ = __add__
@@ -191,16 +252,19 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
+            # each term's numerator over the lcm of p's denominators, times c: one Fraction per term
             c = _as_fraction(other)
-            return Polynomial(self.n_vars, {e: cc * c for e, cc in self.terms.items()})
+            L, nums = _over_lcm(self.terms.values())
+            a, den = c.numerator, L * c.denominator
+            return Polynomial(self.n_vars, {e: Fraction(v * a, den) for e, v in zip(self.terms, nums)})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same(other)
+        shifts = _shifts(self.degree + other.degree, self.n_vars)
         L1, n1 = _over_lcm(self.terms.values())
         L2, n2 = _over_lcm(other.terms.values())
-        nums = _mul_nums(dict(zip(self.terms, n1)), dict(zip(other.terms, n2)))
-        L = L1 * L2
-        return Polynomial(self.n_vars, {e: Fraction(c, L) for e, c in nums.items()})
+        nums = _mul_nums(dict(zip(_codes(self.terms, shifts), n1)), dict(zip(_codes(other.terms, shifts), n2)))
+        return Polynomial(self.n_vars, _decoded(nums, shifts, L1 * L2))
 
     __rmul__ = __mul__
 
@@ -284,35 +348,17 @@ class Polynomial:
     def substitute_var(self, i: int, value: "Polynomial") -> "Polynomial":
         """Substitute a polynomial for variable i.
 
-        With self's coefficients N / L, value's W / V (L, V the lcms of their
-        denominators) and K self's degree in x_i, each term N x^rest x_i^k
-        adds N V^(K-k) x^rest W^k to one integer sum over L V^K, then one
-        Fraction per term.  Terms and their order are those of adding
-        term * value^k in Fractions: a sum that cancels to 0 leaves at once
-        and comes back at the end if it reappears.
+        With self's coefficients N / L (L the lcm of their denominators),
+        _substitute_nums sums integers over L V^K, then one Fraction per
+        term.  Terms and their order are those of adding term * value^k in
+        Fractions.
         """
         self._check_same(value)
+        K = max(map(itemgetter(i), self.terms), default=0)
+        shifts = _shifts(self.degree + K * value.degree, self.n_vars)
         L, nums = _over_lcm(self.terms.values())
-        V, vnums = _over_lcm(value.terms.values())
-        w = dict(zip(value.terms, vnums))
-        K = max((e[i] for e in self.terms), default=0)
-        ladder = [{(0,) * self.n_vars: 1}]  # W^k
-        for _ in range(K):
-            ladder.append(_mul_nums(ladder[-1], w))
-        out: dict[tuple[int, ...], int] = {}
-        for exp, c in zip(self.terms, nums):
-            k = exp[i]
-            rest = exp[:i] + (0,) + exp[i + 1 :]
-            c *= V ** (K - k)
-            for e, v in ladder[k].items():
-                e = tuple(map(add, rest, e))
-                s = out.get(e, 0) + c * v
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        den = L * V**K
-        return Polynomial(self.n_vars, {e: Fraction(c, den) for e, c in out.items()})
+        out, D = _substitute_nums(dict(zip(_codes(self.terms, shifts), nums)), i, K, value, shifts)
+        return Polynomial(self.n_vars, _decoded(out, shifts, L * D))
 
     def substitute_affine(self, scale: Sequence, shift: Sequence) -> "Polynomial":
         """Return q with q(y) = p(scale * y + shift), exactly."""
@@ -331,14 +377,34 @@ class Polynomial:
         """Integrate out variable ``var`` between two polynomial bounds.
 
         The bounds must not involve ``var``; the result does not either.
+        With self's coefficients N / L, the antiderivative's term for
+        N x^e, x_var^k in x^e, has numerator N M / (k + 1) over L M, where
+        M = lcm(1..K) and K is the antiderivative's degree in x_var;
+        _substitute_nums puts each bound into that one integer map, and
+        upper minus lower is summed over one denominator, then one Fraction
+        per term.  Terms and their order are those of the Fraction
+        antiderivative, substitutions and difference.
         """
         self._check_same(lower)
         self._check_same(upper)
         for name, b in (("lower", lower), ("upper", upper)):
             if any(exp[var] != 0 for exp in b.terms):
                 raise ValueError(f"{name} bound depends on the integration variable")
-        anti = self.antiderivative(var)
-        return anti.substitute_var(var, upper) - anti.substitute_var(var, lower)
+        K = max(map(itemgetter(var), self.terms), default=0) + 1  # the antiderivative's degree in x_var
+        shifts = _shifts(self.degree + 1 + K * max(lower.degree, upper.degree), self.n_vars)
+        L, nums = _over_lcm(self.terms.values())
+        M = math.lcm(*range(1, K + 1))
+        step = 1 << shifts[var]
+        anti = {k + step: c * (M // (e[var] + 1)) for e, k, c in zip(self.terms, _codes(self.terms, shifts), nums)}
+        hi, Dh = _substitute_nums(anti, var, K, upper, shifts)
+        lo, Dl = _substitute_nums(anti, var, K, lower, shifts)
+        D = math.lcm(Dh, Dl)
+        sh, sl = D // Dh, D // Dl
+        out = {k: c * sh for k, c in hi.items()}
+        get = out.get
+        for k, c in lo.items():
+            out[k] = get(k, 0) - c * sl
+        return Polynomial(self.n_vars, _decoded(out, shifts, L * M * D))  # sums that cancel to 0 are dropped
 
     # ---- printing -----------------------------------------------------
 

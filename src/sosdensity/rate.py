@@ -156,6 +156,7 @@ def taylor_density(a: Sequence[float], sigma: float, r: int, n: int) -> Polynomi
     (Polynomial.substitute_var): the terms and their order of summing the
     Fractions prefactor * phi_k * t^k term by term.
     """
+    n = _integer(n, "n", 1)
     _check_gaussian(a, sigma, n)
     sig2 = Fraction(float(sigma)) ** 2
     t = Polynomial.zero(n)  # ||x - a||^2 / (2*sigma^2)

@@ -412,11 +412,14 @@ def write_batch_csv(batch: SampleBatch, path: str, dom: Domain, bound: float | N
     values = np.full(len(points), np.nan) if batch.values is None else np.asarray(batch.values, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        # repr of the Python floats of .tolist() is repr(float(c)) without one numpy
-        # scalar per entry; a block of rows is written as it is formatted
+        # %r of the Python floats of .tolist() is repr(float(c)) without one numpy
+        # scalar per entry; each block of up to 1024 rows is one % format, written
+        # as it is formatted
         rows = np.column_stack([points, values])
-        for start in range(0, len(rows), 4096):
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows[start : start + 4096].tolist())
+        fmt = ",".join(["%r"] * (n + 1)) + "\n"
+        for start in range(0, len(rows), 1024):
+            block = rows[start : start + 1024]
+            fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
     sidecar = {
         "seed": batch.seed,
         "count": int(batch.points.shape[0]),

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -141,6 +142,10 @@ class TestTaylorDensity:
             taylor_density([0.0], 0.0, 1, 1)
         with pytest.raises(ValueError):
             taylor_density([0.0], 1.0, 1, 2)
+        # n passes the integer rule before the center's length is compared with it
+        for n in (2.0, True, "1"):
+            with pytest.raises(ValueError, match=rf"^n must be an integer, not {re.escape(repr(n))}$"):
+                taylor_density([0.0] * 2, 1.0, 1, n)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sigma_or_center_refused(self, bad):

@@ -5,10 +5,12 @@ defined in its module, every package name the benchmark harness in
 a reader, every private helper has a caller in the package, every
 parameter with a default is passed by some call, the CLI solves orders in
 one loop, the sampler states each coordinate's range in one function, one
-function states the rule for scalar integer arguments and every text-mode ``open``, ``read_text`` and ``write_text`` of the package and
+function states the rule for scalar integer arguments, one loop of the
+polynomials multiplies every pair of terms of two maps and every text-mode ``open``, ``read_text`` and ``write_text`` of the package and
 its tests names its encoding; and, at run time, that no
 package attribute hides a module, that a bound sweep assembles and equilibrates
-its pencil once and solves each order once, and that the
+its pencil once and solves each order once, that an exact integral builds
+no intermediate polynomial, and that the
 package loads every module it uses at import.
 """
 
@@ -369,6 +371,77 @@ def test_one_integer_rule():
     assert index_readers == {"polynomials._integer", "polynomials.Polynomial.__init__", "moments._check_alpha"}
     assert bool_askers == {"polynomials"}
     assert not hasattr(importlib.import_module("sosdensity.bounds"), "_order")
+
+
+def _pairwise_loops(tree: ast.Module, module: str) -> set[str]:
+    """Functions holding a loop over every pair of two collections: a for loop
+    inside another whose iterable reads no name the outer loop binds, or a
+    comprehension generator whose iterable reads no name an earlier one binds."""
+
+    def reads(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    def binds(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+    def pairwise(node):
+        if isinstance(node, ast.For):
+            inner = [n for n in ast.walk(node) if isinstance(n, ast.For) and n is not node]
+            return any(not reads(n.iter) & binds(node) for n in inner)
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            gens = node.generators
+            return any(not reads(g.iter) & set().union(*(binds(e.target) for e in gens[:j])) for j, g in enumerate(gens) if j)
+        return False
+
+    return _where(tree, module, pairwise)
+
+
+def test_one_pairwise_product_loop():
+    # exact products, ladders and powers multiply pairs of terms in
+    # polynomials._mul_nums alone; the substitution adds each term's ladder
+    # row to one running sum, and evaluation loops over each term's own entries
+    assert _pairwise_loops(_parse(SRC / "polynomials.py"), "polynomials") == {"polynomials._mul_nums"}
+    # the check tells a loop over pairs from a loop over each item's own entries
+    sample = ast.parse(
+        "def pairs(p, q):\n    for a in p:\n        b = a\n        for c in q:\n            yield b * c\n"
+        "def rows(p):\n    for e in p:\n        k = len(e)\n        for x in e[:k]:\n            yield x\n"
+        "def grid(p, q):\n    return [a * b for a in p for b in q]\n"
+        "def flat(p):\n    return [x for e in p for x in e]\n"
+    )
+    assert _pairwise_loops(sample, "m") == {"m.pairs", "m.grid"}
+
+
+def test_exact_integral_builds_no_intermediate_polynomial(monkeypatch):
+    # definite_integrate calls neither antiderivative nor substitute_var,
+    # negates and subtracts no Polynomial, and builds one Polynomial: its result
+    from sosdensity.polynomials import Polynomial, parse_polynomial
+
+    tree = _parse(SRC / "polynomials.py")
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Polynomial")
+    fn = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "definite_integrate")
+    called = {getattr(n.func, "attr", None) or getattr(n.func, "id", None) for n in ast.walk(fn) if isinstance(n, ast.Call)}
+    assert {"antiderivative", "substitute_var"}.isdisjoint(called)
+    assert not any(isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub) for n in ast.walk(fn))
+
+    p = parse_polynomial("x1^3*x2^2 - x1*x2 + 2*x2^4 + x3", 3)
+    lower, upper = parse_polynomial("x1 - 1/3", 3), parse_polynomial("1 - x1 + x3/7", 3)
+    want = p.definite_integrate(1, lower, upper)
+
+    def refused(*args):
+        raise AssertionError("definite_integrate went through an intermediate Polynomial")
+
+    for name in ("antiderivative", "substitute_var", "__neg__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(Polynomial, name, refused)
+    built = []
+    init = Polynomial.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    assert p.definite_integrate(1, lower, upper) == want
+    assert len(built) == 1
 
 
 def test_one_sweep_loop_in_the_cli():

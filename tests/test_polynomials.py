@@ -56,6 +56,10 @@ class TestConstruction:
             Polynomial(1, {(-1,): 1})
         with pytest.raises(ValueError):
             Polynomial.variable(2, 2)
+        for make in (lambda: Polynomial.constant(2.0, 1), lambda: Polynomial.variable(2.0, 0),
+                     lambda: Polynomial.zero(2.0), lambda: Polynomial.monomial(2.0, (1, 0))):
+            with pytest.raises(ValueError, match=r"^n_vars must be an integer, not 2\.0$"):
+                make()
         with pytest.raises(TypeError, match="unsupported coefficient type: list"):
             Polynomial(1, {(1,): [1]})
 
@@ -175,6 +179,19 @@ class TestExactProduct:
         assert list(prod.terms.items()) == list(_fraction_product(p, q).terms.items())
         assert float(prod.coefficient((3,))) == float(Fraction(1 / 3) * Fraction(math.pi))
 
+    def test_exponents_past_any_fixed_radix(self):
+        # x1^300 * x2 times x1^5 + x2^400 in six variables, and exponents
+        # past 2^64: the products keep their exponents and their order
+        p = Polynomial(6, {(300, 1, 0, 0, 0, 0): Fraction(1, 3)})
+        q = Polynomial(6, {(5, 0, 0, 0, 0, 0): 2, (0, 400, 0, 0, 0, 0): Fraction(-5, 7)})
+        assert list((p * q).terms.items()) == list(_fraction_product(p, q).terms.items())
+        assert list((p * q).terms) == [(305, 1, 0, 0, 0, 0), (300, 401, 0, 0, 0, 0)]
+        big = 2**70
+        u = Polynomial(6, {(big, 0, 0, 0, 0, 1): 3, (0, 0, 0, 0, 0, 0): Fraction(1, 2)})
+        v = Polynomial(6, {(1, 0, 0, 0, 0, big): -1, (big, 0, 0, 0, 0, 1): Fraction(1, 9)})
+        assert list((u * v).terms.items()) == list(_fraction_product(u, v).terms.items())
+        assert (2 * big, 0, 0, 0, 0, 2) in (u * v).terms
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_pow_equals_repeated_product(self, n):
         rng = random.Random(10 + n)
@@ -232,6 +249,27 @@ class TestSubstitution:
         got = p.substitute_var(0, y + 1)
         assert list(got.terms.items()) == list(_fraction_substitute(p, 0, y + 1).terms.items())
         assert list(got.terms.items()) == [((0, 2), Fraction(1)), ((0, 1), Fraction(2))]
+
+
+class TestScalarProduct:
+    """p * c and c * p hold the Fractions coef * c of p's terms, in p's order."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_against_per_term_fractions(self, n):
+        rng = random.Random(30 + n)
+        scalars = [0, 1, -3, 10**30, Fraction(2, 3), Fraction(-7, 10**12), 0.1, -2.5e-300, 1e300]
+        for _ in range(10):
+            p = _random_polynomial(rng, n, rng.randint(0, 10), 4)
+            for c in scalars:
+                want = [(e, coef * Fraction(c)) for e, coef in p.terms.items() if coef * Fraction(c) != 0]
+                assert list((p * c).terms.items()) == want
+                assert list((c * p).terms.items()) == want
+
+    def test_reduced_fractions(self):
+        p = Polynomial(2, {(1, 0): Fraction(3, 4), (0, 1): Fraction(5, 6), (0, 0): 2})
+        assert list((p * Fraction(4, 3)).terms.items()) == [
+            ((1, 0), Fraction(1)), ((0, 1), Fraction(10, 9)), ((0, 0), Fraction(8, 3))]
+        assert all(type(c) is Fraction for c in (p * 2).terms.values())
 
 
 class TestEvaluation:
@@ -375,6 +413,19 @@ class TestCalculus:
         with pytest.raises(ValueError):
             (x * y).definite_integrate(1, Polynomial.constant(2, 0), y)
 
+    def test_substitute_affine_against_fraction_reference(self):
+        rng = random.Random(50)
+        for n in (1, 2, 3):
+            for _ in range(6):
+                p = _random_polynomial(rng, n, rng.randint(1, 8), 4)
+                scale = [rng.choice([1, -2, Fraction(1, 3), 0.75]) for _ in range(n)]
+                shift = [rng.choice([0, Fraction(-1, 2), 0.1, 5]) for _ in range(n)]
+                want = p
+                for i in range(n):
+                    e = tuple(int(j == i) for j in range(n))
+                    want = _fraction_substitute(want, i, Polynomial(n, {e: scale[i], (0,) * n: shift[i]}))
+                assert list(p.substitute_affine(scale, shift).terms.items()) == list(want.terms.items())
+
     def test_substitute_affine(self):
         p = x**2 + y
         q = p.substitute_affine([Fraction(1, 2), 2], [1, -1])  # x -> z/2+1, y -> 2w-1
@@ -385,6 +436,82 @@ class TestCalculus:
             p.substitute_affine([1], [0])
         with pytest.raises(ValueError, match="scale/shift length must equal n_vars"):
             p.substitute_affine([1, 1], [0, 0, 0])
+
+
+def _fraction_integrate(p: Polynomial, var: int, lower: Polynomial, upper: Polynomial) -> Polynomial:
+    """The antiderivative, each bound put in by _fraction_substitute, then the
+    difference of the two, all in Fractions: the reference for definite_integrate."""
+    anti = p.antiderivative(var)
+    return _fraction_substitute(anti, var, upper) - _fraction_substitute(anti, var, lower)
+
+
+def _free_of(p: Polynomial, i: int) -> Polynomial:
+    return Polynomial(p.n_vars, {e: c for e, c in p.terms.items() if e[i] == 0})
+
+
+class TestDefiniteIntegrate:
+    """definite_integrate sums integers over one denominator; its Fractions and
+    their order are those of the Fraction antiderivative, substitutions and
+    difference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_against_fraction_reference(self, n):
+        rng = random.Random(40 + n)
+        for _ in range(12):
+            p = _random_polynomial(rng, n, rng.randint(1, 10), 4)
+            var = rng.randrange(n)
+            shrinking = Polynomial.constant(n, 1)  # 1 - x_1 - ... - x_var, a simplex side
+            for j in range(var):
+                shrinking = shrinking - Polynomial.variable(n, j)
+            pairs = [
+                (Polynomial.constant(n, 0), Polynomial.constant(n, 1)),
+                (Polynomial.constant(n, Fraction(-1, 3)), Polynomial.constant(n, Fraction(5, 7))),
+                (Polynomial.constant(n, Fraction(0.1)), Polynomial.constant(n, 2**-40)),
+                (Polynomial.constant(n, 0), shrinking),
+                (Polynomial.zero(n), Polynomial.zero(n)),
+                (_free_of(_random_polynomial(rng, n, rng.randint(1, 4), 2), var),
+                 _free_of(_random_polynomial(rng, n, rng.randint(1, 4), 2), var)),
+            ]
+            for lower, upper in pairs:
+                got = p.definite_integrate(var, lower, upper)
+                assert list(got.terms.items()) == list(_fraction_integrate(p, var, lower, upper).terms.items())
+
+    def test_zero_polynomial(self):
+        assert Polynomial.zero(2).definite_integrate(1, Polynomial.constant(2, 0), 1 - x).terms == {}
+
+    def test_sums_that_cancel(self):
+        # x*y + y over y in [-1, 1] is 0; with y in [x, x + 1], the x terms of
+        # the two bounds cancel and 1/2 + x is left
+        lo, hi = Polynomial.constant(2, -1), Polynomial.constant(2, 1)
+        assert (x * y + y).definite_integrate(1, lo, hi).terms == {}
+        for p, lower, upper in ((x * y + y, lo, hi), (y + 1, x, x + 1), (y * y - x, x - Fraction(1, 3), x + 2)):
+            got = p.definite_integrate(1, lower, upper)
+            assert list(got.terms.items()) == list(_fraction_integrate(p, 1, lower, upper).terms.items())
+        got = (y + 1).definite_integrate(1, x, x + 1)
+        assert list(got.terms.items()) == [((1, 0), Fraction(1)), ((0, 0), Fraction(3, 2))]
+
+    @pytest.mark.parametrize("name, r", [("motzkin", 12), ("three-hump-camel-modified-s", 6)])
+    def test_sampler_marginals(self, name, r):
+        # the chain's renormalized density and each marginal are the Fraction
+        # references', term by term and in order, on a box and on the simplex
+        from sosdensity.bounds import compute_bound
+        from sosdensity.moments import integrate_poly_exact
+        from sosdensity.sampling import _sides, build_chain
+
+        tc = benchmarks.get(name)
+        hstar = compute_bound(tc.f, tc.domain, r).density
+        n = tc.domain.n
+        scale = 1 / integrate_poly_exact(tc.domain, hstar)
+        want = [Polynomial(n, {e: c * scale for e, c in hstar.terms.items()})]
+        for i in range(n - 1, 0, -1):
+            lo, hi, shrinks = _sides(tc.domain)[i]
+            upper = Polynomial.constant(n, hi)
+            for j in range(i if shrinks else 0):
+                upper = upper - Polynomial.variable(n, j)
+            want.append(_fraction_integrate(want[-1], i, Polynomial.constant(n, lo), upper))
+        want.reverse()
+        chain = build_chain(hstar, tc.domain)
+        assert [list(m.terms.items()) for m in chain.marginals] == [list(m.terms.items()) for m in want]
 
 
 class TestParser:

@@ -17,6 +17,7 @@ from sosdensity.rate import certificate
 from sosdensity.sampling import (
     BLOCK_SIZE,
     DegeneratePrefixError,
+    SampleBatch,
     build_chain,
     conditional_cdf,
     invert_cdf,
@@ -629,4 +630,15 @@ class TestCsvOutput:
         write_batch_csv(batch, str(path), dom)
         values = batch.values if with_values else [float("nan")] * 50
         rows = [",".join(repr(float(c)) for c in p) + f",{float(v)!r}" for p, v in zip(batch.points, values)]
+        assert path.read_text(encoding="utf-8") == "\n".join(["x1,x2,x3,f", *rows]) + "\n"
+        # signed zeros, subnormals, large integral floats and the non-finite
+        # values, over 2500 rows: more than one block of formatted rows
+        edge = [-0.0, 0.0, 5e-324, -1e-310, 1e16, -1e22, 1e22 + 2**22, math.inf, -math.inf, math.nan, 0.1, 1 / 3]
+        rng = np.random.default_rng(3)
+        points = np.array([[edge[(3 * k + j) % len(edge)] for j in range(3)] for k in range(2500)])
+        points[::7] = rng.standard_normal((len(points[::7]), 3)) * 10.0 ** rng.integers(-300, 300, (len(points[::7]), 3))
+        values = np.array([edge[k % len(edge)] for k in range(2500)]) if with_values else None
+        write_batch_csv(SampleBatch(points=points, seed=0, values=values), str(path), dom)
+        values = values if with_values else [float("nan")] * 2500
+        rows = [",".join(repr(float(c)) for c in p) + f",{float(v)!r}" for p, v in zip(points, values)]
         assert path.read_text(encoding="utf-8") == "\n".join(["x1,x2,x3,f", *rows]) + "\n"
