@@ -66,6 +66,15 @@ def _integer(value, what: str, least: int) -> int:
     return k
 
 
+def _variable_index(i, n_vars: int) -> int:
+    """i as the 0-based index of one of n_vars variables: the integer rule,
+    then a ValueError past the last variable."""
+    i = _integer(i, "variable index", 0)
+    if i >= n_vars:
+        raise ValueError(f"variable index {i} out of range for n_vars={n_vars}")
+    return i
+
+
 def _shifts(top: int, n: int) -> range:
     """Bit offsets of the n digits of an exponent code, each digit wide
     enough for entries up to top: codes of such exponents add as the
@@ -194,8 +203,7 @@ class Polynomial:
     def variable(n_vars: int, i: int) -> "Polynomial":
         """The monomial x_{i+1} (0-based index i)."""
         n_vars = _integer(n_vars, "n_vars", 1)
-        if not 0 <= i < n_vars:
-            raise ValueError(f"variable index {i} out of range for n_vars={n_vars}")
+        i = _variable_index(i, n_vars)
         return Polynomial(n_vars, {(0,) * i + (1,) + (0,) * (n_vars - i - 1): 1})
 
     @staticmethod
@@ -223,6 +231,12 @@ class Polynomial:
     def _check_same(self, other: "Polynomial"):
         if self.n_vars != other.n_vars:
             raise ValueError(f"dimension mismatch: {self.n_vars} vs {other.n_vars}")
+
+    def _check_operand(self, value, what: str):
+        """A TypeError naming `what` unless value is a Polynomial, then _check_same."""
+        if not isinstance(value, Polynomial):
+            raise TypeError(f"{what} must be a Polynomial, not {value!r}")
+        self._check_same(value)
 
     def __add__(self, other):
         if isinstance(other, _SCALARS):
@@ -328,6 +342,7 @@ class Polynomial:
 
     def partial(self, i: int) -> "Polynomial":
         """Partial derivative with respect to variable i (0-based)."""
+        i = _variable_index(i, self.n_vars)
         terms: dict[tuple[int, ...], Fraction] = {}
         for exp, coef in self.terms.items():
             if exp[i] == 0:
@@ -338,6 +353,7 @@ class Polynomial:
         return Polynomial(self.n_vars, terms)
 
     def antiderivative(self, i: int) -> "Polynomial":
+        i = _variable_index(i, self.n_vars)
         terms: dict[tuple[int, ...], Fraction] = {}
         for exp, coef in self.terms.items():
             new = list(exp)
@@ -353,7 +369,8 @@ class Polynomial:
         term.  Terms and their order are those of adding term * value^k in
         Fractions.
         """
-        self._check_same(value)
+        i = _variable_index(i, self.n_vars)
+        self._check_operand(value, "value")
         K = max(map(itemgetter(i), self.terms), default=0)
         shifts = _shifts(self.degree + K * value.degree, self.n_vars)
         L, nums = _over_lcm(self.terms.values())
@@ -385,8 +402,9 @@ class Polynomial:
         per term.  Terms and their order are those of the Fraction
         antiderivative, substitutions and difference.
         """
-        self._check_same(lower)
-        self._check_same(upper)
+        var = _variable_index(var, self.n_vars)
+        self._check_operand(lower, "the lower bound")
+        self._check_operand(upper, "the upper bound")
         for name, b in (("lower", lower), ("upper", upper)):
             if any(exp[var] != 0 for exp in b.terms):
                 raise ValueError(f"{name} bound depends on the integration variable")

@@ -14,6 +14,8 @@ the factored moments, the integral of each power of ||x-a||^2 is a binomial
 convolution of one short integer sequence per axis, the powers of
 (x_i - a_i)^2 against that axis's moments, shifted by each term of f
 (_ladder); the partial sums of the same terms bracket the Gaussian mass.
+Every term is an integer over one common denominator, so no Fraction is
+built per term, and each float is rounded once from the exact rational.
 taylor_density gives H as a Polynomial.
 
 The Gaussian mass of K, whose inverse is the constant C_{K,a}, is an
@@ -31,7 +33,8 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from operator import add
+from itertools import compress, count, repeat
+from operator import add, mul, sub
 from typing import Sequence
 
 from .bounds import _OUT_OF_RANGE
@@ -221,7 +224,10 @@ def _ladder_size(dense: Sequence[bool], K: int) -> int:
     dense, one while all are sparse.  Each axis before the last is convolved
     into the carried sum, and the fold pairs the carried sum with the last
     row against G, at most two new degrees per row and rung.  Every lower
-    rung sums fewer products.
+    rung sums fewer products.  The ladder keeps zero entries out of its rows
+    and folds only the degrees a carried sum reaches, so on the ball, whose
+    odd moments are 0, it does about half of these products; the count is
+    kept as the bound.
     """
     n = len(dense)
 
@@ -266,8 +272,22 @@ def _ladder_order(dom: Domain, a: Sequence[float], sigma: float) -> int | None:
     return K if _ladder_size([x != 0 for x in a], K) <= MAX_LADDER_TERMS else None
 
 
+class _Fold(dict):
+    """A row's values, on the degrees first + step * t, folded against G:
+    entry s is the sum of values[t] * G[start + s + step * t], start the
+    shift plus first, computed when it is first read."""
+
+    def __init__(self, values: list[int], G: list[int], start: int, step: int):
+        self.values, self.G, self.start, self.stop, self.step = values, G, start, start + len(values) * step, step
+
+    def __missing__(self, s: int) -> int:
+        self[s] = v = sum(map(mul, self.values, self.G[self.start + s : self.stop + s : self.step]))
+        return v
+
+
 def _ladder(dom: Domain, a: Sequence[float], sigma: float, K: int, f: Polynomial):
-    """For k = 0..K, the exact rational parts of the integrals over K of
+    """(Q, rungs): for k = 0..K, rungs yields integers (h_k, fh_k) with h_k / Q
+    and fh_k / Q the exact rational parts of the integrals over K of
     (-t)^k / k! and of f * (-t)^k / k!, t = ||x - a||^2 / (2 sigma^2).
 
     With L the lcm of the denominators of a and p = L a, L^2 ||x - a||^2 is
@@ -276,90 +296,117 @@ def _ladder(dom: Domain, a: Sequence[float], sigma: float, K: int, f: Polynomial
     axis gives one short sequence, the integer row of q_i^j met with its
     factored moments W_i shifted by the exponent d_i of a term of f, and
     rung k convolves them, the last axis folded against G[|d| + s] first.
-    An entry is keyed by the degree s it has reached, or by 0 when G is
-    constant (the box, or D = 0), where each entry is one integer.  No
-    power of ||x - a||^2 is expanded; (2 sigma^2)^-k is applied to the sums.
+    Each row is built once, from q_i^j's coefficients times a slice of
+    W_i, and holds only the progression of degrees s its nonzero entries
+    lie on (one where p_i = 0, every other one where W_i's odd entries are
+    0); a carried sum is keyed by the degree it has reached, and a fold
+    (_Fold) holds the degrees the carried sums read.  Where G is constant
+    (the box, or D = 0) every degree is keyed 0, so each of these is one
+    integer.  No power of ||x - a||^2 is expanded.  With scale =
+    2 sigma^2 L^2 = sn / sd and f's coefficients over their lcm Lf,
+    Q = Lf den K! sn^K and rung k's sums are multiplied by
+    (-1)^k sd^k (K! / k!) sn^(K-k), so no Fraction is built per rung.
     """
     n = dom.n
     L, p = _over_lcm(Fraction(x) for x in a)
     Lf, coefs = _over_lcm(f.terms.values())
     den, G, W = _scaled_factors(dom, 2 * K + f.degree)
-    scale = Fraction(float(sigma)) ** 2 * 2 * L * L  # t^k = (L^2 ||x - a||^2)^k / scale^k
+    sn, sd = (Fraction(float(sigma)) ** 2 * 2 * L * L).as_integer_ratio()  # t^k = (L^2 ||x - a||^2)^k (sd / sn)^k
     graded = G.count(G[0]) < len(G)  # G constant (the box, or D = 0): every degree is keyed 0
-    terms = [((0,) * n, 1), *zip(f.terms, coefs)]
-    L_pow, p_pow = [1], [[1] for _ in p]
-    axes = {}  # (i, d_i, j) -> axis i's row j against W_i shifted by d_i, by degree key
-    carried = {(): []}  # exponents of the first m axes -> their convolution, rung by rung
-    folded = {}  # (d_n, |d|, j, s) -> the last axis's row j against G shifted by |d| + s
+    terms = [((0,) * n, Lf), *zip(f.terms, coefs)]  # the mass's 1, over f's denominator Lf
+    rows = {(i, d[i]): [] for d, _ in terms for i in range(n)}  # axis i's rows j against W_i shifted by d_i
+    folds = {(d[-1], sum(d)): [] for d, _ in terms}  # the last axis's rows j against G shifted by |d|
+    carried = {(): [{0: 1}]}  # exponents of the first m axes -> their convolution, rung by rung
 
-    def axis(i, e, j):
-        if (i, e, j) not in axes:
-            entries = axes[i, e, j] = {}
-            for s in range(2 * j + 1) if p[i] else [2 * j]:  # where p_i = 0 only s = 2j is nonzero
-                if W[i][e + s]:
-                    c = math.comb(2 * j, s) * L_pow[s] * p_pow[i][2 * j - s] * W[i][e + s]
-                    entries[s * graded] = entries.get(s * graded, 0) + c
-        return axes[i, e, j]
+    def row(i, e, j, offset, qj):
+        """(entries, first, step, values): the nonzero entries (s, value) of
+        q_i^j against W_i shifted by e, and the progression first + step * t
+        of degrees they lie on; qj holds q_i^j's coefficients from degree
+        offset up."""
+        vals = list(map(mul, qj, W[i][e + offset : e + 2 * j + 1]))
+        if not graded:  # one entry, keyed 0
+            v = sum(vals)
+            return ([(0, v)], 0, 1, [v]) if v else ([], 0, 1, [])
+        keys = list(compress(range(offset, offset + len(vals)), vals))
+        if not keys:
+            return [], 0, 1, []
+        step = math.gcd(*map(sub, keys, repeat(keys[0]))) or 1
+        vals = vals[keys[0] - offset : keys[-1] - offset + 1 : step]
+        return list(zip(count(keys[0], step), vals)), keys[0], step, vals
 
-    def fold(d, j, s):
-        key = (d[-1], sum(d), j, s)
-        if key not in folded:
-            folded[key] = sum(c * G[key[1] + s + s2] for s2, c in axis(n - 1, d[-1], j).items())
-        return folded[key]
-
-    for k in range(K + 1):
-        for _ in range(2):
-            L_pow.append(L_pow[-1] * L)
-            for pw, pi in zip(p_pow, p):
-                pw.append(-pw[-1] * pi)
-        binom = [1, *map(add, binom, binom[1:]), 1] if k else [1]  # C(k, j), j = 0..k
-        carried[()].append({0: 1} if k == 0 else {})
-        sums = []
-        for d, c in terms:
-            for m in range(1, n):
-                seq = carried.setdefault(d[:m], [])
-                if len(seq) > k:
+    def rungs():
+        c = math.factorial(K) * sn**K  # (-1)^k sd^k (K! / k!) sn^(K-k) at k = 0
+        binom, pascal, L_pow, p_pow = [1], [1], [1], [[1] for _ in p]  # C(k, j), C(2k, s), L^s, (-p_i)^s
+        for k in range(K + 1):
+            if k:
+                c = -c * sd // (k * sn)
+                binom = [1, *map(add, binom, binom[1:]), 1]
+                for _ in range(2):
+                    pascal = [1, *map(add, pascal, pascal[1:]), 1]
+                    L_pow.append(L_pow[-1] * L)
+                    for pw, pi in zip(p_pow, p):
+                        pw.append(-pw[-1] * pi)
+            # q_i^k's coefficients C(2k, s) L^s (-p_i)^(2k-s); only s = 2k where p_i = 0
+            q = [(0, list(map(mul, map(mul, pascal, L_pow), pw[::-1]))) if pi else (2 * k, L_pow[-1:])
+                 for pw, pi in zip(p_pow, p)]
+            for (i, e), seq in rows.items():
+                seq.append(row(i, e, k, *q[i]))
+            for (e, base), seq in folds.items():
+                _, first, step, vals = rows[n - 1, e][k]
+                seq.append(_Fold(vals, G, base + first, step))
+            # rung k' of a carried sum meets row j = k - k' with C(k, k'); the
+            # empty sum has rung 0 alone
+            totals = {}  # d -> its rung-k sum; the mass's 1 and f's constant share one
+            for d, _ in terms:
+                if d in totals:
                     continue
-                prev = carried[d[: m - 1]]
-                acc = {}
-                for j, b in enumerate(binom):
-                    if prev[k - j]:
-                        for s2, e in axis(m - 1, d[m - 1], j).items():
-                            e *= b
-                            for s1, v in prev[k - j].items():
-                                acc[s1 + s2] = acc.get(s1 + s2, 0) + v * e
-                seq.append(acc)
-            prev = carried[d[:-1]]
-            sums.append(c * sum(b * v * fold(d, j, s) for j, b in enumerate(binom) for s, v in prev[k - j].items()))
-        if n == 1:  # one folded axis: no later rung reads this rung's rows
-            axes.clear()
-            folded.clear()
-        over = (-1) ** k * den * math.factorial(k) * scale**k
-        yield sums[0] / over, sum(sums[1:]) / (Lf * over)
+                for m in range(1, n):
+                    seq = carried.setdefault(d[:m], [])
+                    if len(seq) > k:
+                        continue
+                    acc = {}
+                    for b, pv, row_j in zip(binom, carried[d[: m - 1]], reversed(rows[m - 1, d[m - 1]])):
+                        if pv:
+                            for s2, w in row_j[0]:
+                                w *= b
+                                for s1, v in pv.items():
+                                    acc[s1 + s2] = acc.get(s1 + s2, 0) + v * w
+                    seq.append(acc)
+                totals[d] = sum(b * sum(map(mul, pv.values(), map(F.__getitem__, pv)))
+                                for b, pv, F in zip(binom, carried[d[:-1]], reversed(folds[d[-1], sum(d)])) if pv)
+            sums = [coef * totals[d] for d, coef in terms]
+            if n == 1:  # one folded axis: no later rung reads this rung's rows
+                for seq in (*rows.values(), *folds.values()):
+                    seq[k] = None
+            yield c * sums[0], c * sum(sums[1:])
+
+    return Lf * den * math.factorial(K) * sn**K, rungs()
 
 
 def _taylor_enclosure(dom: Domain, a: Sequence[float], sigma: float, K: int) -> tuple[float, float]:
     """Enclosure of the mass from the partial sums of e^{-t} = sum (-t)^k / k!.
 
     For t >= 0 the odd partial sums lie below e^{-t} and the even ones above,
-    so their integrals bracket the mass; _ladder gives each term exactly.
-    Stops at the first odd k where the bracket is within 2^-20, at k = K at
-    the latest.
+    so their integrals bracket the mass; _ladder gives each term exactly, as
+    an integer over its one denominator Q > 0, so the partial sums and the
+    2^-20 test are on integers.  Stops at the first odd k where the bracket
+    is within 2^-20, at k = K at the latest; lo and hi are each rounded once,
+    by the correctly rounded int / int division.
     """
     n = dom.n
-    total = Fraction(0)
-    lo, hi = -math.inf, math.inf
-    for k, (term, _) in enumerate(_ladder(dom, a, sigma, K, Polynomial.zero(n))):
+    Q, rungs = _ladder(dom, a, sigma, K, Polynomial.zero(n))
+    total, lo, hi = 0, None, None
+    for k, (term, _) in enumerate(rungs):
         total += term
         if k % 2:
-            lo = max(lo, total)
+            lo = total if lo is None else max(lo, total)
             if (hi - lo) * 2**20 <= lo:
                 break
         else:
-            hi = min(hi, total)
+            hi = total if hi is None else min(hi, total)
     prefactor = (2.0 * math.pi * sigma**2) ** (-n / 2.0) * _pi_scale(dom)
     w = n * _WIDEN  # the rounding of the floats, of the prefactor and its power
-    return max(float(lo), 0.0) * prefactor * (1 - w), float(hi) * prefactor * (1 + w)
+    return max(lo / Q, 0.0) * prefactor * (1 - w), hi / Q * prefactor * (1 + w)
 
 
 def gaussian_mass(dom: Domain, a: Sequence[float], sigma: float) -> tuple[float, float]:
@@ -536,8 +583,9 @@ def certificate(
     # the integrals of H and f * H: the ladder's sums to 2r times H's exact prefactor
     prefactor = Fraction((2.0 * math.pi * float(Fraction(float(sigma)) ** 2)) ** (-n / 2.0))
     names = ("the integral of H", "the integral of f * H")
-    inv_cr, int_fH = (_to_float(prefactor * sum(s), name) * _pi_scale(dom)
-                      for s, name in zip(zip(*_ladder(dom, a, sigma, 2 * r, f)), names))
+    Q, rungs = _ladder(dom, a, sigma, 2 * r, f)
+    inv_cr, int_fH = (_to_float(prefactor * Fraction(sum(s), Q), name) * _pi_scale(dom)
+                      for s, name in zip(zip(*rungs), names))
     if inv_cr <= 0:
         raise ValueError("truncated Gaussian has nonpositive mass on the domain")
     c_rKa = 1.0 / inv_cr

@@ -13,8 +13,8 @@ from scipy.special import gammainc
 
 from sosdensity import benchmarks, rate
 from sosdensity.bounds import compute_bound
-from sosdensity.moments import Domain, integrate_poly, integrate_poly_exact
-from sosdensity.polynomials import Polynomial, parse_polynomial
+from sosdensity.moments import Domain, _pi_scale, _scaled_factors, integrate_poly, integrate_poly_exact
+from sosdensity.polynomials import Polynomial, _over_lcm, parse_polynomial
 from sosdensity.rate import (
     certificate,
     gaussian_mass,
@@ -156,7 +156,8 @@ class TestTaylorDensity:
 
 
 class TestGaussianLadder:
-    """rate._ladder integrates (-t)^k / k! and f * (-t)^k / k! without forming them."""
+    """rate._ladder integrates (-t)^k / k! and f * (-t)^k / k! without forming
+    them, each as an integer over the ladder's one denominator Q."""
 
     DOMAINS = {
         "box": lambda n: Domain.box(
@@ -184,7 +185,8 @@ class TestGaussianLadder:
             prefactor = Fraction((2.0 * math.pi * float(Fraction(sigma) ** 2)) ** (-n / 2.0))
             H = taylor_density(a, sigma, r, n)
             for g in (f, Polynomial.zero(n)):
-                mass, gH = (prefactor * sum(s) for s in zip(*rate._ladder(dom, a, sigma, 2 * r, g)))
+                Q, rungs = rate._ladder(dom, a, sigma, 2 * r, g)
+                mass, gH = (prefactor * Fraction(sum(s), Q) for s in zip(*rungs))
                 assert mass == integrate_poly_exact(dom, H)
                 assert gH == integrate_poly_exact(dom, g * H)
 
@@ -200,9 +202,11 @@ class TestGaussianLadder:
             for a in ([0.1, -0.3, 0.2, 1 / 3][:n], [0.1, 0.0, -0.3, 0.0][:n], [0.0] * n):
                 t = sum(((Polynomial.variable(n, i) - a[i]) ** 2 for i in range(n)), Polynomial.zero(n))
                 t = t * (1 / (2 * Fraction(sigma) ** 2))
-                for k, (h, fh) in enumerate(rate._ladder(dom, a, sigma, 5, f)):
+                Q, rungs = rate._ladder(dom, a, sigma, 5, f)
+                for k, (h, fh) in enumerate(rungs):
                     term = (-t) ** k * Fraction(1, math.factorial(k))
-                    assert (h, fh) == (integrate_poly_exact(dom, term), integrate_poly_exact(dom, f * term)), (n, a, k)
+                    want = integrate_poly_exact(dom, term), integrate_poly_exact(dom, f * term)
+                    assert (Fraction(h, Q), Fraction(fh, Q)) == want, (n, a, k)
 
     @pytest.mark.parametrize("name", ["motzkin", "three-hump-camel-modified-s", "three-hump-camel-modified-b"])
     def test_certificate_has_the_bits_of_integrating_H(self, name):
@@ -212,6 +216,96 @@ class TestGaussianLadder:
             H = taylor_density(tc.minimizers[0], rep.sigma, r, 2)
             c_rKa = 1.0 / integrate_poly(tc.domain, H)
             assert (rep.c_rKa, rep.f_rKa) == (c_rKa, c_rKa * integrate_poly(tc.domain, tc.f * H))
+
+
+def _fraction_bracket(dom, a, sigma, K):
+    """The Taylor bracket of the Gaussian mass with one Fraction per rung and
+    a running Fraction sum: ((lo, hi), the rung it stopped at).  Rung k is
+    the integer sum of (q_1 + ... + q_n)^k against the factored moments,
+    q_i = (L x_i - p_i)^2, divided by (-1)^k den k! scale^k."""
+    n = dom.n
+    L, p = _over_lcm(Fraction(x) for x in a)
+    den, G, W = _scaled_factors(dom, 2 * K)
+    scale = Fraction(float(sigma)) ** 2 * 2 * L * L
+    graded = G.count(G[0]) < len(G)
+
+    def row(i, j):  # q_i^j against W_i, by degree key
+        out = {}
+        for s in range(2 * j + 1):
+            c = math.comb(2 * j, s) * L**s * (-p[i]) ** (2 * j - s) * W[i][s]
+            if c:
+                out[s * graded] = out.get(s * graded, 0) + c
+        return out
+
+    S = [{0: 1}] + [{}] * K  # (q_1 + ... + q_m)^k against the first m axes
+    for i in range(n):
+        rows = [row(i, j) for j in range(K + 1)]
+        carried = []
+        for k in range(K + 1):
+            acc = {}
+            for j in range(k + 1):
+                for s1, v in S[k - j].items():
+                    for s2, e in rows[j].items():
+                        acc[s1 + s2] = acc.get(s1 + s2, 0) + math.comb(k, j) * v * e
+            carried.append(acc)
+        S = carried
+    total, lo, hi = Fraction(0), -math.inf, math.inf
+    for k in range(K + 1):
+        total += sum(v * G[s] for s, v in S[k].items()) / ((-1) ** k * den * math.factorial(k) * scale**k)
+        if k % 2:
+            lo = max(lo, total)
+            if (hi - lo) * 2**20 <= lo:
+                break
+        else:
+            hi = min(hi, total)
+    prefactor = (2.0 * math.pi * sigma**2) ** (-n / 2.0) * _pi_scale(dom)
+    w = n * rate._WIDEN
+    return (max(float(lo), 0.0) * prefactor * (1 - w), float(hi) * prefactor * (1 + w)), k
+
+
+class TestTaylorBracketBits:
+    """The mass bracket gives the floats of the per-rung Fraction reference."""
+
+    DOMAINS = TestGaussianLadder.DOMAINS
+    CENTRES = {
+        "long": lambda n: [0.1, 1 / 3, 0.2][:n],
+        "axis": lambda n: [0.1, 0.0, 1 / 3][:n] if n > 1 else [0.0],
+        "origin": lambda n: [0.0] * n,
+    }
+
+    @pytest.mark.parametrize("centre", sorted(CENTRES))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(DOMAINS))
+    def test_same_floats_as_fraction_rungs(self, kind, n, centre):
+        dom, a = self.DOMAINS[kind](n), self.CENTRES[centre](n)
+        K = rate._ladder_order(dom, a, 0.8)
+        assert K is not None
+        want, _ = _fraction_bracket(dom, a, 0.8, K)
+        assert rate._taylor_enclosure(dom, a, 0.8, K) == want
+        # a wide sigma closes the bracket at an early odd rung of a long ladder
+        want, stop = _fraction_bracket(dom, a, 3.0, 15)
+        assert stop % 2 == 1 and stop < 15
+        assert rate._taylor_enclosure(dom, a, 3.0, 15) == want
+        # a narrow one runs to K without closing: lo is clipped to 0
+        want, stop = _fraction_bracket(dom, a, 0.08, 7)
+        assert stop == 7 and want[0] == 0.0 < want[1]
+        assert rate._taylor_enclosure(dom, a, 0.08, 7) == want
+
+    @pytest.mark.parametrize("dom,a,sigma", [
+        (Domain.simplex(1), [0.1], 0.3),
+        (Domain.simplex(2), [0.1, 1 / 3], 0.4),
+        (Domain.simplex(3), [0.2, 0.0, 0.1], 0.6),
+        (Domain.ball(1), [1 / 3], 0.3),
+        (Domain.ball(2), [0.1, 0.0], 0.5),
+        (Domain.ball(3), [0.1, 1 / 3, 0.2], 1.0),
+        (Domain.ball(9), [0.0] * 9, 0.3),
+    ], ids=["simplex1", "simplex2", "simplex3", "ball1", "ball2", "ball3", "ball9-origin"])
+    def test_gaussian_mass_same_floats(self, dom, a, sigma):
+        lo, hi = rate._box_enclosure(dom, a, sigma)
+        K = rate._ladder_order(dom, a, sigma)
+        assert K is not None and (hi - lo) * 2**20 > lo
+        (t_lo, t_hi), _ = _fraction_bracket(dom, a, sigma, K)
+        assert gaussian_mass(dom, a, sigma) == (max(lo, t_lo), min(hi, t_hi))
 
 
 def _check_enclosure(lo, hi, reference):

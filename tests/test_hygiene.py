@@ -534,3 +534,34 @@ def test_imports_happen_at_start_up():
     assert at_import == []
     assert added == []
     assert scipy_whole
+
+
+def test_mass_bracket_builds_no_fraction_per_rung(monkeypatch):
+    # the Taylor bracket sums integers over one denominator: the Fractions
+    # rate's own code builds in gaussian_mass (directly or through Fraction
+    # arithmetic) are as many at a ladder of order 9 as at one of order 41
+    from fractions import Fraction
+
+    from sosdensity import rate
+    from sosdensity.moments import Domain
+
+    new = Fraction.__new__
+    built = []
+
+    def counted(cls, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_globals.get("__name__") == "fractions":
+            frame = frame.f_back
+        built.append(frame.f_globals.get("__name__") == "sosdensity.rate")
+        return new(cls, *args, **kwargs)
+
+    dom = Domain.simplex(1)
+    counts = []
+    for sigma, K in ((0.82, 9), (0.24, 41)):
+        assert rate._ladder_order(dom, [0.0], sigma) == K
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        built.clear()
+        rate.gaussian_mass(dom, [0.0], sigma)
+        monkeypatch.undo()
+        counts.append(sum(built))
+    assert counts[0] == counts[1]

@@ -413,6 +413,39 @@ class TestCalculus:
         with pytest.raises(ValueError):
             (x * y).definite_integrate(1, Polynomial.constant(2, 0), y)
 
+    @pytest.mark.parametrize("i", [2, 5, -1, True, 1.0, "0", None])
+    def test_variable_index_checked(self, i):
+        # every method that names a variable by index passes one check: an
+        # integer (not a bool) in 0..n_vars-1; a negative index is not taken
+        # from the end
+        p = x**2 * y + y
+        zero, one = Polynomial.constant(2, 0), Polynomial.constant(2, 1)
+        message = "out of range for n_vars=2" if isinstance(i, int) and not isinstance(i, bool) and i >= 0 else "variable index"
+        calls = [
+            lambda: p.partial(i),
+            lambda: p.antiderivative(i),
+            lambda: p.substitute_var(i, x + 1),
+            lambda: p.definite_integrate(i, zero, one),
+            lambda: Polynomial.variable(2, i),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_integer_like_variable_index_accepted(self):
+        p = x**2 * y + y
+        assert p.partial(np.int64(1)) == p.partial(1) == x**2 + 1
+        assert Polynomial.variable(2, np.int64(1)) == y
+
+    def test_bound_or_value_must_be_a_polynomial(self):
+        p = x**2 * y + y
+        with pytest.raises(TypeError, match="lower bound must be a Polynomial, not 0"):
+            p.definite_integrate(0, 0, Polynomial.constant(2, 1))
+        with pytest.raises(TypeError, match="upper bound must be a Polynomial, not 1"):
+            p.definite_integrate(0, Polynomial.constant(2, 0), 1)
+        with pytest.raises(TypeError, match="value must be a Polynomial, not 3"):
+            p.substitute_var(0, 3)
+
     def test_substitute_affine_against_fraction_reference(self):
         rng = random.Random(50)
         for n in (1, 2, 3):
